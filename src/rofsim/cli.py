@@ -248,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario file path")
         p.add_argument("--out", default=None, help="output directory (default $ROFSIM_OUT or .)")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help="run label written to the CSVs (only the data_seed keys feed the RNG)",
+        )
 
     p_sim = sub.add_parser("simulate", help="run the full link once")
     common(p_sim)

@@ -4,11 +4,11 @@ uplink transport and balanced detection at the CO."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
 
-from . import _kernels
 from .errors import DelayRangeError, SimulationError
 from .optics import (
     FiberParams,
@@ -29,7 +29,6 @@ from .signal_core import (
     TimeGrid,
     ToneSpec,
     band_power,
-    cancellation_depth,
     dbm_to_amplitude,
     filter_band,
     fractional_delay,
@@ -258,7 +257,8 @@ class UplinkEvaluator:
     """Uplink chain with the (alpha, tau2) stage factored out for fast re-evaluation.
 
     Everything upstream of the attenuator/delay line is independent of the SIC
-    settings, so it is computed once; each evaluation then costs two FFTs.
+    settings, so it is computed once. The tuner objective works on the SI-band
+    bins of the two rail intensities; the lowpass outputs delay the full field.
     """
 
     def __init__(self, ru_field: OpticalField, received: SampledWaveform, s: LinkScenario):
@@ -286,19 +286,41 @@ class UplinkEvaluator:
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
         """Unfiltered balanced-detector output i_X - i_Y."""
         env = self._x_delayed(tau2)
-        return _kernels.scaled_intensity_diff(
-            env, alpha * self.scenario.responsivity, self._i_y
-        )
+        return alpha * self.scenario.responsivity * (env.real**2 + env.imag**2) - self._i_y
 
-    def residual_band_power_dbm(self, alpha: float, tau2: float) -> float:
-        """Direct-FFT band power of the residual over the SI band (objective)."""
-        x = self.bpd_raw(alpha, tau2)
-        spec = sfft.rfft(x)
-        n = x.size
-        freqs = sfft.rfftfreq(n, self.grid.dt)
+    @cached_property
+    def _si_band_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """SI-band bins (A, B, f) of rfft(R*|x_env|^2) and rfft(i_Y).
+
+        Square-law detection drops the carrier phase of the reference-arm
+        delay, and delaying the envelope by tau2 multiplies the bins of its
+        intensity by exp(-2j*pi*f*tau2). That identity needs the intensity to
+        fit below Nyquist, which holds when the envelope content lies below
+        fs/4; then bpd_raw's SI-band bins are alpha*A*exp(-2j*pi*f*tau2) - B.
+        """
+        freqs = sfft.rfftfreq(self.grid.n_samples, self.grid.dt)
         f_lo, f_hi = self.scenario.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)
-        msq = 2.0 * np.sum(np.abs(spec[mask]) ** 2) / n**2
+        env = self._x_env
+        i_x = self.scenario.responsivity * (env.real**2 + env.imag**2)
+        return sfft.rfft(i_x)[mask], sfft.rfft(self._i_y)[mask], freqs[mask]
+
+    def _reference_bins(self, tau2: float) -> np.ndarray:
+        a, _, f = self._si_band_spectra
+        return a * np.exp(-2j * np.pi * f * tau2)
+
+    def optimal_alpha(self, tau2: float) -> float:
+        """Least-squares attenuation at delay tau2, clipped to [0, 1]."""
+        a = self._reference_bins(tau2)
+        norm = np.vdot(a, a).real
+        if norm == 0.0:
+            return 0.0
+        return float(np.clip(np.vdot(a, self._si_band_spectra[1]).real / norm, 0.0, 1.0))
+
+    def residual_band_power_dbm(self, alpha: float, tau2: float) -> float:
+        """Band power of the residual over the SI band (objective), in closed form."""
+        spec = alpha * self._reference_bins(tau2) - self._si_band_spectra[1]
+        msq = 2.0 * np.sum(np.abs(spec) ** 2) / self.grid.n_samples**2
         p_dbm = 10.0 * np.log10(max(msq / 50.0 / 1e-3, 1e-40))
         if not np.isfinite(p_dbm):
             raise SimulationError("non-finite residual power")
@@ -357,8 +379,8 @@ def run_full(s: LinkScenario, sic) -> LinkResult:
     ev_si = UplinkEvaluator(ru, received_si, s)
     with_si, without_si = ev_si.outputs(sic.alpha, sic.tau2)
     band = s.si_band()
-    depth = cancellation_depth(without_si, with_si, band, s.rbw)
     residual = band_power(welch_psd(with_si, s.rbw), *band)
+    depth = band_power(welch_psd(without_si, s.rbw), *band) - residual
 
     soi_power = None
     evm = None

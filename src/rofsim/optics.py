@@ -14,7 +14,6 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import j0, j1
 
-from . import _kernels
 from .errors import GainNotAllowed, GridError, RailConflict
 from .signal_core import SampledWaveform, TimeGrid, dbm_to_watts
 
@@ -154,7 +153,10 @@ def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
         q = -_hilbert90(drive)
     else:
         q = _hilbert90(drive)
-    m = _kernels.ssb_operator(drive, q, np.pi / params.v_pi)
+    rad_per_volt = np.pi / params.v_pi
+    pa = rad_per_volt * drive
+    pb = rad_per_volt * q - 0.5 * np.pi
+    m = 0.5 * (np.exp(1j * pa) + np.exp(1j * pb))
     return m * 10.0 ** (-params.insertion_loss / 20.0)
 
 
@@ -340,7 +342,8 @@ def delay_line(field: OpticalField, tau: float) -> OpticalField:
 
 def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWaveform:
     """Square-law detection of the total intensity (polarization-insensitive)."""
-    i = _kernels.intensity(field.env_x, field.env_y, responsivity)
+    ex, ey = field.env_x, field.env_y
+    i = responsivity * (ex.real**2 + ex.imag**2 + ey.real**2 + ey.imag**2)
     return SampledWaveform(field.grid, i)
 
 

@@ -271,9 +271,9 @@ def band_power(s: SpectrumEstimate, f_lo: float, f_hi: float) -> float:
         raise RangeError("band outside the estimated spectrum")
     df = s.freqs[1] - s.freqs[0]
     mask = (s.freqs >= f_lo) & (s.freqs <= f_hi)
+    if not mask.any():
+        raise RangeError(f"no frequency bin in [{f_lo:.6g}, {f_hi:.6g}] Hz")
     p_mw = np.sum(10.0 ** (s.psd[mask] / 10.0)) * df
-    if p_mw <= 0.0:
-        return -400.0
     return float(10.0 * np.log10(p_mw))
 
 

@@ -1,5 +1,6 @@
 """Cancellation settings: analytic seeding from the Bessel conditions, then
-direct-search refinement of (alpha, tau2) on the simulated residual power."""
+refinement on the simulated residual power, with the attenuation alpha in
+closed form and one bounded search over the delay tau2."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
 from .errors import AttenuatorInfeasible, DegenerateScan
@@ -124,31 +126,15 @@ def seed_settings(
     )
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TAU_TOL = 1e-15  # s, absolute tolerance of the bounded Brent search on tau2
 
 
-def golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    a, b = min(a, b), max(a, b)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-_TAU_TOL = 0.01e-12  # s
-_ALPHA_TOL = 1e-5
-_SWEEP_TOL_DB = 0.05
-_MAX_SWEEPS = 50
+def _brent_tau2(objective, t_lo: float, t_hi: float) -> tuple[float, float]:
+    """Bounded Brent minimum of objective(tau2) on [t_lo, t_hi]; returns (tau2, value)."""
+    res = minimize_scalar(
+        objective, bounds=(t_lo, t_hi), method="bounded", options={"xatol": _TAU_TOL}
+    )
+    return float(res.x), float(res.fun)
 
 
 def _make_evaluator(s: LinkScenario, sic: SicSettings, downlink=None) -> UplinkEvaluator:
@@ -158,48 +144,32 @@ def _make_evaluator(s: LinkScenario, sic: SicSettings, downlink=None) -> UplinkE
 
 
 def refine(s: LinkScenario, seed: SicSettings, downlink=None) -> TuneReport:
-    """Alternating golden-section search on tau2 and alpha.
+    """Bounded search on tau2 with alpha profiled out in closed form.
 
-    The delay window spans one IF period either side of the seed; the
-    attenuation window spans a factor of two either way, clipped to [0, 1].
-    Objective is the residual SI band power; the report never degrades below
-    the seed depth.
+    For each delay the least-squares attenuation is exact, so one bounded
+    Brent search over one IF period either side of the seed finds (alpha,
+    tau2). Objective is the residual SI band power; the report never degrades
+    below the seed depth.
     """
     ev = _make_evaluator(s, seed, downlink)
     p_without = ev.residual_band_power_dbm(0.0, 0.0)
+    obj_seed = ev.residual_band_power_dbm(seed.alpha, seed.tau2)
 
     period = 1.0 / s.f_if
-    t_lo = max(0.0, seed.tau2 - period)
-    t_hi = seed.tau2 + period
-    if seed.alpha > 0.0:
-        a_lo, a_hi = 0.5 * seed.alpha, min(1.0, 2.0 * seed.alpha)
-    else:
-        a_lo, a_hi = 0.0, 1.0
-    best_a, best_t = seed.alpha, seed.tau2
-    best_obj = ev.residual_band_power_dbm(best_a, best_t)
-    depth_seed = p_without - best_obj
-    sweeps = 0
-    for _ in range(_MAX_SWEEPS):
-        sweeps += 1
-        prev_obj = best_obj
-        t, obj = golden_min(
-            lambda tau: ev.residual_band_power_dbm(best_a, tau), t_lo, t_hi, _TAU_TOL
-        )
-        if obj < best_obj:
-            best_t, best_obj = t, obj
-        a, obj = golden_min(
-            lambda al: ev.residual_band_power_dbm(al, best_t), a_lo, a_hi, _ALPHA_TOL
-        )
-        if obj < best_obj:
-            best_a, best_obj = a, obj
-        if prev_obj - best_obj < _SWEEP_TOL_DB:
-            break
+    tau2, obj = _brent_tau2(
+        lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
+        max(0.0, seed.tau2 - period),
+        seed.tau2 + period,
+    )
+    alpha = ev.optimal_alpha(tau2)
+    if obj > obj_seed:
+        alpha, tau2, obj = seed.alpha, seed.tau2, obj_seed
     return TuneReport(
         seed=seed,
-        refined=replace(seed, alpha=best_a, tau2=best_t),
-        depth_seed_db=depth_seed,
-        depth_refined_db=p_without - best_obj,
-        iterations=sweeps,
+        refined=replace(seed, alpha=alpha, tau2=tau2),
+        depth_seed_db=p_without - obj_seed,
+        depth_refined_db=p_without - obj,
+        iterations=1,
     )
 
 
@@ -207,21 +177,14 @@ def refine_alpha(s: LinkScenario, settings: SicSettings, downlink=None) -> TuneR
     """Attenuator-only refinement with the delay line held fixed.
 
     Useful in wideband mode, where tau2 is pinned to the phase-matching
-    formula and only the reference-arm attenuation is free.
+    formula and only the reference-arm attenuation is free; the optimum is the
+    closed-form least-squares attenuation at that delay.
     """
     ev = _make_evaluator(s, settings, downlink)
     p_without = ev.residual_band_power_dbm(0.0, 0.0)
     obj0 = ev.residual_band_power_dbm(settings.alpha, settings.tau2)
-    if settings.alpha > 0.0:
-        a_lo, a_hi = 0.5 * settings.alpha, min(1.0, 2.0 * settings.alpha)
-    else:
-        a_lo, a_hi = 0.0, 1.0
-    a, obj = golden_min(
-        lambda al: ev.residual_band_power_dbm(al, settings.tau2),
-        a_lo,
-        a_hi,
-        _ALPHA_TOL,
-    )
+    a = ev.optimal_alpha(settings.tau2)
+    obj = ev.residual_band_power_dbm(a, settings.tau2)
     if obj > obj0:
         a, obj = settings.alpha, obj0
     return TuneReport(
@@ -267,13 +230,10 @@ def verify_phase_constant(s: LinkScenario, n_scan: int = 96) -> float:
     if objs.max() - objs.min() < 1.0:
         raise DegenerateScan("residual power flat over the delay scan")
     k = int(np.argmin(objs))
-    t_lo = taus[k] - period / n_scan
-    t_hi = taus[k] + period / n_scan
-    tau_star, _ = golden_min(
+    tau_star, _ = _brent_tau2(
         lambda t: ev.residual_band_power_dbm(seed.alpha, max(t, 0.0)),
-        t_lo,
-        t_hi,
-        _TAU_TOL,
+        taus[k] - period / n_scan,
+        taus[k] + period / n_scan,
     )
     w_if = 2.0 * np.pi * s.f_if
     w_s = 2.0 * np.pi * s.f_s

@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rofsim.errors import DelayRangeError
 from rofsim.link import (
     LinkScenario,
     SelfInterferencePath,
+    UplinkEvaluator,
     build_soi_waveform,
     make_received_signal,
     run_downlink,
@@ -23,6 +25,7 @@ from rofsim.signal_core import (
     band_power,
     dbm_to_amplitude,
     make_tone,
+    phase_shift,
     welch_psd,
 )
 from rofsim.tuner import SicSettings, auto_tune
@@ -199,3 +202,69 @@ class TestRunFull:
         bad = dataclasses.replace(s, lpf=-1.0)
         with pytest.raises(Exception):
             run_full(bad, SicSettings())
+
+
+def full_fft_band_power_dbm(ev: UplinkEvaluator, alpha: float, tau2: float) -> float:
+    """Reference objective: SI-band power of the full-record FFT of bpd_raw."""
+    x = ev.bpd_raw(alpha, tau2)
+    spec = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(x.size, ev.grid.dt)
+    f_lo, f_hi = ev.scenario.si_band()
+    mask = (freqs >= f_lo) & (freqs <= f_hi)
+    msq = 2.0 * np.sum(np.abs(spec[mask]) ** 2) / x.size**2
+    return float(10.0 * np.log10(msq / 50.0 / 1e-3))
+
+
+class TestClosedFormObjective:
+    @pytest.mark.parametrize("name", ["fig6a", "fig7a", "fig7c", "fig8c", "wideband"])
+    def test_matches_full_fft(self, name):
+        s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
+        rf, ru = run_downlink(s)
+        rep = auto_tune(s, wideband=name == "wideband", downlink=(rf, ru))
+        received = make_received_signal(rf, s.si_path)
+        if rep.seed.rf_phase_comp is not None:
+            received = phase_shift(received, rep.seed.rf_phase_comp)
+        ev = UplinkEvaluator(ru, received, s)
+        seed, refined = rep.seed, rep.refined
+        points = [
+            (seed.alpha, seed.tau2),
+            (0.5 * seed.alpha, seed.tau2 + 0.25 / s.f_if),
+            (refined.alpha, refined.tau2),
+        ]
+        for alpha, tau2 in points:
+            assert ev.residual_band_power_dbm(alpha, tau2) == pytest.approx(
+                full_fft_band_power_dbm(ev, alpha, tau2), abs=1e-3
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.floats(-20.0, 20.0, allow_nan=False),
+    )
+    def test_intensity_delay_identity_below_quarter_rate(self, seed, tau):
+        # envelope content strictly below fs/4: |x|^2 fits below Nyquist
+        n = 256
+        k = np.fft.fftfreq(n) * n
+        rng = np.random.default_rng(seed)
+        spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        spec[np.abs(k) >= n // 4] = 0.0
+        delayed, intensity = self._delay_pair(spec, tau)
+        np.testing.assert_allclose(delayed, intensity, rtol=0, atol=1e-9 * np.abs(intensity).max())
+
+    def test_intensity_delay_identity_breaks_near_nyquist(self):
+        n = 256
+        spec = np.zeros(n, dtype=complex)
+        spec[[115, n - 115]] = 1.0  # +-0.45 fs: the beat at 0.9 fs aliases to 0.1 fs
+        delayed, intensity = self._delay_pair(spec, 0.3)
+        alias = n - 2 * 115
+        assert abs(delayed[alias] - intensity[alias]) > 0.1 * abs(intensity[alias])
+
+    @staticmethod
+    def _delay_pair(spec, tau):
+        """rfft of |x delayed by tau samples|^2, and rfft(|x|^2) times the delay phase."""
+        n = spec.size
+        x = np.fft.ifft(spec)
+        x_tau = np.fft.ifft(spec * np.exp(-2j * np.pi * np.fft.fftfreq(n) * tau))
+        delayed = np.fft.rfft(np.abs(x_tau) ** 2)
+        intensity = np.fft.rfft(np.abs(x) ** 2) * np.exp(-2j * np.pi * np.fft.rfftfreq(n) * tau)
+        return delayed, intensity

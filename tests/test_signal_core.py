@@ -168,6 +168,13 @@ class TestBandPower:
         with pytest.raises(RangeError):
             band_power(est, 1e9, 50e9)
 
+    def test_band_between_bins_rejected(self):
+        w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID_LONG)
+        est = welch_psd(w, rbw=1e6)
+        f0, df = est.freqs[100], est.freqs[1] - est.freqs[0]
+        with pytest.raises(RangeError):
+            band_power(est, f0 + 0.25 * df, f0 + 0.75 * df)
+
 
 class TestCancellationDepth:
     def test_definition_40_db(self):

@@ -1,4 +1,5 @@
-"""SIC tuner: analytic seeds, golden-section refinement, phase constant."""
+"""SIC tuner: analytic seeds, closed-form alpha with a bounded tau2 search,
+phase constant."""
 
 import dataclasses
 import math
@@ -17,7 +18,6 @@ from rofsim.tuner import (
     analytic_alpha,
     analytic_tau2,
     auto_tune,
-    golden_min,
     refine,
     refine_alpha,
     seed_settings,
@@ -91,13 +91,6 @@ class TestAnalyticTau2:
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
             analytic_tau2(0.0, self.W_S, 1e-9)
-
-
-class TestGoldenMin:
-    def test_quadratic(self):
-        x, fx = golden_min(lambda x: (x - 0.3) ** 2, -1.0, 1.0, 1e-8)
-        assert x == pytest.approx(0.3, abs=1e-7)
-        assert fx == pytest.approx(0.0, abs=1e-13)
 
 
 class TestSeedSettings:
