@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.signal
 
 from . import __version__
 from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
@@ -28,7 +29,7 @@ from .link import (
     run_full,
 )
 from .scenario import dict_to_scenario, load_scenario, scenario_to_dict
-from .signal_core import welch_psd
+from .signal_core import psd_to_dbm_per_hz, welch_psd, welch_segment
 from .tuner import SicSettings, auto_tune
 
 _TAPS = ("dp_bpsk_out", "polarizer_out", "ru_y_mod", "bpd_out")
@@ -80,21 +81,16 @@ def _write_spectrum(path: Path, freqs, psd, label: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _settings_from_args(s: LinkScenario, args) -> SicSettings:
-    if args.auto_tune:
-        return auto_tune(s, wideband=args.wideband).refined
-    return SicSettings(
-        alpha=args.alpha,
-        tau2=args.tau2_ns * 1e-9,
-        rf_phase_comp=None,
-    )
-
-
 def cmd_simulate(args) -> int:
     s = _load(args)
     out = _out_dir(args)
-    sic = _settings_from_args(s, args)
-    result = run_full(s, sic)
+    if args.auto_tune:
+        downlink = run_downlink(s)
+        sic = auto_tune(s, wideband=args.wideband, downlink=downlink).refined
+    else:
+        downlink = None
+        sic = SicSettings(alpha=args.alpha, tau2=args.tau2_ns * 1e-9, rf_phase_comp=None)
+    result = run_full(s, sic, downlink=downlink)
     row = _metrics_row(s, result.metrics, sic)
     (out / f"{s.name}_metrics.csv").write_text(f"# {_METRIC_COLS}\n{row}\n")
     for tag, w in (
@@ -162,10 +158,11 @@ def _set_axis(doc: dict, axis: str, value: float) -> dict:
 def _sweep_point(payload):
     s, hold_sic, held = payload
     if hold_sic:
-        sic = held
+        sic, downlink = held, None
     else:
-        sic = auto_tune(s).refined
-    result = run_full(s, sic)
+        downlink = run_downlink(s)
+        sic = auto_tune(s, downlink=downlink).refined
+    result = run_full(s, sic, downlink=downlink)
     return _metrics_row(s, result.metrics, sic)
 
 
@@ -197,16 +194,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _optical_psd(field, rails, rbw):
-    from .signal_core import SampledWaveform
-
-    total = None
+def _optical_psd(grid, rails, rbw):
+    """Two-sided Welch PSD (dBm/Hz, fftshifted) of complex optical envelopes, summed."""
+    nperseg = welch_segment(grid, rbw)
+    total = 0.0
     for env in rails:
-        est = welch_psd(SampledWaveform(field.grid, env), rbw)
-        lin = 10.0 ** (est.psd / 10.0)
-        total = lin if total is None else total + lin
-        freqs = est.freqs
-    return freqs, 10.0 * np.log10(np.maximum(total, 1e-300))
+        freqs, pxx = scipy.signal.welch(
+            env,
+            fs=grid.sample_rate,
+            window="hann",
+            nperseg=nperseg,
+            noverlap=nperseg // 2,
+            detrend=False,
+            return_onesided=False,
+            scaling="density",
+        )
+        total = total + pxx
+    return np.fft.fftshift(freqs), psd_to_dbm_per_hz(np.fft.fftshift(total))
 
 
 def cmd_spectrum(args) -> int:
@@ -218,13 +222,13 @@ def cmd_spectrum(args) -> int:
         taps = downlink_taps(s)
         field = taps[args.tap]
         rails = [field.env_x, field.env_y] if args.tap == "dp_bpsk_out" else [field.env_x]
-        freqs, psd = _optical_psd(field, rails, s.rbw)
+        freqs, psd = _optical_psd(field.grid, rails, s.rbw)
         label = f"{args.tap} optical envelope (Hz offset from carrier)"
     elif args.tap == "ru_y_mod":
         rf, ru = run_downlink(s)
         received = _received_with_comp(rf, s, SicSettings(), build_soi_waveform(s))
         ev = UplinkEvaluator(ru, received, s)
-        freqs, psd = _optical_psd(ev.y_mod, [ev.y_mod.env_y], s.rbw)
+        freqs, psd = _optical_psd(s.grid, [ev.y_mod.env_y], s.rbw)
         label = "ru_y_mod optical envelope (Hz offset from carrier)"
     else:
         result = run_full(s, SicSettings())

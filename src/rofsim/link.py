@@ -18,7 +18,6 @@ from .optics import (
     dp_bpsk_modulate,
     fiber_propagate,
     laser_cw,
-    pbc,
     pbs,
     photodetect,
     polarizer,
@@ -253,40 +252,70 @@ def make_received_signal(
     return received
 
 
+class ReferenceArm:
+    """X rail of the RU field carried to the CO: the reference arm of the SIC stage.
+
+    It never touches the uplink RF, so one instance serves every pass that
+    shares a downlink. The envelope spectrum is computed on first use of a
+    non-zero delay, and the lowpassed reference current once per delay.
+    """
+
+    def __init__(self, ru_field: OpticalField, s: LinkScenario):
+        self.scenario = s
+        x_rail, _ = pbs(ru_field)
+        self.env = fiber_propagate(x_rail, s.uplink_fiber).env_x
+        self._lowpassed: dict[float, np.ndarray] = {}
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return sfft.fft(self.env, workers=_FFT_WORKERS), self.scenario.grid.freqs()
+
+    def intensity(self, tau2: float) -> np.ndarray:
+        """Photocurrent i_X of the envelope delayed by tau2.
+
+        The carrier phase of the delay line drops out of the square law.
+        """
+        env = self.env
+        if tau2 != 0.0:
+            spec, freqs = self._spectrum
+            env = sfft.ifft(spec * np.exp(-2j * np.pi * freqs * tau2), workers=_FFT_WORKERS)
+        return self.scenario.responsivity * (env.real**2 + env.imag**2)
+
+    def lowpassed(self, tau2: float) -> np.ndarray:
+        """Lowpass-filtered i_X at delay tau2."""
+        if tau2 not in self._lowpassed:
+            raw = SampledWaveform(self.scenario.grid, self.intensity(tau2))
+            self._lowpassed[tau2] = filter_band(raw, "lowpass", self.scenario.lpf).samples
+        return self._lowpassed[tau2]
+
+
 class UplinkEvaluator:
     """Uplink chain with the (alpha, tau2) stage factored out for fast re-evaluation.
 
     Everything upstream of the attenuator/delay line is independent of the SIC
-    settings, so it is computed once. The tuner objective works on the SI-band
-    bins of the two rail intensities; the lowpass outputs delay the full field.
+    settings, so it is computed once; the reference arm can be shared between
+    evaluators of one downlink. The tuner objective works on the SI-band bins
+    of the two rail intensities; the lowpass outputs delay the full field.
     """
 
-    def __init__(self, ru_field: OpticalField, received: SampledWaveform, s: LinkScenario):
+    def __init__(
+        self,
+        ru_field: OpticalField,
+        received: SampledWaveform,
+        s: LinkScenario,
+        reference: ReferenceArm | None = None,
+    ):
         self.scenario = s
         self.grid = s.grid
-        x_rail, y_rail = pbs(ru_field)
-        y_mod = dd_mzm_ssb(y_rail, received, s.mod_uplink)
-        self.y_mod = y_mod
-        uplink = fiber_propagate(pbc(x_rail, y_mod), s.uplink_fiber)
-        x_co, y_co = pbs(uplink)
-        self._x_env = x_co.env_x
-        self._x_spec = sfft.fft(self._x_env, workers=_FFT_WORKERS)
-        self._i_y = photodetect(y_co, s.responsivity).real_samples()
-        self._freqs = self.grid.freqs()
-        self._carrier = s.carrier_frequency
-
-    def _x_delayed(self, tau2: float) -> np.ndarray:
-        if tau2 == 0.0:
-            return self._x_env
-        ph = np.exp(-2j * np.pi * self._freqs * tau2)
-        env = sfft.ifft(self._x_spec * ph, workers=_FFT_WORKERS)
-        env *= np.exp(-2j * np.pi * self._carrier * tau2)
-        return env
+        self.reference = ReferenceArm(ru_field, s) if reference is None else reference
+        _, y_rail = pbs(ru_field)
+        self.y_mod = dd_mzm_ssb(y_rail, received, s.mod_uplink)
+        y_co = fiber_propagate(self.y_mod, s.uplink_fiber)
+        self._i_y = photodetect(y_co, s.responsivity).samples
 
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
         """Unfiltered balanced-detector output i_X - i_Y."""
-        env = self._x_delayed(tau2)
-        return alpha * self.scenario.responsivity * (env.real**2 + env.imag**2) - self._i_y
+        return alpha * self.reference.intensity(tau2) - self._i_y
 
     @cached_property
     def _si_band_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,11 +327,10 @@ class UplinkEvaluator:
         fit below Nyquist, which holds when the envelope content lies below
         fs/4; then bpd_raw's SI-band bins are alpha*A*exp(-2j*pi*f*tau2) - B.
         """
-        freqs = sfft.rfftfreq(self.grid.n_samples, self.grid.dt)
+        freqs = self.grid.rfreqs()
         f_lo, f_hi = self.scenario.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)
-        env = self._x_env
-        i_x = self.scenario.responsivity * (env.real**2 + env.imag**2)
+        i_x = self.reference.intensity(0.0)
         return sfft.rfft(i_x)[mask], sfft.rfft(self._i_y)[mask], freqs[mask]
 
     def _reference_bins(self, tau2: float) -> np.ndarray:
@@ -326,15 +354,26 @@ class UplinkEvaluator:
             raise SimulationError("non-finite residual power")
         return float(p_dbm)
 
+    @cached_property
+    def without_sic(self) -> SampledWaveform:
+        """Lowpass-filtered BPD output with the reference arm dark, -LP(i_Y)."""
+        return filter_band(SampledWaveform(self.grid, -self._i_y), "lowpass", self.scenario.lpf)
+
     def outputs(self, alpha: float, tau2: float) -> tuple[SampledWaveform, SampledWaveform]:
-        """Lowpass-filtered BPD outputs (with_sic, without_sic)."""
-        s = self.scenario
-        with_raw = SampledWaveform(self.grid, self.bpd_raw(alpha, tau2))
-        without_raw = SampledWaveform(self.grid, -self._i_y.astype(np.complex128))
-        return (
-            filter_band(with_raw, "lowpass", s.lpf),
-            filter_band(without_raw, "lowpass", s.lpf),
-        )
+        """Lowpass-filtered BPD outputs (with_sic, without_sic).
+
+        The lowpass is linear, so with_sic = alpha*LP(i_X at tau2) - LP(i_Y).
+        """
+        without = self.without_sic
+        with_sic = alpha * self.reference.lowpassed(tau2) + without.samples
+        return SampledWaveform(self.grid, with_sic), without
+
+
+def _compensated(w: SampledWaveform, sic) -> SampledWaveform:
+    """Apply the RF phase shifter of wideband mode, when the settings carry one."""
+    if sic.rf_phase_comp is None:
+        return w
+    return phase_shift(w, sic.rf_phase_comp)
 
 
 def _received_with_comp(
@@ -342,13 +381,8 @@ def _received_with_comp(
     s: LinkScenario,
     sic,
     soi_wave: SampledWaveform | None,
-    si_enabled: bool = True,
 ) -> SampledWaveform:
-    si = s.si_path if si_enabled else SelfInterferencePath(gain_db=-np.inf, delay=0.0)
-    received = make_received_signal(rf, si, soi_wave)
-    if sic.rf_phase_comp is not None:
-        received = phase_shift(received, sic.rf_phase_comp)
-    return received
+    return _compensated(make_received_signal(rf, s.si_path, soi_wave), sic)
 
 
 def run_uplink(
@@ -366,18 +400,26 @@ def run_uplink(
     return ev.outputs(sic.alpha, sic.tau2)
 
 
-def run_full(s: LinkScenario, sic) -> LinkResult:
-    """Execute the whole link and compute the scenario metrics."""
+def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
+    """Execute the whole link and compute the scenario metrics.
+
+    `downlink` is an optional (rf, ru_field) pair from `run_downlink(s)`, so a
+    caller that has already run it (e.g. after `auto_tune`) need not repeat it.
+    All passes share one reference arm; the received RF is linear in the SI
+    and the SOI, so each is built and phase-compensated once.
+    """
     from .signal_core import demodulate_evm  # local to avoid cycle noise
 
     s.validate()
-    rf, ru = run_downlink(s)
+    rf, ru = run_downlink(s) if downlink is None else downlink
+    reference = ReferenceArm(ru, s)
 
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
     received_si = _received_with_comp(rf, s, sic, None)
-    ev_si = UplinkEvaluator(ru, received_si, s)
-    with_si, without_si = ev_si.outputs(sic.alpha, sic.tau2)
+    with_si, without_si = UplinkEvaluator(ru, received_si, s, reference).outputs(
+        sic.alpha, sic.tau2
+    )
     band = s.si_band()
     residual = band_power(welch_psd(with_si, s.rbw), *band)
     depth = band_power(welch_psd(without_si, s.rbw), *band) - residual
@@ -386,15 +428,13 @@ def run_full(s: LinkScenario, sic) -> LinkResult:
     evm = None
     with_out, without_out = with_si, without_si
     if s.soi is not None:
-        soi_wave = build_soi_waveform(s)
-        received_full = _received_with_comp(rf, s, sic, soi_wave)
-        ev_full = UplinkEvaluator(ru, received_full, s)
-        with_out, without_out = ev_full.outputs(sic.alpha, sic.tau2)
+        soi_wave = _compensated(build_soi_waveform(s), sic)
+        with_out, without_out = UplinkEvaluator(
+            ru, received_si + soi_wave, s, reference
+        ).outputs(sic.alpha, sic.tau2)
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
-        received_soi = _received_with_comp(rf, s, sic, soi_wave, si_enabled=False)
-        ev_soi = UplinkEvaluator(ru, received_soi, s)
-        _, soi_only = ev_soi.outputs(sic.alpha, sic.tau2)
+        soi_only = UplinkEvaluator(ru, soi_wave, s, reference).without_sic
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if s.soi.kind == "qam":
             evm = demodulate_evm(

@@ -135,7 +135,7 @@ def _hilbert90(x: np.ndarray) -> np.ndarray:
 
 def hybrid_coupler_90(drive: SampledWaveform) -> tuple[SampledWaveform, SampledWaveform]:
     """Split into two -3 dB outputs, the second in quadrature to the first."""
-    d = drive.real_samples()
+    d = drive.samples
     s = 1.0 / np.sqrt(2.0)
     return (
         SampledWaveform(drive.grid, s * d),
@@ -156,8 +156,9 @@ def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
     rad_per_volt = np.pi / params.v_pi
     pa = rad_per_volt * drive
     pb = rad_per_volt * q - 0.5 * np.pi
-    m = 0.5 * (np.exp(1j * pa) + np.exp(1j * pb))
-    return m * 10.0 ** (-params.insertion_loss / 20.0)
+    # 0.5*(e^{j pa} + e^{j pb}) written with one complex exponential
+    mag = np.cos(0.5 * (pa - pb)) * 10.0 ** (-params.insertion_loss / 20.0)
+    return np.exp(0.5j * (pa + pb)) * mag
 
 
 def dd_mzm_ssb(
@@ -174,7 +175,7 @@ def dd_mzm_ssb(
     rail = carrier.rail()
     if rail == "both":
         raise ValueError("dd_mzm_ssb carrier must occupy a single rail")
-    m = _ssb_transfer(drive.real_samples(), params)
+    m = _ssb_transfer(drive.samples, params)
     if rail in ("x", "dark"):
         return OpticalField(
             carrier.grid,
@@ -199,7 +200,7 @@ def mzm_dsb(
     """
     if carrier.grid != drive.grid:
         raise GridError("carrier and drive grids differ")
-    phi = np.pi * drive.real_samples() / (2.0 * params.v_pi)
+    phi = np.pi * drive.samples / (2.0 * params.v_pi)
     m = np.cos(phi - np.pi / 4.0) * 10.0 ** (-params.insertion_loss / 20.0)
     return OpticalField(
         carrier.grid,
@@ -242,8 +243,8 @@ def dp_bpsk_modulate(
         raise ValueError("dp_bpsk_modulate carrier must occupy a single rail")
     env = carrier.env_x if rail in ("x", "dark") else carrier.env_y
     c = env / np.sqrt(2.0)
-    mx = _ssb_transfer(if_drive.real_samples(), p_if)
-    my = _ssb_transfer(lo_drive.real_samples(), p_lo)
+    mx = _ssb_transfer(if_drive.samples, p_if)
+    my = _ssb_transfer(lo_drive.samples, p_lo)
     return OpticalField(carrier.grid, carrier.carrier_frequency, c * mx, c * my)
 
 
@@ -309,6 +310,8 @@ def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
     )
 
     def run(env):
+        if not np.any(env):  # a dark rail stays dark
+            return np.zeros_like(env)
         return sfft.ifft(sfft.fft(env, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
 
     return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))

@@ -73,34 +73,36 @@ class TimeGrid:
         """Two-sided FFT frequency axis (unshifted)."""
         return sfft.fftfreq(self.n_samples, self.dt)
 
+    def rfreqs(self) -> np.ndarray:
+        """One-sided frequency axis of a real waveform's rfft, DC to Nyquist."""
+        return sfft.rfftfreq(self.n_samples, self.dt)
+
 
 DEFAULT_GRID = TimeGrid(sample_rate=64e9, n_samples=2**20)
 
 
 @dataclass
 class SampledWaveform:
-    """Electrical samples (volts) on a time grid; real signals carry zero imag."""
+    """Real electrical samples (volts) on a time grid, stored as float64."""
 
     grid: TimeGrid
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        x = np.asarray(self.samples)
+        if np.iscomplexobj(x):
+            if np.any(x.imag):
+                raise ValueError("electrical waveform must be real")
+            x = x.real
+        self.samples = np.ascontiguousarray(x, dtype=np.float64)
         if self.samples.shape != (self.grid.n_samples,):
             raise ValueError("samples length must match grid")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
 
-    @property
-    def is_real(self) -> bool:
-        return not np.any(self.samples.imag)
-
-    def real_samples(self) -> np.ndarray:
-        return np.ascontiguousarray(self.samples.real)
-
     def mean_power(self) -> float:
         """Mean-square value into a unit load (A^2/2 for a tone of amplitude A)."""
-        return float(np.mean(np.abs(self.samples) ** 2))
+        return float(np.mean(self.samples**2))
 
     def __add__(self, other: "SampledWaveform") -> "SampledWaveform":
         require_same_grid(self, other)
@@ -192,8 +194,8 @@ def _rrc_response(freqs: np.ndarray, symbol_rate: float, rolloff: float) -> np.n
     return h
 
 
-def _qam_baseband(spec: QamSignalSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """Complex RRC-shaped baseband, its symbol values, and samples per symbol."""
+def _qam_impulses(spec: QamSignalSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """Symbol impulse train on the grid, its symbol values, and samples per symbol."""
     sps = grid.sample_rate / spec.symbol_rate
     if abs(sps - round(sps)) > 1e-9:
         raise ValueError("sample_rate must be an integer multiple of symbol_rate")
@@ -204,9 +206,14 @@ def _qam_baseband(spec: QamSignalSpec, grid: TimeGrid) -> tuple[np.ndarray, np.n
     symbols = _qam16_symbols(n_sym, spec.seed)
     impulses = np.zeros(grid.n_samples, dtype=np.complex128)
     impulses[: n_sym * sps : sps] = symbols
+    return impulses, symbols, sps
+
+
+def _qam_baseband(spec: QamSignalSpec, grid: TimeGrid) -> np.ndarray:
+    """Complex RRC-shaped baseband of the spec's symbol stream."""
+    impulses, _, _ = _qam_impulses(spec, grid)
     h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
-    baseband = sfft.ifft(sfft.fft(impulses, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
-    return baseband, symbols, sps
+    return sfft.ifft(sfft.fft(impulses, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
 
 
 def make_qam(spec: QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
@@ -218,7 +225,7 @@ def make_qam(spec: QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
     edge = spec.center_frequency + spec.occupied_halfwidth
     if edge >= grid.nyquist or spec.center_frequency - spec.occupied_halfwidth <= 0:
         raise AliasError("QAM band does not fit inside the Nyquist interval")
-    baseband, _, _ = _qam_baseband(spec, grid)
+    baseband = _qam_baseband(spec, grid)
     t = grid.times()
     passband = (baseband * np.exp(2j * np.pi * spec.center_frequency * t)).real
     target = dbm_to_watts(spec.power_dbm) * R_REF  # mean square volts
@@ -229,38 +236,42 @@ def make_qam(spec: QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
 _HANN_ENBW = 1.5  # equivalent noise bandwidth of a Hann window, in bins
 
 
-def welch_psd(w: SampledWaveform, rbw: float) -> SpectrumEstimate:
-    """Averaged-periodogram PSD in dBm/Hz with the requested resolution bandwidth.
-
-    One-sided for real waveforms, two-sided (fftshifted) otherwise. Integrating
-    the linear PSD over frequency recovers the waveform mean power within 0.2 dB.
-    """
-    fs = w.grid.sample_rate
-    nperseg = int(round(_HANN_ENBW * fs / rbw))
-    if nperseg > w.grid.n_samples:
+def welch_segment(grid: TimeGrid, rbw: float) -> int:
+    """Hann segment length in samples that yields the requested resolution bandwidth."""
+    nperseg = int(round(_HANN_ENBW * grid.sample_rate / rbw))
+    if nperseg > grid.n_samples:
         raise ResolutionError(
             f"rbw {rbw:.3g} Hz needs {nperseg} samples/segment; record has "
-            f"{w.grid.n_samples}"
+            f"{grid.n_samples}"
         )
-    nperseg = max(nperseg, 8)
-    real_in = w.is_real
-    x = w.real_samples() if real_in else w.samples
+    return max(nperseg, 8)
+
+
+def psd_to_dbm_per_hz(pxx: np.ndarray) -> np.ndarray:
+    """V^2/Hz into 50 ohm as dBm/Hz, floored at -400 dBm/Hz."""
+    return 10.0 * np.log10(np.maximum(pxx / R_REF / 1e-3, 1e-40))
+
+
+def welch_psd(w: SampledWaveform, rbw: float) -> SpectrumEstimate:
+    """One-sided averaged-periodogram PSD in dBm/Hz at the requested resolution bandwidth.
+
+    Integrating the linear PSD over frequency recovers the waveform mean power
+    within 0.2 dB.
+    """
+    fs = w.grid.sample_rate
+    nperseg = welch_segment(w.grid, rbw)
     freqs, pxx = scipy.signal.welch(
-        x,
+        w.samples,
         fs=fs,
         window="hann",
         nperseg=nperseg,
         noverlap=nperseg // 2,
         detrend=False,
-        return_onesided=real_in,
         scaling="density",
     )
-    if not real_in:
-        freqs = sfft.fftshift(freqs)
-        pxx = sfft.fftshift(pxx)
-    psd_w_hz = pxx / R_REF  # V^2/Hz -> W/Hz
-    psd_dbm = 10.0 * np.log10(np.maximum(psd_w_hz / 1e-3, 1e-40))
-    return SpectrumEstimate(freqs=freqs, psd=psd_dbm, rbw=_HANN_ENBW * fs / nperseg)
+    return SpectrumEstimate(
+        freqs=freqs, psd=psd_to_dbm_per_hz(pxx), rbw=_HANN_ENBW * fs / nperseg
+    )
 
 
 def band_power(s: SpectrumEstimate, f_lo: float, f_hi: float) -> float:
@@ -309,12 +320,18 @@ def _edge_mask(af: np.ndarray, edge: float, rising: bool) -> np.ndarray:
     return h
 
 
+def _apply_spectral(w: SampledWaveform, h: np.ndarray) -> np.ndarray:
+    """Samples of w filtered by h, given on the one-sided rfft frequency axis."""
+    n = w.grid.n_samples
+    return sfft.irfft(sfft.rfft(w.samples, workers=_FFT_WORKERS) * h, n, workers=_FFT_WORKERS)
+
+
 def filter_band(w: SampledWaveform, kind: str, *edges: float) -> SampledWaveform:
     """Frequency-domain filter with raised-cosine skirts outside the passband."""
     for e in edges:
         if e >= w.grid.nyquist:
             raise FilterSpecError("filter edge at or above Nyquist")
-    af = np.abs(w.grid.freqs())
+    af = w.grid.rfreqs()
     if kind == "lowpass":
         if len(edges) != 1:
             raise FilterSpecError("lowpass takes one edge")
@@ -325,10 +342,7 @@ def filter_band(w: SampledWaveform, kind: str, *edges: float) -> SampledWaveform
         h = _edge_mask(af, edges[0], rising=True) * _edge_mask(af, edges[1], rising=False)
     else:
         raise FilterSpecError(f"unknown filter kind {kind!r}")
-    out = sfft.ifft(sfft.fft(w.samples, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
-    if w.is_real:
-        out = out.real.astype(np.complex128)
-    return SampledWaveform(w.grid, out)
+    return SampledWaveform(w.grid, _apply_spectral(w, h))
 
 
 _EVM_GUARD_SYMBOLS = 10
@@ -338,20 +352,18 @@ def demodulate_evm(w: SampledWaveform, spec: QamSignalSpec) -> float:
     """RMS EVM in percent after matched filtering and complex-gain equalization.
 
     Data-aided: the reference symbols are regenerated from the spec seed, and
-    symbol timing is recovered by correlating against the known baseband.
+    symbol timing is recovered by correlating against the known baseband, whose
+    matched-filtered spectrum is the impulse-train spectrum times h^2.
     """
     grid = w.grid
-    baseband_ref, symbols, sps = _qam_baseband(spec, grid)
+    impulses, symbols, sps = _qam_impulses(spec, grid)
     t = grid.times()
     z = w.samples * np.exp(-2j * np.pi * spec.center_frequency * t)
     h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
-    zf = sfft.ifft(sfft.fft(z, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
-    # matched-filtered reference for the timing correlation
-    rf = sfft.ifft(sfft.fft(baseband_ref, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
-    xc = sfft.ifft(
-        sfft.fft(zf, workers=_FFT_WORKERS) * np.conj(sfft.fft(rf, workers=_FFT_WORKERS)),
-        workers=_FFT_WORKERS,
-    )
+    zf_spec = sfft.fft(z, workers=_FFT_WORKERS) * h
+    zf = sfft.ifft(zf_spec, workers=_FFT_WORKERS)
+    ref_spec = sfft.fft(impulses, workers=_FFT_WORKERS) * h**2
+    xc = sfft.ifft(zf_spec * np.conj(ref_spec), workers=_FFT_WORKERS)
     lag = int(np.argmax(np.abs(xc)))
     peak = np.abs(xc[lag])
     if peak < 5.0 * np.sqrt(np.mean(np.abs(xc) ** 2)):
@@ -374,26 +386,20 @@ def fractional_delay(w: SampledWaveform, tau: float) -> SampledWaveform:
     The Nyquist bin is zeroed: its phase under a fractional shift is ambiguous
     for real signals, and dropping it keeps delay/advance pairs exact inverses.
     """
-    f = w.grid.freqs()
-    ph = np.exp(-2j * np.pi * f * tau)
+    ph = np.exp(-2j * np.pi * w.grid.rfreqs() * tau)
     if w.grid.n_samples % 2 == 0:
-        ph[w.grid.n_samples // 2] = 0.0
-    out = sfft.ifft(
-        sfft.fft(w.samples, workers=_FFT_WORKERS) * ph,
-        workers=_FFT_WORKERS,
-    )
-    if w.is_real:
-        out = out.real.astype(np.complex128)
-    return SampledWaveform(w.grid, out)
+        ph[-1] = 0.0
+    return SampledWaveform(w.grid, _apply_spectral(w, ph))
 
 
 def phase_shift(w: SampledWaveform, phi: float) -> SampledWaveform:
-    """Shift every positive-frequency component by +phi (analytic phase shift)."""
-    x = sfft.fft(w.samples, workers=_FFT_WORKERS)
-    f = w.grid.freqs()
-    x[f > 0] *= np.exp(1j * phi)
-    x[f < 0] *= np.exp(-1j * phi)
-    out = sfft.ifft(x, workers=_FFT_WORKERS)
-    if w.is_real:
-        out = out.real.astype(np.complex128)
-    return SampledWaveform(w.grid, out)
+    """Shift every positive-frequency component by +phi (analytic phase shift).
+
+    DC is unchanged, and the Nyquist bin, shared by both signs of frequency,
+    is scaled by cos(phi), the real part of the two rotations.
+    """
+    h = np.full(w.grid.n_samples // 2 + 1, np.exp(1j * phi))
+    h[0] = 1.0
+    if w.grid.n_samples % 2 == 0:
+        h[-1] = np.cos(phi)
+    return SampledWaveform(w.grid, _apply_spectral(w, h))

@@ -10,6 +10,7 @@ from rofsim.errors import DelayRangeError
 from rofsim.link import (
     LinkScenario,
     SelfInterferencePath,
+    SoiSpec,
     UplinkEvaluator,
     build_soi_waveform,
     make_received_signal,
@@ -28,7 +29,7 @@ from rofsim.signal_core import (
     phase_shift,
     welch_psd,
 )
-from rofsim.tuner import SicSettings, auto_tune
+from rofsim.tuner import SicSettings, auto_tune, seed_settings
 
 GRID_TONE = TimeGrid(sample_rate=64e9, n_samples=2**18)
 GRID_QAM = TimeGrid(sample_rate=64e9, n_samples=2**19)
@@ -268,3 +269,51 @@ class TestClosedFormObjective:
         delayed = np.fft.rfft(np.abs(x_tau) ** 2)
         intensity = np.fft.rfft(np.abs(x) ** 2) * np.exp(-2j * np.pi * np.fft.rfftfreq(n) * tau)
         return delayed, intensity
+
+
+# run_full metrics at the analytic seed settings on the bundled 2^20-sample
+# grids, recorded before the electrical path became real-valued and the
+# reference arm was shared between passes: (depth dB, residual SI dBm,
+# SOI power dBm, EVM %).
+GOLDEN_RUN_FULL = {
+    "fig7a": (29.2387, -67.8546, -57.2499, None),
+    "fig8c": (30.1153, -73.6142, None, None),
+    "fig7c": (29.7886, -68.4040, None, None),
+    "fig7c-qam-soi": (29.7886, -68.4040, -57.1937, 0.0807),
+}
+
+
+def golden_scenario(name: str) -> LinkScenario:
+    if name == "fig7c-qam-soi":
+        s = load_scenario(bundled_scenario_dir() / "fig7c.scenario")
+        return dataclasses.replace(
+            s, soi=SoiSpec(kind="qam", power_dbm=-22.0, symbol_rate=10e6, rolloff=0.35, seed=7)
+        )
+    return load_scenario(bundled_scenario_dir() / f"{name}.scenario")
+
+
+class TestGoldenRunFull:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUN_FULL))
+    def test_metrics_at_seed_settings(self, name):
+        s = golden_scenario(name)
+        downlink = run_downlink(s)
+        m = run_full(s, seed_settings(s, downlink[0]), downlink=downlink).metrics
+        depth, residual, soi, evm = GOLDEN_RUN_FULL[name]
+        assert m.depth_db == pytest.approx(depth, abs=0.05)
+        assert m.residual_si_dbm == pytest.approx(residual, abs=0.05)
+        if soi is None:
+            assert m.soi_power_dbm is None
+        else:
+            assert m.soi_power_dbm == pytest.approx(soi, abs=0.05)
+        if evm is None:
+            assert m.evm_percent is None
+        else:
+            assert m.evm_percent == pytest.approx(evm, abs=0.05)
+
+    def test_given_downlink_matches_own(self):
+        s = bundled("fig7a", GRID_QAM)
+        sic = seed_settings(s, run_downlink(s)[0])
+        own = run_full(s, sic)
+        shared = run_full(s, sic, downlink=run_downlink(s))
+        assert np.array_equal(own.bpd_out_with_sic.samples, shared.bpd_out_with_sic.samples)
+        assert own.metrics == shared.metrics

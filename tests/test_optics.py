@@ -26,6 +26,7 @@ from rofsim.optics import (
     polarizer,
     ssb_smallsignal_coefficients,
 )
+from rofsim.optics import _hilbert90, _ssb_transfer
 from rofsim.signal_core import TimeGrid, ToneSpec, make_tone
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
@@ -64,17 +65,17 @@ class TestHybridCoupler:
         d = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID)
         i, q = hybrid_coupler_90(d)
         t = GRID.times()
-        assert np.allclose(i.real_samples(), np.cos(2 * np.pi * 2e9 * t) / np.sqrt(2))
+        assert np.allclose(i.samples, np.cos(2 * np.pi * 2e9 * t) / np.sqrt(2))
         s = np.sin(2 * np.pi * 2e9 * t) / np.sqrt(2)
         # quadrature up to a common sign convention
-        err_plus = np.max(np.abs(q.real_samples() - s))
-        err_minus = np.max(np.abs(q.real_samples() + s))
+        err_plus = np.max(np.abs(q.samples - s))
+        err_minus = np.max(np.abs(q.samples + s))
         assert min(err_plus, err_minus) < 1e-9
 
     def test_dc_second_output_zero(self):
         d = make_tone(ToneSpec(amplitude=1.0, frequency=0.0), GRID)
         _, q = hybrid_coupler_90(d)
-        assert np.max(np.abs(q.real_samples())) < 1e-12
+        assert np.max(np.abs(q.samples)) < 1e-12
 
     def test_two_tone_per_bin_quadrature(self):
         d = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID) + make_tone(
@@ -143,6 +144,23 @@ class TestSsbModulator:
         got_s = abs(line(out.env_x, GRID, -f)) / a0
         assert got_c == pytest.approx(abs(coeffs["carrier"]), rel=0.02)
         assert got_s == pytest.approx(abs(coeffs["sideband"]), rel=0.02)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 10.0),
+        v_pi=st.floats(0.5, 10.0),
+        sideband=st.sampled_from(["lower", "upper"]),
+        loss=st.floats(0.0, 10.0),
+    )
+    def test_transfer_matches_two_exponential_form(self, seed, scale, v_pi, sideband, loss):
+        drive = scale * np.random.default_rng(seed).standard_normal(1024)
+        params = ModulatorParams(v_pi=v_pi, insertion_loss=loss, sideband=sideband)
+        q = _hilbert90(drive) if sideband == "upper" else -_hilbert90(drive)
+        pa = np.pi / v_pi * drive
+        pb = np.pi / v_pi * q - 0.5 * np.pi
+        ref = 0.5 * (np.exp(1j * pa) + np.exp(1j * pb)) * 10.0 ** (-loss / 20.0)
+        np.testing.assert_allclose(_ssb_transfer(drive, params), ref, rtol=0, atol=1e-12)
 
 
 class TestSmallSignalCoefficients:
@@ -347,7 +365,7 @@ class TestDetectors:
     def test_cw_dc_current(self):
         f = laser_cw(10.0, FC, "x", GRID)
         i = photodetect(f, responsivity=0.8)
-        assert np.allclose(i.real_samples(), 0.8 * 0.01)
+        assert np.allclose(i.samples, 0.8 * 0.01)
 
     def test_polarized_dp_bpsk_rf_line(self):
         carrier = laser_cw(10.0, FC, "x", GRID)
@@ -388,4 +406,4 @@ class TestDetectors:
         f = laser_cw(10.0, FC, "x", GRID)
         dark = laser_cw(-np.inf, FC, "x", GRID)
         out = balanced_detect(f, dark)
-        assert np.allclose(out.real_samples(), photodetect(f).real_samples())
+        assert np.allclose(out.samples, photodetect(f).samples)

@@ -2,9 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 import yaml
 
+import rofsim.link
 from rofsim.cli import main
 from rofsim.errors import ScenarioError
 from rofsim.scenario import (
@@ -111,6 +113,19 @@ class TestCliSimulate:
             outs.append((out / "fig6a_metrics.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_auto_tune_runs_downlink_once(self, tmp_path, small_scenario, monkeypatch):
+        calls = []
+        taps = rofsim.link.downlink_taps
+
+        def counting(s):
+            calls.append(s.name)
+            return taps(s)
+
+        monkeypatch.setattr(rofsim.link, "downlink_taps", counting)
+        rc = main(["simulate", str(small_scenario), "--auto-tune", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == ["fig6a"]
+
     def test_seed_override_recorded(self, tmp_path, small_scenario):
         out = tmp_path / "out"
         main(["simulate", str(small_scenario), "--out", str(out), "--seed", "42"])
@@ -215,6 +230,20 @@ class TestCliSpectrum:
         lines = (out / f"fig6a_{tap}.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) > 10
+
+    def test_dp_bpsk_out_is_two_sided(self, tmp_path, small_scenario):
+        # X rail: IF on the lower sideband; Y rail: LO on the upper sideband
+        out = tmp_path / "out"
+        assert main(["spectrum", str(small_scenario), "--out", str(out), "--tap", "dp_bpsk_out"]) == 0
+        freqs, psd = np.loadtxt(out / "fig6a_dp_bpsk_out.csv", delimiter=",", unpack=True)
+        assert freqs[0] < 0 < freqs[-1]
+
+        def level(f):
+            return psd[np.argmin(np.abs(freqs - f))]
+
+        f_if, f_lo = 2e9, 5e9
+        assert level(-f_if) > level(f_if) + 30.0
+        assert level(f_lo) > level(-f_lo) + 30.0
 
     def test_unknown_tap_exit_2(self, tmp_path, small_scenario):
         rc = main(

@@ -21,6 +21,7 @@ from rofsim.signal_core import (
     phase_shift,
     welch_psd,
 )
+from rofsim.signal_core import _edge_mask
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
 GRID_LONG = TimeGrid(sample_rate=64e9, n_samples=2**18)
@@ -41,19 +42,19 @@ class TestTimeGrid:
 class TestMakeTone:
     def test_zero_frequency_is_constant(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=0.0), GRID)
-        assert np.allclose(w.real_samples(), 1.0)
+        assert np.allclose(w.samples, 1.0)
 
     def test_cosine_definition_and_power(self):
         spec = ToneSpec(amplitude=1.0, frequency=2e9)
         w = make_tone(spec, GRID)
         expected = np.cos(2 * np.pi * 2e9 * GRID.times())
-        assert np.allclose(w.real_samples(), expected)
+        assert np.allclose(w.samples, expected)
         assert w.mean_power() == pytest.approx(0.5, rel=1e-9)
 
     def test_half_period_phase_negates(self):
         a = make_tone(ToneSpec(amplitude=2.0, frequency=2e9, phase=np.pi), GRID)
         b = make_tone(ToneSpec(amplitude=2.0, frequency=2e9, phase=0.0), GRID)
-        assert np.allclose(a.real_samples(), -b.real_samples())
+        assert np.allclose(a.samples, -b.samples)
 
     def test_nyquist_rejected(self):
         with pytest.raises(AliasError):
@@ -245,7 +246,7 @@ class TestDelayAndPhase:
     def test_integer_cycle_delay_is_identity(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID)
         y = fractional_delay(w, 10 / 2e9)
-        assert np.allclose(y.real_samples(), w.real_samples(), atol=1e-9)
+        assert np.allclose(y.samples, w.samples, atol=1e-9)
 
     @settings(deadline=None, max_examples=20)
     @given(tau=st.floats(0.0, 5e-9))
@@ -259,9 +260,85 @@ class TestDelayAndPhase:
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID)
         y = phase_shift(w, -np.pi / 2)
         expected = np.cos(2 * np.pi * 2e9 * GRID.times() - np.pi / 2)
-        assert np.allclose(y.real_samples(), expected, atol=1e-9)
+        assert np.allclose(y.samples, expected, atol=1e-9)
 
     def test_phase_shift_preserves_real_power(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID)
         y = phase_shift(w, 1.234)
         assert y.mean_power() == pytest.approx(w.mean_power(), rel=1e-9)
+
+
+def complex_filter_reference(x: np.ndarray, grid: TimeGrid, kind: str, *edges) -> np.ndarray:
+    """filter_band through a full complex FFT on the two-sided axis."""
+    af = np.abs(np.fft.fftfreq(grid.n_samples, grid.dt))
+    if kind == "lowpass":
+        h = _edge_mask(af, edges[0], rising=False)
+    else:
+        h = _edge_mask(af, edges[0], rising=True) * _edge_mask(af, edges[1], rising=False)
+    return np.fft.ifft(np.fft.fft(x) * h).real
+
+
+def complex_phase_reference(x: np.ndarray, grid: TimeGrid, phi: float) -> np.ndarray:
+    """phase_shift through a full complex FFT: +phi on f > 0, -phi on f < 0."""
+    spec = np.fft.fft(x)
+    f = np.fft.fftfreq(grid.n_samples, grid.dt)
+    spec[f > 0] *= np.exp(1j * phi)
+    spec[f < 0] *= np.exp(-1j * phi)
+    return np.fft.ifft(spec).real
+
+
+real_waveforms = st.builds(
+    lambda n, seed: SampledWaveform(
+        TimeGrid(sample_rate=64e9, n_samples=n),
+        np.random.default_rng(seed).standard_normal(n),
+    ),
+    n=st.sampled_from([256, 257, 1024, 1025]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestRealPath:
+    def test_stores_float64(self):
+        w = SampledWaveform(GRID, np.arange(GRID.n_samples))
+        assert w.samples.dtype == np.float64
+        z = SampledWaveform(GRID, np.ones(GRID.n_samples, dtype=np.complex128))
+        assert z.samples.dtype == np.float64
+        assert np.all(z.samples == 1.0)
+
+    def test_rejects_imaginary_part(self):
+        x = np.zeros(GRID.n_samples, dtype=np.complex128)
+        x[3] = 1e-20j
+        with pytest.raises(ValueError, match="real"):
+            SampledWaveform(GRID, x)
+
+    def test_rejects_non_finite(self):
+        x = np.zeros(GRID.n_samples)
+        x[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            SampledWaveform(GRID, x)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        w=real_waveforms,
+        kind=st.sampled_from(["lowpass", "bandpass"]),
+        edge=st.floats(1e9, 20e9),
+    )
+    def test_filter_band_matches_complex_fft(self, w, kind, edge):
+        edges = (edge,) if kind == "lowpass" else (edge, edge + 5e9)
+        y = filter_band(w, kind, *edges)
+        ref = complex_filter_reference(w.samples, w.grid, kind, *edges)
+        np.testing.assert_allclose(y.samples, ref, rtol=0, atol=1e-12 * np.abs(w.samples).max())
+
+    @settings(deadline=None, max_examples=40)
+    @given(w=real_waveforms, phi=st.floats(-2 * np.pi, 2 * np.pi))
+    def test_phase_shift_matches_complex_fft(self, w, phi):
+        y = phase_shift(w, phi)
+        ref = complex_phase_reference(w.samples, w.grid, phi)
+        np.testing.assert_allclose(y.samples, ref, rtol=0, atol=1e-12 * np.abs(w.samples).max())
+
+    @settings(deadline=None, max_examples=40)
+    @given(w=real_waveforms, tau=st.floats(-2e-9, 2e-9))
+    def test_delay_then_advance_is_identity(self, w, tau):
+        y = fractional_delay(fractional_delay(w, tau), -tau)
+        ref = fractional_delay(w, 0.0)  # the Nyquist bin is dropped by design
+        np.testing.assert_allclose(y.samples, ref.samples, rtol=0, atol=1e-12 * np.abs(w.samples).max())
