@@ -20,11 +20,10 @@ from . import __version__
 from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
 from .link import (
     LinkScenario,
-    SelfInterferencePath,
     UplinkEvaluator,
-    _received_with_comp,
     build_soi_waveform,
     downlink_taps,
+    make_received_signal,
     run_downlink,
     run_full,
 )
@@ -226,7 +225,7 @@ def cmd_spectrum(args) -> int:
         label = f"{args.tap} optical envelope (Hz offset from carrier)"
     elif args.tap == "ru_y_mod":
         rf, ru = run_downlink(s)
-        received = _received_with_comp(rf, s, SicSettings(), build_soi_waveform(s))
+        received = make_received_signal(rf, s.si_path, build_soi_waveform(s))
         ev = UplinkEvaluator(ru, received, s)
         freqs, psd = _optical_psd(s.grid, [ev.y_mod.env_y], s.rbw)
         label = "ru_y_mod optical envelope (Hz offset from carrier)"

@@ -15,6 +15,7 @@ from .optics import (
     ModulatorParams,
     OpticalField,
     dd_mzm_ssb,
+    delay_line,
     dp_bpsk_modulate,
     fiber_propagate,
     laser_cw,
@@ -51,6 +52,11 @@ class SelfInterferencePath:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
+
+    @property
+    def amplitude_gain(self) -> float:
+        """Voltage gain of the path; a gain of -inf dB disables it."""
+        return 10.0 ** (self.gain_db / 20.0) if np.isfinite(self.gain_db) else 0.0
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,6 @@ class LinkMetrics:
 
 @dataclass
 class LinkResult:
-    downlink_rf: SampledWaveform
     bpd_out_with_sic: SampledWaveform
     bpd_out_without_sic: SampledWaveform
     metrics: LinkMetrics
@@ -211,6 +216,18 @@ def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
     return taps["rf"], taps["ru_field"]
 
 
+def _soi_qam(s: LinkScenario, center: float) -> QamSignalSpec:
+    """16-QAM spec of the SOI, centred at `center`."""
+    return QamSignalSpec(
+        order=16,
+        symbol_rate=s.soi.symbol_rate,
+        center_frequency=center,
+        power_dbm=s.soi.power_dbm,
+        rolloff=s.soi.rolloff,
+        seed=s.soi.seed,
+    )
+
+
 def build_soi_waveform(s: LinkScenario) -> SampledWaveform | None:
     """SOI realized at the air-interface frequency f_s."""
     if s.soi is None:
@@ -221,17 +238,7 @@ def build_soi_waveform(s: LinkScenario) -> SampledWaveform | None:
             s.grid,
         )
     else:
-        w = make_qam(
-            QamSignalSpec(
-                order=16,
-                symbol_rate=s.soi.symbol_rate,
-                center_frequency=s.f_s,
-                power_dbm=s.soi.power_dbm,
-                rolloff=s.soi.rolloff,
-                seed=s.soi.seed,
-            ),
-            s.grid,
-        )
+        w = make_qam(_soi_qam(s, s.f_s), s.grid)
     if s.soi.arrival_delay:
         w = fractional_delay(w, s.soi.arrival_delay)
     return w
@@ -245,69 +252,32 @@ def make_received_signal(
     """Delayed, scaled copy of the transmitted RF plus the SOI."""
     if si.delay >= rf.grid.duration / 4.0:
         raise DelayRangeError("SI delay exceeds a quarter of the record")
-    gain = 10.0 ** (si.gain_db / 20.0) if np.isfinite(si.gain_db) else 0.0
-    received = fractional_delay(rf, si.delay).scaled(gain)
+    received = fractional_delay(rf, si.delay).scaled(si.amplitude_gain)
     if soi is not None:
         received = received + soi
     return received
 
 
-class ReferenceArm:
-    """X rail of the RU field carried to the CO: the reference arm of the SIC stage.
-
-    It never touches the uplink RF, so one instance serves every pass that
-    shares a downlink. The envelope spectrum is computed on first use of a
-    non-zero delay, and the lowpassed reference current once per delay.
-    """
-
-    def __init__(self, ru_field: OpticalField, s: LinkScenario):
-        self.scenario = s
-        x_rail, _ = pbs(ru_field)
-        self.env = fiber_propagate(x_rail, s.uplink_fiber).env_x
-        self._lowpassed: dict[float, np.ndarray] = {}
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return sfft.fft(self.env, workers=_FFT_WORKERS), self.scenario.grid.freqs()
-
-    def intensity(self, tau2: float) -> np.ndarray:
-        """Photocurrent i_X of the envelope delayed by tau2.
-
-        The carrier phase of the delay line drops out of the square law.
-        """
-        env = self.env
-        if tau2 != 0.0:
-            spec, freqs = self._spectrum
-            env = sfft.ifft(spec * np.exp(-2j * np.pi * freqs * tau2), workers=_FFT_WORKERS)
-        return self.scenario.responsivity * (env.real**2 + env.imag**2)
-
-    def lowpassed(self, tau2: float) -> np.ndarray:
-        """Lowpass-filtered i_X at delay tau2."""
-        if tau2 not in self._lowpassed:
-            raw = SampledWaveform(self.scenario.grid, self.intensity(tau2))
-            self._lowpassed[tau2] = filter_band(raw, "lowpass", self.scenario.lpf).samples
-        return self._lowpassed[tau2]
+def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
+    """Photocurrent i_X of the reference arm: the X rail of the RU field carried
+    to the CO and delayed by tau2. It never touches the uplink RF."""
+    x_co = fiber_propagate(pbs(ru_field)[0], s.uplink_fiber)
+    return photodetect(delay_line(x_co, tau2), s.responsivity).samples
 
 
 class UplinkEvaluator:
-    """Uplink chain with the (alpha, tau2) stage factored out for fast re-evaluation.
+    """Signal arm of the uplink, and the closed-form SIC objective.
 
     Everything upstream of the attenuator/delay line is independent of the SIC
-    settings, so it is computed once; the reference arm can be shared between
-    evaluators of one downlink. The tuner objective works on the SI-band bins
-    of the two rail intensities; the lowpass outputs delay the full field.
+    settings, so the signal-arm photocurrent i_Y is computed once. The tuner
+    objective works on the SI-band bins of the two rail intensities; the
+    lowpass outputs take the lowpassed reference current from the caller.
     """
 
-    def __init__(
-        self,
-        ru_field: OpticalField,
-        received: SampledWaveform,
-        s: LinkScenario,
-        reference: ReferenceArm | None = None,
-    ):
+    def __init__(self, ru_field: OpticalField, received: SampledWaveform, s: LinkScenario):
         self.scenario = s
         self.grid = s.grid
-        self.reference = ReferenceArm(ru_field, s) if reference is None else reference
+        self.ru_field = ru_field
         _, y_rail = pbs(ru_field)
         self.y_mod = dd_mzm_ssb(y_rail, received, s.mod_uplink)
         y_co = fiber_propagate(self.y_mod, s.uplink_fiber)
@@ -315,7 +285,7 @@ class UplinkEvaluator:
 
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
         """Unfiltered balanced-detector output i_X - i_Y."""
-        return alpha * self.reference.intensity(tau2) - self._i_y
+        return alpha * reference_current(self.ru_field, self.scenario, tau2) - self._i_y
 
     @cached_property
     def _si_band_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,8 +300,9 @@ class UplinkEvaluator:
         freqs = self.grid.rfreqs()
         f_lo, f_hi = self.scenario.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)
-        i_x = self.reference.intensity(0.0)
-        return sfft.rfft(i_x)[mask], sfft.rfft(self._i_y)[mask], freqs[mask]
+        i_x = reference_current(self.ru_field, self.scenario, 0.0)
+        a, b = (sfft.rfft(i, workers=_FFT_WORKERS)[mask] for i in (i_x, self._i_y))
+        return a, b, freqs[mask]
 
     def _reference_bins(self, tau2: float) -> np.ndarray:
         a, _, f = self._si_band_spectra
@@ -354,18 +325,16 @@ class UplinkEvaluator:
             raise SimulationError("non-finite residual power")
         return float(p_dbm)
 
-    @cached_property
-    def without_sic(self) -> SampledWaveform:
-        """Lowpass-filtered BPD output with the reference arm dark, -LP(i_Y)."""
-        return filter_band(SampledWaveform(self.grid, -self._i_y), "lowpass", self.scenario.lpf)
-
-    def outputs(self, alpha: float, tau2: float) -> tuple[SampledWaveform, SampledWaveform]:
+    def outputs(
+        self, alpha: float, lp_reference: np.ndarray
+    ) -> tuple[SampledWaveform, SampledWaveform]:
         """Lowpass-filtered BPD outputs (with_sic, without_sic).
 
-        The lowpass is linear, so with_sic = alpha*LP(i_X at tau2) - LP(i_Y).
+        The lowpass is linear, so with_sic = alpha*lp_reference - LP(i_Y), where
+        lp_reference is LP(i_X) at the delay in use; without_sic is -LP(i_Y).
         """
-        without = self.without_sic
-        with_sic = alpha * self.reference.lowpassed(tau2) + without.samples
+        without = filter_band(SampledWaveform(self.grid, -self._i_y), "lowpass", self.scenario.lpf)
+        with_sic = alpha * lp_reference + without.samples
         return SampledWaveform(self.grid, with_sic), without
 
 
@@ -376,13 +345,9 @@ def _compensated(w: SampledWaveform, sic) -> SampledWaveform:
     return phase_shift(w, sic.rf_phase_comp)
 
 
-def _received_with_comp(
-    rf: SampledWaveform,
-    s: LinkScenario,
-    sic,
-    soi_wave: SampledWaveform | None,
-) -> SampledWaveform:
-    return _compensated(make_received_signal(rf, s.si_path, soi_wave), sic)
+def _lowpassed_reference(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
+    raw = SampledWaveform(s.grid, reference_current(ru_field, s, tau2))
+    return filter_band(raw, "lowpass", s.lpf).samples
 
 
 def run_uplink(
@@ -397,7 +362,7 @@ def run_uplink(
     outputs share one signal chain.
     """
     ev = UplinkEvaluator(ru_field, received, s)
-    return ev.outputs(sic.alpha, sic.tau2)
+    return ev.outputs(sic.alpha, _lowpassed_reference(ru_field, s, sic.tau2))
 
 
 def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
@@ -405,21 +370,19 @@ def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
 
     `downlink` is an optional (rf, ru_field) pair from `run_downlink(s)`, so a
     caller that has already run it (e.g. after `auto_tune`) need not repeat it.
-    All passes share one reference arm; the received RF is linear in the SI
-    and the SOI, so each is built and phase-compensated once.
+    All passes share one lowpassed reference current; the received RF is
+    linear in the SI and the SOI, so each is built and phase-compensated once.
     """
     from .signal_core import demodulate_evm  # local to avoid cycle noise
 
     s.validate()
     rf, ru = run_downlink(s) if downlink is None else downlink
-    reference = ReferenceArm(ru, s)
+    lp_reference = _lowpassed_reference(ru, s, sic.tau2)
 
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
-    received_si = _received_with_comp(rf, s, sic, None)
-    with_si, without_si = UplinkEvaluator(ru, received_si, s, reference).outputs(
-        sic.alpha, sic.tau2
-    )
+    received_si = _compensated(make_received_signal(rf, s.si_path), sic)
+    with_si, without_si = UplinkEvaluator(ru, received_si, s).outputs(sic.alpha, lp_reference)
     band = s.si_band()
     residual = band_power(welch_psd(with_si, s.rbw), *band)
     depth = band_power(welch_psd(without_si, s.rbw), *band) - residual
@@ -429,28 +392,17 @@ def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
     with_out, without_out = with_si, without_si
     if s.soi is not None:
         soi_wave = _compensated(build_soi_waveform(s), sic)
-        with_out, without_out = UplinkEvaluator(
-            ru, received_si + soi_wave, s, reference
-        ).outputs(sic.alpha, sic.tau2)
+        with_out, without_out = UplinkEvaluator(ru, received_si + soi_wave, s).outputs(
+            sic.alpha, lp_reference
+        )
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
-        soi_only = UplinkEvaluator(ru, soi_wave, s, reference).without_sic
+        _, soi_only = UplinkEvaluator(ru, soi_wave, s).outputs(0.0, lp_reference)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if s.soi.kind == "qam":
-            evm = demodulate_evm(
-                soi_only,
-                QamSignalSpec(
-                    order=16,
-                    symbol_rate=s.soi.symbol_rate,
-                    center_frequency=s.f_if,
-                    power_dbm=s.soi.power_dbm,
-                    rolloff=s.soi.rolloff,
-                    seed=s.soi.seed,
-                ),
-            )
+            evm = demodulate_evm(soi_only, _soi_qam(s, s.f_if))
 
     return LinkResult(
-        downlink_rf=rf,
         bpd_out_with_sic=with_out,
         bpd_out_without_sic=without_out,
         metrics=LinkMetrics(

@@ -57,17 +57,11 @@ class OpticalField:
         return "dark"
 
 
-def dark_field(grid: TimeGrid, carrier_frequency: float) -> OpticalField:
-    z = np.zeros(grid.n_samples, dtype=np.complex128)
-    return OpticalField(grid, carrier_frequency, z, z.copy())
-
-
 @dataclass(frozen=True)
 class ModulatorParams:
     v_pi: float
     insertion_loss: float = 0.0  # dB
     sideband: str = "lower"
-    bias: str = "quadrature_ssb"
 
     def __post_init__(self):
         if self.v_pi <= 0:
@@ -293,6 +287,21 @@ def pbc(x: OpticalField, y: OpticalField) -> OpticalField:
     )
 
 
+def _copy(field: OpticalField) -> OpticalField:
+    return OpticalField(field.grid, field.carrier_frequency, field.env_x.copy(), field.env_y.copy())
+
+
+def _filter_rails(field: OpticalField, h: np.ndarray) -> OpticalField:
+    """Multiply the spectrum of each rail by h; a dark rail stays dark."""
+
+    def run(env):
+        if not np.any(env):
+            return np.zeros(env.shape, dtype=env.dtype)
+        return sfft.ifft(sfft.fft(env, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
+
+    return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))
+
+
 def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
     """Chromatic dispersion and loss as a quadratic spectral phase on both rails.
 
@@ -300,21 +309,13 @@ def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
     path delays are not double-counted by the link model.
     """
     if fp.length == 0.0:
-        return OpticalField(
-            field.grid, field.carrier_frequency, field.env_x.copy(), field.env_y.copy()
-        )
+        return _copy(field)
     length_m = fp.length * 1e3
     dw = 2.0 * np.pi * field.grid.freqs()
     h = 10.0 ** (-fp.attenuation * fp.length / 20.0) * np.exp(
         0.5j * fp.beta2 * length_m * dw**2
     )
-
-    def run(env):
-        if not np.any(env):  # a dark rail stays dark
-            return np.zeros_like(env)
-        return sfft.ifft(sfft.fft(env, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
-
-    return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))
+    return _filter_rails(field, h)
 
 
 def attenuate(field: OpticalField, alpha: float) -> OpticalField:
@@ -333,14 +334,12 @@ def delay_line(field: OpticalField, tau: float) -> OpticalField:
     """True optical delay: envelope delay plus carrier phase e^{-j w_c tau}."""
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
+    if tau == 0.0:
+        return _copy(field)
     ph = np.exp(-2j * np.pi * field.grid.freqs() * tau) * np.exp(
         -2j * np.pi * field.carrier_frequency * tau
     )
-
-    def run(env):
-        return sfft.ifft(sfft.fft(env, workers=_FFT_WORKERS) * ph, workers=_FFT_WORKERS)
-
-    return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))
+    return _filter_rails(field, ph)
 
 
 def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWaveform:

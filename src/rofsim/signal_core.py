@@ -46,7 +46,6 @@ class TimeGrid:
 
     sample_rate: float
     n_samples: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -67,7 +66,7 @@ class TimeGrid:
         return 0.5 * self.sample_rate
 
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_samples) * self.dt
+        return np.arange(self.n_samples) * self.dt
 
     def freqs(self) -> np.ndarray:
         """Two-sided FFT frequency axis (unshifted)."""

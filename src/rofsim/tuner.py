@@ -12,8 +12,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
 from .errors import AttenuatorInfeasible, DegenerateScan
-from .link import LinkScenario, UplinkEvaluator, _received_with_comp, run_downlink
-from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec
+from .link import LinkScenario, UplinkEvaluator, _compensated, make_received_signal, run_downlink
+from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec, dbm_to_amplitude
 
 # Aggregate phase constant of the cancellation condition: the TODL delay must
 # satisfy w_if*tau2 = w_s*tau1 + PHASE_CONSTANT (mod 2*pi).
@@ -97,9 +97,7 @@ def _drive_amplitude(sig) -> float:
     if isinstance(sig, ToneSpec):
         return sig.amplitude
     if isinstance(sig, QamSignalSpec):
-        from .signal_core import dbm_to_watts, R_REF
-
-        return math.sqrt(2.0 * dbm_to_watts(sig.power_dbm) * R_REF)
+        return dbm_to_amplitude(sig.power_dbm)
     raise TypeError(f"unsupported drive spec {type(sig)!r}")
 
 
@@ -111,8 +109,7 @@ def seed_settings(
     """Analytic SIC seed from the scenario drives and the simulated SI level."""
     m1 = np.pi * _drive_amplitude(s.if_signal) / s.mod_if.v_pi
     m2 = np.pi * _drive_amplitude(s.lo_signal) / s.mod_lo.v_pi
-    gain = 10.0 ** (s.si_path.gain_db / 20.0) if np.isfinite(s.si_path.gain_db) else 0.0
-    m3 = np.pi * _effective_amplitude(rf) * gain / s.mod_uplink.v_pi
+    m3 = np.pi * _effective_amplitude(rf) * s.si_path.amplitude_gain / s.mod_uplink.v_pi
     alpha = analytic_alpha(m1, m2, m3)
     w_if = 2.0 * np.pi * s.f_if
     w_s = 2.0 * np.pi * s.f_s
@@ -127,6 +124,7 @@ def seed_settings(
 
 
 _TAU_TOL = 1e-15  # s, absolute tolerance of the bounded Brent search on tau2
+_N_SCAN = 96  # delays in the coarse scan of verify_phase_constant
 
 
 def _brent_tau2(objective, t_lo: float, t_hi: float) -> tuple[float, float]:
@@ -137,13 +135,13 @@ def _brent_tau2(objective, t_lo: float, t_hi: float) -> tuple[float, float]:
     return float(res.x), float(res.fun)
 
 
-def _make_evaluator(s: LinkScenario, sic: SicSettings, downlink=None) -> UplinkEvaluator:
-    rf, ru = run_downlink(s) if downlink is None else downlink
-    received = _received_with_comp(rf, s, sic, None)
+def _make_evaluator(s: LinkScenario, sic: SicSettings, downlink) -> UplinkEvaluator:
+    rf, ru = downlink
+    received = _compensated(make_received_signal(rf, s.si_path), sic)
     return UplinkEvaluator(ru, received, s)
 
 
-def refine(s: LinkScenario, seed: SicSettings, downlink=None) -> TuneReport:
+def refine(s: LinkScenario, seed: SicSettings, downlink) -> TuneReport:
     """Bounded search on tau2 with alpha profiled out in closed form.
 
     For each delay the least-squares attenuation is exact, so one bounded
@@ -173,7 +171,7 @@ def refine(s: LinkScenario, seed: SicSettings, downlink=None) -> TuneReport:
     )
 
 
-def refine_alpha(s: LinkScenario, settings: SicSettings, downlink=None) -> TuneReport:
+def refine_alpha(s: LinkScenario, settings: SicSettings, downlink) -> TuneReport:
     """Attenuator-only refinement with the delay line held fixed.
 
     Useful in wideband mode, where tau2 is pinned to the phase-matching
@@ -202,18 +200,18 @@ def auto_tune(s: LinkScenario, wideband: bool = False, downlink=None) -> TuneRep
     Wideband mode keeps tau2 pinned to the phase-matching formula (the RF
     phase shifter carries the constant) and refines the attenuation only.
     """
-    rf, ru = run_downlink(s) if downlink is None else downlink
-    seed = seed_settings(s, rf, wideband=wideband)
+    downlink = run_downlink(s) if downlink is None else downlink
+    seed = seed_settings(s, downlink[0], wideband=wideband)
     if wideband:
-        return refine_alpha(s, seed, downlink=(rf, ru))
-    return refine(s, seed, downlink=(rf, ru))
+        return refine_alpha(s, seed, downlink)
+    return refine(s, seed, downlink)
 
 
 def _wrap_phase(phi: float) -> float:
     return float((phi + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def verify_phase_constant(s: LinkScenario, n_scan: int = 96) -> float:
+def verify_phase_constant(s: LinkScenario) -> float:
     """Empirical cancellation phase constant wrap(w_if*tau2* - w_s*tau1).
 
     Scans tau2 over one IF period at the analytic alpha and locates the
@@ -221,19 +219,19 @@ def verify_phase_constant(s: LinkScenario, n_scan: int = 96) -> float:
     """
     if not isinstance(s.if_signal, ToneSpec):
         raise ValueError("verify_phase_constant needs a single-tone scenario")
-    rf, ru = run_downlink(s)
-    seed = seed_settings(s, rf)
-    ev = _make_evaluator(s, seed, downlink=(rf, ru))
+    downlink = run_downlink(s)
+    seed = seed_settings(s, downlink[0])
+    ev = _make_evaluator(s, seed, downlink)
     period = 1.0 / s.f_if
-    taus = np.linspace(0.0, period, n_scan, endpoint=False)
+    taus = np.linspace(0.0, period, _N_SCAN, endpoint=False)
     objs = np.array([ev.residual_band_power_dbm(seed.alpha, t) for t in taus])
     if objs.max() - objs.min() < 1.0:
         raise DegenerateScan("residual power flat over the delay scan")
     k = int(np.argmin(objs))
     tau_star, _ = _brent_tau2(
         lambda t: ev.residual_band_power_dbm(seed.alpha, max(t, 0.0)),
-        taus[k] - period / n_scan,
-        taus[k] + period / n_scan,
+        taus[k] - period / _N_SCAN,
+        taus[k] + period / _N_SCAN,
     )
     w_if = 2.0 * np.pi * s.f_if
     w_s = 2.0 * np.pi * s.f_s

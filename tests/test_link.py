@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rofsim.link
 from rofsim.errors import DelayRangeError
 from rofsim.link import (
     LinkScenario,
@@ -18,6 +19,7 @@ from rofsim.link import (
     run_full,
     run_uplink,
 )
+from rofsim.optics import attenuate, balanced_detect, delay_line, fiber_propagate, pbs
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import (
     QamSignalSpec,
@@ -317,3 +319,44 @@ class TestGoldenRunFull:
         shared = run_full(s, sic, downlink=run_downlink(s))
         assert np.array_equal(own.bpd_out_with_sic.samples, shared.bpd_out_with_sic.samples)
         assert own.metrics == shared.metrics
+
+
+class TestReferenceArmOracle:
+    """The SIC stage of the link is the optics attenuator, delay line and
+    balanced detector composed on the X rail carried to the CO."""
+
+    @pytest.mark.parametrize("name", ["fig6a", "fig7a", "fig8c"])
+    def test_bpd_raw_matches_optics(self, name):
+        s = bundled(name, GRID_QAM)
+        rf, ru = run_downlink(s)
+        seed = seed_settings(s, rf)
+        ev = UplinkEvaluator(ru, make_received_signal(rf, s.si_path), s)
+        x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
+        y_co = fiber_propagate(ev.y_mod, s.uplink_fiber)
+        points = [
+            (seed.alpha, 0.0),
+            (seed.alpha, seed.tau2),
+            (0.3, seed.tau2 + 0.25 / s.f_if),
+        ]
+        for alpha, tau2 in points:
+            ref = balanced_detect(
+                attenuate(delay_line(x_co, tau2), alpha), y_co, s.responsivity
+            ).samples
+            np.testing.assert_allclose(
+                ev.bpd_raw(alpha, tau2), ref, rtol=0, atol=1e-12 * np.abs(ref).max()
+            )
+
+    def test_run_full_delays_reference_once(self, monkeypatch):
+        taus = []
+
+        def counting_delay_line(field, tau):
+            taus.append(tau)
+            return delay_line(field, tau)
+
+        monkeypatch.setattr(rofsim.link, "delay_line", counting_delay_line)
+        s = bundled("fig7a", GRID_QAM)
+        assert s.soi is not None
+        downlink = run_downlink(s)
+        sic = seed_settings(s, downlink[0])
+        run_full(s, sic, downlink=downlink)
+        assert taus == [sic.tau2]

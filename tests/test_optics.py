@@ -360,6 +360,21 @@ class TestAttenuateDelay:
         g = delay_line(f, 1.0 / FC)
         assert np.allclose(g.env_x, f.env_x, atol=1e-6)
 
+    def test_delay_keeps_dark_rail_dark(self):
+        carrier = laser_cw(0.0, FC, "x", GRID)
+        f = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
+        g = delay_line(f, 0.37e-9)
+        assert not np.any(g.env_y)
+        assert np.any(g.env_x)
+
+    def test_zero_delay_is_an_exact_copy(self):
+        carrier = laser_cw(0.0, FC, "x", GRID)
+        f = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
+        g = delay_line(f, 0.0)
+        assert np.array_equal(g.env_x, f.env_x)
+        assert np.array_equal(g.env_y, f.env_y)
+        assert g.env_x is not f.env_x
+
 
 class TestDetectors:
     def test_cw_dc_current(self):
