@@ -20,15 +20,15 @@ from . import __version__
 from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
 from .link import (
     LinkScenario,
-    UplinkEvaluator,
     build_soi_waveform,
     downlink_taps,
     make_received_signal,
+    remodulate,
     run_downlink,
     run_full,
 )
 from .scenario import dict_to_scenario, load_scenario, scenario_to_dict
-from .signal_core import psd_to_dbm_per_hz, welch_psd, welch_segment
+from .signal_core import psd_to_dbm_per_hz, welch_segment
 from .tuner import SicSettings, auto_tune
 
 _TAPS = ("dp_bpsk_out", "polarizer_out", "ru_y_mod", "bpd_out")
@@ -92,11 +92,10 @@ def cmd_simulate(args) -> int:
     result = run_full(s, sic, downlink=downlink)
     row = _metrics_row(s, result.metrics, sic)
     (out / f"{s.name}_metrics.csv").write_text(f"# {_METRIC_COLS}\n{row}\n")
-    for tag, w in (
-        ("with_sic", result.bpd_out_with_sic),
-        ("without_sic", result.bpd_out_without_sic),
+    for tag, est in (
+        ("with_sic", result.spectrum_with_sic),
+        ("without_sic", result.spectrum_without_sic),
     ):
-        est = welch_psd(w, s.rbw)
         _write_spectrum(out / f"{s.name}_spectrum_{tag}.csv", est.freqs, est.psd, tag)
     print(row)
     if args.assert_depth is not None and not (
@@ -226,12 +225,11 @@ def cmd_spectrum(args) -> int:
     elif args.tap == "ru_y_mod":
         rf, ru = run_downlink(s)
         received = make_received_signal(rf, s.si_path, build_soi_waveform(s))
-        ev = UplinkEvaluator(ru, received, s)
-        freqs, psd = _optical_psd(s.grid, [ev.y_mod.env_y], s.rbw)
+        y_mod = remodulate(ru, received, s)
+        freqs, psd = _optical_psd(s.grid, [y_mod.env_y], s.rbw)
         label = "ru_y_mod optical envelope (Hz offset from carrier)"
     else:
-        result = run_full(s, SicSettings())
-        est = welch_psd(result.bpd_out_without_sic, s.rbw)
+        est = run_full(s, SicSettings()).spectrum_without_sic
         freqs, psd = est.freqs, est.psd
         label = "bpd_out electrical PSD (no cancellation)"
     _write_spectrum(out / f"{s.name}_{args.tap}.csv", freqs, psd, label)
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("scenario", help="scenario file path")
         p.add_argument("--out", default=None, help="output directory (default $ROFSIM_OUT or .)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument(
             "--seed",
             type=int,
@@ -278,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-run over an axis of scenario values")
     common(p_sweep)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sweep.add_argument("--axis", required=True, help="dotted scenario key, e.g. downlink_fiber.length_km")
     p_sweep.add_argument("--values", required=True, help="comma-separated numeric values")
     p_sweep.add_argument(

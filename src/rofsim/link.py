@@ -26,9 +26,11 @@ from .optics import (
 from .signal_core import (
     QamSignalSpec,
     SampledWaveform,
+    SpectrumEstimate,
     TimeGrid,
     ToneSpec,
     band_power,
+    cancellation_depth,
     dbm_to_amplitude,
     filter_band,
     fractional_delay,
@@ -160,8 +162,12 @@ class LinkMetrics:
 
 @dataclass
 class LinkResult:
+    """Lowpass BPD outputs, their Welch estimates at the scenario RBW, and metrics."""
+
     bpd_out_with_sic: SampledWaveform
     bpd_out_without_sic: SampledWaveform
+    spectrum_with_sic: SpectrumEstimate
+    spectrum_without_sic: SpectrumEstimate
     metrics: LinkMetrics
 
 
@@ -199,13 +205,11 @@ def downlink_taps(s: LinkScenario) -> dict:
         grid, s.carrier_frequency, half * stage.env_x, half * stage.env_y
     )
     pol_out = polarizer(pd_branch, np.pi / 4.0)
-    pd_raw = photodetect(pol_out, s.responsivity)
-    rf = filter_band(pd_raw, "bandpass", *s.bpf)
+    rf = filter_band(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
     return {
         "dp_bpsk_out": dp_out,
         "polarizer_out": pol_out,
         "ru_field": ru_field,
-        "pd_raw": pd_raw,
         "rf": rf,
     }
 
@@ -258,6 +262,11 @@ def make_received_signal(
     return received
 
 
+def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenario) -> OpticalField:
+    """RU re-modulation: the received RF drives the SSB modulator on the Y rail."""
+    return dd_mzm_ssb(pbs(ru_field)[1], received, s.mod_uplink)
+
+
 def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
     """Photocurrent i_X of the reference arm: the X rail of the RU field carried
     to the CO and delayed by tau2. It never touches the uplink RF."""
@@ -278,8 +287,7 @@ class UplinkEvaluator:
         self.scenario = s
         self.grid = s.grid
         self.ru_field = ru_field
-        _, y_rail = pbs(ru_field)
-        self.y_mod = dd_mzm_ssb(y_rail, received, s.mod_uplink)
+        self.y_mod = remodulate(ru_field, received, s)
         y_co = fiber_propagate(self.y_mod, s.uplink_fiber)
         self._i_y = photodetect(y_co, s.responsivity).samples
 
@@ -350,21 +358,6 @@ def _lowpassed_reference(ru_field: OpticalField, s: LinkScenario, tau2: float) -
     return filter_band(raw, "lowpass", s.lpf).samples
 
 
-def run_uplink(
-    ru_field: OpticalField,
-    received: SampledWaveform,
-    s: LinkScenario,
-    sic,
-) -> tuple[SampledWaveform, SampledWaveform]:
-    """RU re-modulation, uplink transport, SIC stage and balanced detection.
-
-    The without-SIC measurement darkens the reference arm (alpha = 0) so both
-    outputs share one signal chain.
-    """
-    ev = UplinkEvaluator(ru_field, received, s)
-    return ev.outputs(sic.alpha, _lowpassed_reference(ru_field, s, sic.tau2))
-
-
 def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
     """Execute the whole link and compute the scenario metrics.
 
@@ -382,19 +375,20 @@ def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
     received_si = _compensated(make_received_signal(rf, s.si_path), sic)
-    with_si, without_si = UplinkEvaluator(ru, received_si, s).outputs(sic.alpha, lp_reference)
+    with_out, without_out = UplinkEvaluator(ru, received_si, s).outputs(sic.alpha, lp_reference)
+    spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
     band = s.si_band()
-    residual = band_power(welch_psd(with_si, s.rbw), *band)
-    depth = band_power(welch_psd(without_si, s.rbw), *band) - residual
+    residual = band_power(spec_with, *band)
+    depth = cancellation_depth(spec_without, spec_with, band)
 
     soi_power = None
     evm = None
-    with_out, without_out = with_si, without_si
     if s.soi is not None:
         soi_wave = _compensated(build_soi_waveform(s), sic)
         with_out, without_out = UplinkEvaluator(ru, received_si + soi_wave, s).outputs(
             sic.alpha, lp_reference
         )
+        spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
         _, soi_only = UplinkEvaluator(ru, soi_wave, s).outputs(0.0, lp_reference)
@@ -405,6 +399,8 @@ def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
     return LinkResult(
         bpd_out_with_sic=with_out,
         bpd_out_without_sic=without_out,
+        spectrum_with_sic=spec_with,
+        spectrum_without_sic=spec_without,
         metrics=LinkMetrics(
             depth_db=depth,
             residual_si_dbm=residual,

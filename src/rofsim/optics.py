@@ -19,6 +19,7 @@ from .signal_core import SampledWaveform, TimeGrid, dbm_to_watts
 
 C_LIGHT = 299_792_458.0
 _FFT_WORKERS = -1
+_REFERENCE_WAVELENGTH_NM = 1567.0  # wavelength at which the dispersion is quoted
 
 
 @dataclass
@@ -77,7 +78,6 @@ class FiberParams:
     length: float = 0.0  # km
     dispersion: float = 17.0  # ps/(nm km)
     attenuation: float = 0.2  # dB/km
-    reference_wavelength: float = 1567.0  # nm
 
     def __post_init__(self):
         if self.length < 0:
@@ -89,14 +89,8 @@ class FiberParams:
     def beta2(self) -> float:
         """Group-velocity dispersion in s^2/m."""
         d_si = self.dispersion * 1e-6  # ps/(nm km) -> s/m^2
-        lam = self.reference_wavelength * 1e-9
+        lam = _REFERENCE_WAVELENGTH_NM * 1e-9
         return -d_si * lam**2 / (2.0 * np.pi * C_LIGHT)
-
-
-@dataclass(frozen=True)
-class JonesRotation:
-    angle: float = 0.0
-    differential_phase: float = 0.0
 
 
 def laser_cw(
@@ -127,20 +121,11 @@ def _hilbert90(x: np.ndarray) -> np.ndarray:
     return sfft.irfft(xf, n)
 
 
-def hybrid_coupler_90(drive: SampledWaveform) -> tuple[SampledWaveform, SampledWaveform]:
-    """Split into two -3 dB outputs, the second in quadrature to the first."""
-    d = drive.samples
-    s = 1.0 / np.sqrt(2.0)
-    return (
-        SampledWaveform(drive.grid, s * d),
-        SampledWaveform(drive.grid, s * _hilbert90(d)),
-    )
-
-
 def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
     """Per-sample complex transfer of the DD-MZM biased for SSB operation.
 
-    The two arms are driven in quadrature; the sign of the quadrature path
+    The two arms are driven in quadrature at full drive amplitude (the 90 deg
+    hybrid of the modulator is `_hilbert90`); the sign of the quadrature path
     selects which first-order sideband survives.
     """
     if params.sideband == "lower":
@@ -240,18 +225,6 @@ def dp_bpsk_modulate(
     mx = _ssb_transfer(if_drive.samples, p_if)
     my = _ssb_transfer(lo_drive.samples, p_lo)
     return OpticalField(carrier.grid, carrier.carrier_frequency, c * mx, c * my)
-
-
-def apply_jones(field: OpticalField, r: JonesRotation) -> OpticalField:
-    """Unitary rotation R(angle) @ diag(1, e^{j delta}) applied per sample."""
-    ca, sa = np.cos(r.angle), np.sin(r.angle)
-    ey = field.env_y * np.exp(1j * r.differential_phase)
-    return OpticalField(
-        field.grid,
-        field.carrier_frequency,
-        ca * field.env_x - sa * ey,
-        sa * field.env_x + ca * ey,
-    )
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:

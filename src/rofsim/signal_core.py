@@ -288,17 +288,10 @@ def band_power(s: SpectrumEstimate, f_lo: float, f_hi: float) -> float:
 
 
 def cancellation_depth(
-    without_sic: SampledWaveform,
-    with_sic: SampledWaveform,
-    band: tuple[float, float],
-    rbw: float = 1e6,
+    without: SpectrumEstimate, with_: SpectrumEstimate, band: tuple[float, float]
 ) -> float:
     """Band power without minus with cancellation, in dB (positive = suppression)."""
-    require_same_grid(without_sic, with_sic)
-    f_lo, f_hi = band
-    p_without = band_power(welch_psd(without_sic, rbw), f_lo, f_hi)
-    p_with = band_power(welch_psd(with_sic, rbw), f_lo, f_hi)
-    return p_without - p_with
+    return band_power(without, *band) - band_power(with_, *band)
 
 
 _SKIRT_FRACTION = 0.05  # transition width as a fraction of the edge frequency

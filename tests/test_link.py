@@ -17,7 +17,6 @@ from rofsim.link import (
     make_received_signal,
     run_downlink,
     run_full,
-    run_uplink,
 )
 from rofsim.optics import attenuate, balanced_detect, delay_line, fiber_propagate, pbs
 from rofsim.scenario import bundled_scenario_dir, load_scenario
@@ -137,10 +136,12 @@ class TestBuildSoi:
 
 class TestRunUplink:
     def test_dark_reference_arm_matches_without(self):
+        # run_full's SOI-only pass relies on this alpha = 0 identity
         s = tone_scenario(2e9, 5e9)
         rf, ru = run_downlink(s)
         received = make_received_signal(rf, s.si_path)
-        with_sic, without_sic = run_uplink(ru, received, s, SicSettings(alpha=0.0, tau2=0.0))
+        lp_reference = rofsim.link._lowpassed_reference(ru, s, 0.0)
+        with_sic, without_sic = UplinkEvaluator(ru, received, s).outputs(0.0, lp_reference)
         assert np.allclose(with_sic.samples, without_sic.samples, atol=1e-15)
 
     def test_tuned_settings_cancel(self):
@@ -199,6 +200,19 @@ class TestRunFull:
             sic = dataclasses.replace(rep.refined, alpha=a)
             p.append(run_full(s, sic).metrics.soi_power_dbm)
         assert abs(p[1] - p[0]) < 1.0
+
+    @pytest.mark.parametrize("soi", [False, True])
+    def test_spectra_are_welch_of_outputs(self, soi):
+        s = bundled("fig7a", GRID_QAM) if soi else tone_scenario(2e9, 5e9)
+        assert (s.soi is not None) == soi
+        res = run_full(s, seed_settings(s, run_downlink(s)[0]))
+        for est, w in (
+            (res.spectrum_with_sic, res.bpd_out_with_sic),
+            (res.spectrum_without_sic, res.bpd_out_without_sic),
+        ):
+            ref = welch_psd(w, s.rbw)
+            assert np.array_equal(est.freqs, ref.freqs)
+            assert np.array_equal(est.psd, ref.psd)
 
     def test_validation_runs(self):
         s = tone_scenario(2e9, 5e9)

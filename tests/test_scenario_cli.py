@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.signal
 import yaml
 
 import rofsim.link
@@ -126,6 +127,24 @@ class TestCliSimulate:
         assert rc == 0
         assert calls == ["fig6a"]
 
+    def test_spectra_reuse_run_full_welch(self, tmp_path, small_scenario, monkeypatch):
+        # without an SOI, the CSV spectra are the SI-only estimates of run_full
+        calls = []
+        welch = scipy.signal.welch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return welch(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "welch", counting)
+        assert main(["simulate", str(small_scenario), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+
+    def test_jobs_rejected(self, tmp_path, small_scenario):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(small_scenario), "--out", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_seed_override_recorded(self, tmp_path, small_scenario):
         out = tmp_path / "out"
         main(["simulate", str(small_scenario), "--out", str(out), "--seed", "42"])
@@ -230,6 +249,14 @@ class TestCliSpectrum:
         lines = (out / f"fig6a_{tap}.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) > 10
+
+    def test_ru_y_mod_builds_no_evaluator(self, tmp_path, small_scenario, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("UplinkEvaluator built for the ru_y_mod tap")
+
+        monkeypatch.setattr(rofsim.link.UplinkEvaluator, "__init__", refuse)
+        rc = main(["spectrum", str(small_scenario), "--out", str(tmp_path), "--tap", "ru_y_mod"])
+        assert rc == 0
 
     def test_dp_bpsk_out_is_two_sided(self, tmp_path, small_scenario):
         # X rail: IF on the lower sideband; Y rail: LO on the upper sideband

@@ -182,17 +182,21 @@ class TestCancellationDepth:
         w = make_tone(ToneSpec(amplitude=dbm_to_amplitude(-20.0), frequency=2e9), GRID_LONG)
         v = make_tone(ToneSpec(amplitude=dbm_to_amplitude(-60.0), frequency=2e9), GRID_LONG)
         band = (2e9 - 3e6, 2e9 + 3e6)
-        assert cancellation_depth(w, v, band) == pytest.approx(40.0, abs=0.1)
+        assert cancellation_depth(welch_psd(w, 1e6), welch_psd(v, 1e6), band) == pytest.approx(
+            40.0, abs=0.1
+        )
 
     def test_identical_inputs_zero(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID_LONG)
         band = (2e9 - 3e6, 2e9 + 3e6)
-        assert cancellation_depth(w, w, band) == 0.0
+        est = welch_psd(w, 1e6)
+        assert cancellation_depth(est, est, band) == 0.0
 
     def test_antisymmetric(self):
         a = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID_LONG)
         b = make_tone(ToneSpec(amplitude=0.1, frequency=2e9), GRID_LONG)
         band = (2e9 - 3e6, 2e9 + 3e6)
+        a, b = welch_psd(a, 1e6), welch_psd(b, 1e6)
         assert cancellation_depth(a, b, band) == pytest.approx(
             -cancellation_depth(b, a, band), abs=1e-9
         )
