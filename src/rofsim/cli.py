@@ -20,6 +20,7 @@ from . import __version__
 from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
 from .link import (
     LinkScenario,
+    UplinkEvaluator,
     build_soi_waveform,
     downlink_taps,
     make_received_signal,
@@ -28,7 +29,7 @@ from .link import (
     run_full,
 )
 from .scenario import dict_to_scenario, load_scenario, scenario_to_dict
-from .signal_core import psd_to_dbm_per_hz, welch_segment
+from .signal_core import psd_to_dbm_per_hz, welch_psd, welch_segment
 from .tuner import SicSettings, auto_tune
 
 _TAPS = ("dp_bpsk_out", "polarizer_out", "ru_y_mod", "bpd_out")
@@ -84,12 +85,10 @@ def cmd_simulate(args) -> int:
     s = _load(args)
     out = _out_dir(args)
     if args.auto_tune:
-        downlink = run_downlink(s)
-        sic = auto_tune(s, wideband=args.wideband, downlink=downlink).refined
+        sic = auto_tune(s, wideband=args.wideband).refined
     else:
-        downlink = None
         sic = SicSettings(alpha=args.alpha, tau2=args.tau2_ns * 1e-9, rf_phase_comp=None)
-    result = run_full(s, sic, downlink=downlink)
+    result = run_full(s, sic)
     row = _metrics_row(s, result.metrics, sic)
     (out / f"{s.name}_metrics.csv").write_text(f"# {_METRIC_COLS}\n{row}\n")
     for tag, est in (
@@ -155,13 +154,8 @@ def _set_axis(doc: dict, axis: str, value: float) -> dict:
 
 def _sweep_point(payload):
     s, hold_sic, held = payload
-    if hold_sic:
-        sic, downlink = held, None
-    else:
-        downlink = run_downlink(s)
-        sic = auto_tune(s, downlink=downlink).refined
-    result = run_full(s, sic, downlink=downlink)
-    return _metrics_row(s, result.metrics, sic)
+    sic = held if hold_sic else auto_tune(s).refined
+    return _metrics_row(s, run_full(s, sic).metrics, sic)
 
 
 def cmd_sweep(args) -> int:
@@ -222,16 +216,17 @@ def cmd_spectrum(args) -> int:
         rails = [field.env_x, field.env_y] if args.tap == "dp_bpsk_out" else [field.env_x]
         freqs, psd = _optical_psd(field.grid, rails, s.rbw)
         label = f"{args.tap} optical envelope (Hz offset from carrier)"
-    elif args.tap == "ru_y_mod":
+    else:
         rf, ru = run_downlink(s)
         received = make_received_signal(rf, s.si_path, build_soi_waveform(s))
-        y_mod = remodulate(ru, received, s)
-        freqs, psd = _optical_psd(s.grid, [y_mod.env_y], s.rbw)
-        label = "ru_y_mod optical envelope (Hz offset from carrier)"
-    else:
-        est = run_full(s, SicSettings()).spectrum_without_sic
-        freqs, psd = est.freqs, est.psd
-        label = "bpd_out electrical PSD (no cancellation)"
+        if args.tap == "ru_y_mod":
+            y_mod = remodulate(ru, received, s)
+            freqs, psd = _optical_psd(s.grid, [y_mod.env_y], s.rbw)
+            label = "ru_y_mod optical envelope (Hz offset from carrier)"
+        else:
+            est = welch_psd(UplinkEvaluator(ru, received, s).without_sic(), s.rbw)
+            freqs, psd = est.freqs, est.psd
+            label = "bpd_out electrical PSD (no cancellation)"
     _write_spectrum(out / f"{s.name}_{args.tap}.csv", freqs, psd, label)
     print(f"{s.name}_{args.tap}.csv")
     return 0

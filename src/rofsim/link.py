@@ -39,9 +39,8 @@ from .signal_core import (
     phase_shift,
     welch_psd,
     DEFAULT_GRID,
+    _FFT_WORKERS,
 )
-
-_FFT_WORKERS = -1
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class SoiSpec:
             raise ValueError("soi kind must be 'tone' or 'qam'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkScenario:
     """Full parameter set of one experiment."""
 
@@ -196,15 +195,10 @@ def downlink_taps(s: LinkScenario) -> dict:
     stage = fiber_propagate(stage, s.downlink_fiber)
     if s.edfa_position == "ru":
         stage = _amplify(stage, s.edfa_gain_db)
-    # 3-dB optical splitter
+    # 3-dB optical splitter: both outputs carry the same read-only field
     half = 1.0 / np.sqrt(2.0)
-    pd_branch = OpticalField(
-        grid, s.carrier_frequency, half * stage.env_x, half * stage.env_y
-    )
-    ru_field = OpticalField(
-        grid, s.carrier_frequency, half * stage.env_x, half * stage.env_y
-    )
-    pol_out = polarizer(pd_branch, np.pi / 4.0)
+    ru_field = OpticalField(grid, s.carrier_frequency, half * stage.env_x, half * stage.env_y)
+    pol_out = polarizer(ru_field, np.pi / 4.0)
     rf = filter_band(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
     return {
         "dp_bpsk_out": dp_out,
@@ -214,10 +208,21 @@ def downlink_taps(s: LinkScenario) -> dict:
     }
 
 
+_latest_downlink = None  # (scenario, (rf, ru_field)) of the latest run_downlink
+
+
 def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
-    """Downlink chain: returns the up-converted RF and the RU optical field."""
-    taps = downlink_taps(s)
-    return taps["rf"], taps["ru_field"]
+    """Downlink chain: returns the up-converted RF and the RU optical field.
+
+    The result for the latest scenario is kept, so tuning and then running
+    the same link computes its downlink once.
+    """
+    global _latest_downlink
+    if _latest_downlink is None or _latest_downlink[0] != s:
+        _latest_downlink = None  # free the kept downlink before computing another
+        taps = downlink_taps(s)
+        _latest_downlink = (s, (taps["rf"], taps["ru_field"]))
+    return _latest_downlink[1]
 
 
 def _soi_qam(s: LinkScenario, center: float) -> QamSignalSpec:
@@ -287,8 +292,7 @@ class UplinkEvaluator:
         self.scenario = s
         self.grid = s.grid
         self.ru_field = ru_field
-        self.y_mod = remodulate(ru_field, received, s)
-        y_co = fiber_propagate(self.y_mod, s.uplink_fiber)
+        y_co = fiber_propagate(remodulate(ru_field, received, s), s.uplink_fiber)
         self._i_y = photodetect(y_co, s.responsivity).samples
 
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
@@ -333,15 +337,19 @@ class UplinkEvaluator:
             raise SimulationError("non-finite residual power")
         return float(p_dbm)
 
+    def without_sic(self) -> SampledWaveform:
+        """Lowpass-filtered BPD output with the reference arm dark: -LP(i_Y)."""
+        return filter_band(SampledWaveform(self.grid, -self._i_y), "lowpass", self.scenario.lpf)
+
     def outputs(
         self, alpha: float, lp_reference: np.ndarray
     ) -> tuple[SampledWaveform, SampledWaveform]:
         """Lowpass-filtered BPD outputs (with_sic, without_sic).
 
         The lowpass is linear, so with_sic = alpha*lp_reference - LP(i_Y), where
-        lp_reference is LP(i_X) at the delay in use; without_sic is -LP(i_Y).
+        lp_reference is LP(i_X) at the delay in use.
         """
-        without = filter_band(SampledWaveform(self.grid, -self._i_y), "lowpass", self.scenario.lpf)
+        without = self.without_sic()
         with_sic = alpha * lp_reference + without.samples
         return SampledWaveform(self.grid, with_sic), without
 
@@ -358,18 +366,16 @@ def _lowpassed_reference(ru_field: OpticalField, s: LinkScenario, tau2: float) -
     return filter_band(raw, "lowpass", s.lpf).samples
 
 
-def run_full(s: LinkScenario, sic, downlink=None) -> LinkResult:
+def run_full(s: LinkScenario, sic) -> LinkResult:
     """Execute the whole link and compute the scenario metrics.
 
-    `downlink` is an optional (rf, ru_field) pair from `run_downlink(s)`, so a
-    caller that has already run it (e.g. after `auto_tune`) need not repeat it.
     All passes share one lowpassed reference current; the received RF is
     linear in the SI and the SOI, so each is built and phase-compensated once.
     """
     from .signal_core import demodulate_evm  # local to avoid cycle noise
 
     s.validate()
-    rf, ru = run_downlink(s) if downlink is None else downlink
+    rf, ru = run_downlink(s)
     lp_reference = _lowpassed_reference(ru, s, sic.tau2)
 
     # SI-only pass: depth and residual are measured without the SOI so the

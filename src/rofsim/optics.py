@@ -15,16 +15,15 @@ import scipy.fft as sfft
 from scipy.special import j0, j1
 
 from .errors import GainNotAllowed, GridError, RailConflict
-from .signal_core import SampledWaveform, TimeGrid, dbm_to_watts
+from .signal_core import _FFT_WORKERS, SampledWaveform, TimeGrid, dbm_to_watts
 
 C_LIGHT = 299_792_458.0
-_FFT_WORKERS = -1
 _REFERENCE_WAVELENGTH_NM = 1567.0  # wavelength at which the dispersion is quoted
 
 
 @dataclass
 class OpticalField:
-    """Dual-polarization complex envelope (sqrt(W)) around a carrier frequency."""
+    """Dual-polarization complex envelope (sqrt(W)) around a carrier; rails are read-only."""
 
     grid: TimeGrid
     carrier_frequency: float
@@ -38,6 +37,8 @@ class OpticalField:
             self.grid.n_samples,
         ):
             raise ValueError("envelope length must match grid")
+        self.env_x.flags.writeable = False
+        self.env_y.flags.writeable = False
 
     def total_power(self) -> float:
         """Time-averaged optical power in watts."""
@@ -156,18 +157,8 @@ def dd_mzm_ssb(
         raise ValueError("dd_mzm_ssb carrier must occupy a single rail")
     m = _ssb_transfer(drive.samples, params)
     if rail in ("x", "dark"):
-        return OpticalField(
-            carrier.grid,
-            carrier.carrier_frequency,
-            carrier.env_x * m,
-            carrier.env_y.copy(),
-        )
-    return OpticalField(
-        carrier.grid,
-        carrier.carrier_frequency,
-        carrier.env_x.copy(),
-        carrier.env_y * m,
-    )
+        return OpticalField(carrier.grid, carrier.carrier_frequency, carrier.env_x * m, carrier.env_y)
+    return OpticalField(carrier.grid, carrier.carrier_frequency, carrier.env_x, carrier.env_y * m)
 
 
 def mzm_dsb(
@@ -242,10 +233,8 @@ def pbs(field: OpticalField) -> tuple[OpticalField, OpticalField]:
     """Split rails losslessly into two single-rail fields."""
     zero = np.zeros(field.grid.n_samples, dtype=np.complex128)
     return (
-        OpticalField(field.grid, field.carrier_frequency, field.env_x.copy(), zero),
-        OpticalField(
-            field.grid, field.carrier_frequency, zero.copy(), field.env_y.copy()
-        ),
+        OpticalField(field.grid, field.carrier_frequency, field.env_x, zero),
+        OpticalField(field.grid, field.carrier_frequency, zero, field.env_y),
     )
 
 
@@ -255,13 +244,7 @@ def pbc(x: OpticalField, y: OpticalField) -> OpticalField:
         raise GridError("pbc inputs do not share a grid")
     if x.rail() in ("y", "both") or y.rail() in ("x", "both"):
         raise RailConflict("pbc inputs must occupy complementary rails")
-    return OpticalField(
-        x.grid, x.carrier_frequency, x.env_x.copy(), y.env_y.copy()
-    )
-
-
-def _copy(field: OpticalField) -> OpticalField:
-    return OpticalField(field.grid, field.carrier_frequency, field.env_x.copy(), field.env_y.copy())
+    return OpticalField(x.grid, x.carrier_frequency, x.env_x, y.env_y)
 
 
 def _filter_rails(field: OpticalField, h: np.ndarray) -> OpticalField:
@@ -269,7 +252,7 @@ def _filter_rails(field: OpticalField, h: np.ndarray) -> OpticalField:
 
     def run(env):
         if not np.any(env):
-            return np.zeros(env.shape, dtype=env.dtype)
+            return env
         return sfft.ifft(sfft.fft(env, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
 
     return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))
@@ -282,7 +265,7 @@ def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
     path delays are not double-counted by the link model.
     """
     if fp.length == 0.0:
-        return _copy(field)
+        return field
     length_m = fp.length * 1e3
     dw = 2.0 * np.pi * field.grid.freqs()
     h = 10.0 ** (-fp.attenuation * fp.length / 20.0) * np.exp(
@@ -308,7 +291,7 @@ def delay_line(field: OpticalField, tau: float) -> OpticalField:
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     if tau == 0.0:
-        return _copy(field)
+        return field
     ph = np.exp(-2j * np.pi * field.grid.freqs() * tau) * np.exp(
         -2j * np.pi * field.carrier_frequency * tau
     )

@@ -82,7 +82,7 @@ DEFAULT_GRID = TimeGrid(sample_rate=64e9, n_samples=2**20)
 
 @dataclass
 class SampledWaveform:
-    """Real electrical samples (volts) on a time grid, stored as float64."""
+    """Real electrical samples (volts) on a time grid, stored as read-only float64."""
 
     grid: TimeGrid
     samples: np.ndarray
@@ -98,6 +98,7 @@ class SampledWaveform:
             raise ValueError("samples length must match grid")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
+        self.samples.flags.writeable = False
 
     def mean_power(self) -> float:
         """Mean-square value into a unit load (A^2/2 for a tone of amplitude A)."""

@@ -135,13 +135,13 @@ def _brent_tau2(objective, t_lo: float, t_hi: float) -> tuple[float, float]:
     return float(res.x), float(res.fun)
 
 
-def _make_evaluator(s: LinkScenario, sic: SicSettings, downlink) -> UplinkEvaluator:
-    rf, ru = downlink
+def _make_evaluator(s: LinkScenario, sic: SicSettings) -> UplinkEvaluator:
+    rf, ru = run_downlink(s)
     received = _compensated(make_received_signal(rf, s.si_path), sic)
     return UplinkEvaluator(ru, received, s)
 
 
-def refine(s: LinkScenario, seed: SicSettings, downlink) -> TuneReport:
+def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
     """Bounded search on tau2 with alpha profiled out in closed form.
 
     For each delay the least-squares attenuation is exact, so one bounded
@@ -149,7 +149,7 @@ def refine(s: LinkScenario, seed: SicSettings, downlink) -> TuneReport:
     tau2). Objective is the residual SI band power; the report never degrades
     below the seed depth.
     """
-    ev = _make_evaluator(s, seed, downlink)
+    ev = _make_evaluator(s, seed)
     p_without = ev.residual_band_power_dbm(0.0, 0.0)
     obj_seed = ev.residual_band_power_dbm(seed.alpha, seed.tau2)
 
@@ -171,14 +171,14 @@ def refine(s: LinkScenario, seed: SicSettings, downlink) -> TuneReport:
     )
 
 
-def refine_alpha(s: LinkScenario, settings: SicSettings, downlink) -> TuneReport:
+def refine_alpha(s: LinkScenario, settings: SicSettings) -> TuneReport:
     """Attenuator-only refinement with the delay line held fixed.
 
     Useful in wideband mode, where tau2 is pinned to the phase-matching
     formula and only the reference-arm attenuation is free; the optimum is the
     closed-form least-squares attenuation at that delay.
     """
-    ev = _make_evaluator(s, settings, downlink)
+    ev = _make_evaluator(s, settings)
     p_without = ev.residual_band_power_dbm(0.0, 0.0)
     obj0 = ev.residual_band_power_dbm(settings.alpha, settings.tau2)
     a = ev.optimal_alpha(settings.tau2)
@@ -194,17 +194,16 @@ def refine_alpha(s: LinkScenario, settings: SicSettings, downlink) -> TuneReport
     )
 
 
-def auto_tune(s: LinkScenario, wideband: bool = False, downlink=None) -> TuneReport:
+def auto_tune(s: LinkScenario, wideband: bool = False) -> TuneReport:
     """Analytic seed followed by refinement.
 
     Wideband mode keeps tau2 pinned to the phase-matching formula (the RF
     phase shifter carries the constant) and refines the attenuation only.
     """
-    downlink = run_downlink(s) if downlink is None else downlink
-    seed = seed_settings(s, downlink[0], wideband=wideband)
+    seed = seed_settings(s, run_downlink(s)[0], wideband=wideband)
     if wideband:
-        return refine_alpha(s, seed, downlink)
-    return refine(s, seed, downlink)
+        return refine_alpha(s, seed)
+    return refine(s, seed)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -219,9 +218,8 @@ def verify_phase_constant(s: LinkScenario) -> float:
     """
     if not isinstance(s.if_signal, ToneSpec):
         raise ValueError("verify_phase_constant needs a single-tone scenario")
-    downlink = run_downlink(s)
-    seed = seed_settings(s, downlink[0])
-    ev = _make_evaluator(s, seed, downlink)
+    seed = seed_settings(s, run_downlink(s)[0])
+    ev = _make_evaluator(s, seed)
     period = 1.0 / s.f_if
     taus = np.linspace(0.0, period, _N_SCAN, endpoint=False)
     objs = np.array([ev.residual_band_power_dbm(seed.alpha, t) for t in taus])

@@ -15,6 +15,7 @@ from rofsim.link import (
     UplinkEvaluator,
     build_soi_waveform,
     make_received_signal,
+    remodulate,
     run_downlink,
     run_full,
 )
@@ -94,6 +95,26 @@ class TestRunDownlink:
         p_on = run_downlink(s)[0].mean_power()
         p_off = run_downlink(dark)[0].mean_power()
         assert 10 * np.log10(p_on / max(p_off, 1e-300)) >= 80.0
+
+    def test_tune_then_run_computes_downlink_once(self, monkeypatch):
+        calls = []
+        taps = rofsim.link.downlink_taps
+
+        def counting(s):
+            calls.append(s.name)
+            return taps(s)
+
+        monkeypatch.setattr(rofsim.link, "downlink_taps", counting)
+        s = tone_scenario()
+        run_full(s, auto_tune(s).refined)
+        assert len(calls) == 1
+
+    def test_outputs_are_read_only(self):
+        rf, ru = run_downlink(tone_scenario())
+        with pytest.raises(ValueError):
+            rf.samples[0] = 1.0
+        with pytest.raises(ValueError):
+            ru.env_x[0] = 1.0
 
 
 class TestMakeReceivedSignal:
@@ -237,7 +258,7 @@ class TestClosedFormObjective:
     def test_matches_full_fft(self, name):
         s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
         rf, ru = run_downlink(s)
-        rep = auto_tune(s, wideband=name == "wideband", downlink=(rf, ru))
+        rep = auto_tune(s, wideband=name == "wideband")
         received = make_received_signal(rf, s.si_path)
         if rep.seed.rf_phase_comp is not None:
             received = phase_shift(received, rep.seed.rf_phase_comp)
@@ -312,8 +333,7 @@ class TestGoldenRunFull:
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUN_FULL))
     def test_metrics_at_seed_settings(self, name):
         s = golden_scenario(name)
-        downlink = run_downlink(s)
-        m = run_full(s, seed_settings(s, downlink[0]), downlink=downlink).metrics
+        m = run_full(s, seed_settings(s, run_downlink(s)[0])).metrics
         depth, residual, soi, evm = GOLDEN_RUN_FULL[name]
         assert m.depth_db == pytest.approx(depth, abs=0.05)
         assert m.residual_si_dbm == pytest.approx(residual, abs=0.05)
@@ -326,14 +346,6 @@ class TestGoldenRunFull:
         else:
             assert m.evm_percent == pytest.approx(evm, abs=0.05)
 
-    def test_given_downlink_matches_own(self):
-        s = bundled("fig7a", GRID_QAM)
-        sic = seed_settings(s, run_downlink(s)[0])
-        own = run_full(s, sic)
-        shared = run_full(s, sic, downlink=run_downlink(s))
-        assert np.array_equal(own.bpd_out_with_sic.samples, shared.bpd_out_with_sic.samples)
-        assert own.metrics == shared.metrics
-
 
 class TestReferenceArmOracle:
     """The SIC stage of the link is the optics attenuator, delay line and
@@ -344,9 +356,10 @@ class TestReferenceArmOracle:
         s = bundled(name, GRID_QAM)
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf)
-        ev = UplinkEvaluator(ru, make_received_signal(rf, s.si_path), s)
+        received = make_received_signal(rf, s.si_path)
+        ev = UplinkEvaluator(ru, received, s)
         x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
-        y_co = fiber_propagate(ev.y_mod, s.uplink_fiber)
+        y_co = fiber_propagate(remodulate(ru, received, s), s.uplink_fiber)
         points = [
             (seed.alpha, 0.0),
             (seed.alpha, seed.tau2),
@@ -370,7 +383,6 @@ class TestReferenceArmOracle:
         monkeypatch.setattr(rofsim.link, "delay_line", counting_delay_line)
         s = bundled("fig7a", GRID_QAM)
         assert s.soi is not None
-        downlink = run_downlink(s)
-        sic = seed_settings(s, downlink[0])
-        run_full(s, sic, downlink=downlink)
+        sic = seed_settings(s, run_downlink(s)[0])
+        run_full(s, sic)
         assert taus == [sic.tau2]

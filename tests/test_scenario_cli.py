@@ -10,6 +10,7 @@ import yaml
 import rofsim.link
 from rofsim.cli import main
 from rofsim.errors import ScenarioError
+from rofsim.link import run_full
 from rofsim.scenario import (
     bundled_scenario_dir,
     bundled_scenarios,
@@ -17,6 +18,7 @@ from rofsim.scenario import (
     save_scenario,
 )
 from rofsim.signal_core import TimeGrid, ToneSpec
+from rofsim.tuner import SicSettings
 
 SMALL_GRID = TimeGrid(sample_rate=64e9, n_samples=2**18)
 
@@ -44,6 +46,7 @@ class TestScenarioFiles:
             copy = tmp_path / path.name
             save_scenario(s, copy)
             assert load_scenario(copy) == s
+            assert hash(load_scenario(copy)) == hash(s)
 
     def test_at_least_thirteen_bundled(self):
         assert len(bundled_scenarios()) >= 13
@@ -257,6 +260,25 @@ class TestCliSpectrum:
         monkeypatch.setattr(rofsim.link.UplinkEvaluator, "__init__", refuse)
         rc = main(["spectrum", str(small_scenario), "--out", str(tmp_path), "--tap", "ru_y_mod"])
         assert rc == 0
+
+    def test_bpd_out_needs_no_reference_arm(self, tmp_path, monkeypatch):
+        s = dataclasses.replace(
+            load_scenario(bundled_scenario_dir() / "fig7a.scenario"),
+            grid=TimeGrid(sample_rate=64e9, n_samples=2**19),
+        )
+        assert s.soi is not None
+        path = tmp_path / "fig7a.scenario"
+        save_scenario(s, path)
+        est = run_full(s, SicSettings()).spectrum_without_sic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference arm detected for the bpd_out tap")
+
+        monkeypatch.setattr(rofsim.link, "reference_current", refuse)
+        rc = main(["spectrum", str(path), "--out", str(tmp_path), "--tap", "bpd_out"])
+        assert rc == 0
+        lines = (tmp_path / "fig7a_bpd_out.csv").read_text().splitlines()
+        assert lines[2:] == [f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs, est.psd)]
 
     def test_dp_bpsk_out_is_two_sided(self, tmp_path, small_scenario):
         # X rail: IF on the lower sideband; Y rail: LO on the upper sideband

@@ -99,7 +99,7 @@ class TestSeedSettings:
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf)
         assert 0.0 < seed.alpha < 1.0
-        rep = refine(s, seed, downlink=(rf, ru))
+        rep = refine(s, seed)
         assert rep.depth_seed_db > 30.0
 
 
@@ -113,14 +113,13 @@ class TestRefine:
         s = tone_scenario()
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf)
-        rep = refine(s, seed, downlink=(rf, ru))
+        rep = refine(s, seed)
         assert rep.depth_refined_db >= rep.depth_seed_db - 0.1
 
     def test_fixed_point_converges_fast(self):
         s = tone_scenario()
-        rf, ru = run_downlink(s)
         rep = auto_tune(s)
-        again = refine(s, rep.refined, downlink=(rf, ru))
+        again = refine(s, rep.refined)
         assert again.iterations <= 2
         assert again.depth_refined_db >= rep.depth_refined_db - 0.1
 
@@ -128,8 +127,8 @@ class TestRefine:
         s = tone_scenario()
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf)
-        rep_ref = refine(s, seed, downlink=(rf, ru))
-        rep0 = refine(s, SicSettings(alpha=0.0, tau2=seed.tau2), downlink=(rf, ru))
+        rep_ref = refine(s, seed)
+        rep0 = refine(s, SicSettings(alpha=0.0, tau2=seed.tau2))
         assert rep0.depth_refined_db >= min(rep_ref.depth_refined_db, 50.0) - 1.0
 
     def test_reseed_absorbs_si_gain_change(self):
@@ -142,7 +141,7 @@ class TestRefine:
     def test_depth_periodic_in_tau2(self):
         s = tone_scenario()
         rf, ru = run_downlink(s)
-        rep = auto_tune(s, downlink=(rf, ru))
+        rep = auto_tune(s)
         ev = UplinkEvaluator(ru, make_received_signal(rf, s.si_path), s)
         a, t = rep.refined.alpha, rep.refined.tau2
         d1 = ev.residual_band_power_dbm(a, t)
@@ -165,7 +164,7 @@ class TestRefineAlpha:
         s = tone_scenario()
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf, wideband=True)
-        rep = refine_alpha(s, seed, downlink=(rf, ru))
+        rep = refine_alpha(s, seed)
         assert rep.depth_refined_db >= rep.depth_seed_db - 0.1
 
 
