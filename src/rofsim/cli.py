@@ -13,9 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-import scipy.signal
-
 from . import __version__
 from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
 from .link import (
@@ -29,7 +26,7 @@ from .link import (
     run_full,
 )
 from .scenario import dict_to_scenario, load_scenario, scenario_to_dict
-from .signal_core import psd_to_dbm_per_hz, welch_psd, welch_segment
+from .signal_core import envelope_psd, welch_psd
 from .tuner import SicSettings, auto_tune
 
 _TAPS = ("dp_bpsk_out", "polarizer_out", "ru_y_mod", "bpd_out")
@@ -75,9 +72,9 @@ def _metrics_row(s: LinkScenario, metrics, sic: SicSettings) -> str:
     )
 
 
-def _write_spectrum(path: Path, freqs, psd, label: str) -> None:
+def _write_spectrum(path: Path, est, label: str) -> None:
     lines = [f"# rofsim {__version__} {label}", "# frequency_hz,psd_dbm_per_hz"]
-    lines += [f"{f:.6f},{p:.6f}" for f, p in zip(freqs, psd)]
+    lines += [f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs, est.psd)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -95,7 +92,7 @@ def cmd_simulate(args) -> int:
         ("with_sic", result.spectrum_with_sic),
         ("without_sic", result.spectrum_without_sic),
     ):
-        _write_spectrum(out / f"{s.name}_spectrum_{tag}.csv", est.freqs, est.psd, tag)
+        _write_spectrum(out / f"{s.name}_spectrum_{tag}.csv", est, tag)
     print(row)
     if args.assert_depth is not None and not (
         result.metrics.depth_db >= args.assert_depth
@@ -186,48 +183,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _optical_psd(grid, rails, rbw):
-    """Two-sided Welch PSD (dBm/Hz, fftshifted) of complex optical envelopes, summed."""
-    nperseg = welch_segment(grid, rbw)
-    total = 0.0
-    for env in rails:
-        freqs, pxx = scipy.signal.welch(
-            env,
-            fs=grid.sample_rate,
-            window="hann",
-            nperseg=nperseg,
-            noverlap=nperseg // 2,
-            detrend=False,
-            return_onesided=False,
-            scaling="density",
-        )
-        total = total + pxx
-    return np.fft.fftshift(freqs), psd_to_dbm_per_hz(np.fft.fftshift(total))
-
-
 def cmd_spectrum(args) -> int:
     s = _load(args)
     out = _out_dir(args)
     if args.tap not in _TAPS:
         raise TapError(f"unknown tap '{args.tap}'; choose from {', '.join(_TAPS)}")
     if args.tap in ("dp_bpsk_out", "polarizer_out"):
-        taps = downlink_taps(s)
-        field = taps[args.tap]
+        field = downlink_taps(s)[args.tap]
         rails = [field.env_x, field.env_y] if args.tap == "dp_bpsk_out" else [field.env_x]
-        freqs, psd = _optical_psd(field.grid, rails, s.rbw)
+        est = envelope_psd(field.grid, rails, s.rbw)
         label = f"{args.tap} optical envelope (Hz offset from carrier)"
     else:
         rf, ru = run_downlink(s)
         received = make_received_signal(rf, s.si_path, build_soi_waveform(s))
         if args.tap == "ru_y_mod":
-            y_mod = remodulate(ru, received, s)
-            freqs, psd = _optical_psd(s.grid, [y_mod.env_y], s.rbw)
+            est = envelope_psd(s.grid, [remodulate(ru, received, s).env_y], s.rbw)
             label = "ru_y_mod optical envelope (Hz offset from carrier)"
         else:
             est = welch_psd(UplinkEvaluator(ru, received, s).without_sic(), s.rbw)
-            freqs, psd = est.freqs, est.psd
             label = "bpd_out electrical PSD (no cancellation)"
-    _write_spectrum(out / f"{s.name}_{args.tap}.csv", freqs, psd, label)
+    _write_spectrum(out / f"{s.name}_{args.tap}.csv", est, label)
     print(f"{s.name}_{args.tap}.csv")
     return 0
 

@@ -40,6 +40,7 @@ from .signal_core import (
     welch_psd,
     DEFAULT_GRID,
     _FFT_WORKERS,
+    _edge_mask,
 )
 
 
@@ -280,12 +281,13 @@ def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> n
 
 
 class UplinkEvaluator:
-    """Signal arm of the uplink, and the closed-form SIC objective.
+    """The SIC stage: signal arm of the uplink, closed-form objective and outputs.
 
     Everything upstream of the attenuator/delay line is independent of the SIC
-    settings, so the signal-arm photocurrent i_Y is computed once. The tuner
-    objective works on the SI-band bins of the two rail intensities; the
-    lowpass outputs take the lowpassed reference current from the caller.
+    settings, so the evaluator keeps two full spectra: B = rfft(i_Y) of the
+    signal arm and A = rfft(i_X) of the undelayed reference arm. The tuner
+    objective reads their SI-band bins, and the lowpass outputs are one irfft
+    of LP(alpha*A*exp(-2j*pi*f*tau2) - B).
     """
 
     def __init__(self, ru_field: OpticalField, received: SampledWaveform, s: LinkScenario):
@@ -294,27 +296,32 @@ class UplinkEvaluator:
         self.ru_field = ru_field
         y_co = fiber_propagate(remodulate(ru_field, received, s), s.uplink_fiber)
         self._i_y = photodetect(y_co, s.responsivity).samples
+        self._spec_y = sfft.rfft(self._i_y, workers=_FFT_WORKERS)
 
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
-        """Unfiltered balanced-detector output i_X - i_Y."""
+        """Unfiltered balanced-detector output i_X - i_Y, detected in the time domain."""
         return alpha * reference_current(self.ru_field, self.scenario, tau2) - self._i_y
 
     @cached_property
-    def _si_band_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SI-band bins (A, B, f) of rfft(R*|x_env|^2) and rfft(i_Y).
+    def _spec_x(self) -> np.ndarray:
+        """A = rfft(R*|x_env|^2), the reference-arm current at zero delay.
 
         Square-law detection drops the carrier phase of the reference-arm
         delay, and delaying the envelope by tau2 multiplies the bins of its
         intensity by exp(-2j*pi*f*tau2). That identity needs the intensity to
         fit below Nyquist, which holds when the envelope content lies below
-        fs/4; then bpd_raw's SI-band bins are alpha*A*exp(-2j*pi*f*tau2) - B.
+        fs/4; then rfft(bpd_raw(alpha, tau2)) = alpha*A*exp(-2j*pi*f*tau2) - B.
         """
+        i_x = reference_current(self.ru_field, self.scenario, 0.0)
+        return sfft.rfft(i_x, workers=_FFT_WORKERS)
+
+    @cached_property
+    def _si_band_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """SI-band bins (A, B, f) read by the objective."""
         freqs = self.grid.rfreqs()
         f_lo, f_hi = self.scenario.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)
-        i_x = reference_current(self.ru_field, self.scenario, 0.0)
-        a, b = (sfft.rfft(i, workers=_FFT_WORKERS)[mask] for i in (i_x, self._i_y))
-        return a, b, freqs[mask]
+        return self._spec_x[mask], self._spec_y[mask], freqs[mask]
 
     def _reference_bins(self, tau2: float) -> np.ndarray:
         a, _, f = self._si_band_spectra
@@ -337,21 +344,21 @@ class UplinkEvaluator:
             raise SimulationError("non-finite residual power")
         return float(p_dbm)
 
+    def _lowpassed(self, spectrum: np.ndarray) -> SampledWaveform:
+        """The scenario lowpass (the skirt of `filter_band`) applied to an rfft spectrum."""
+        h = _edge_mask(self.grid.rfreqs(), self.scenario.lpf, rising=False)
+        n = self.grid.n_samples
+        return SampledWaveform(self.grid, sfft.irfft(spectrum * h, n, workers=_FFT_WORKERS))
+
     def without_sic(self) -> SampledWaveform:
         """Lowpass-filtered BPD output with the reference arm dark: -LP(i_Y)."""
-        return filter_band(SampledWaveform(self.grid, -self._i_y), "lowpass", self.scenario.lpf)
+        return self._lowpassed(-self._spec_y)
 
-    def outputs(
-        self, alpha: float, lp_reference: np.ndarray
-    ) -> tuple[SampledWaveform, SampledWaveform]:
-        """Lowpass-filtered BPD outputs (with_sic, without_sic).
-
-        The lowpass is linear, so with_sic = alpha*lp_reference - LP(i_Y), where
-        lp_reference is LP(i_X) at the delay in use.
-        """
-        without = self.without_sic()
-        with_sic = alpha * lp_reference + without.samples
-        return SampledWaveform(self.grid, with_sic), without
+    def outputs(self, alpha: float, tau2: float) -> tuple[SampledWaveform, SampledWaveform]:
+        """Lowpass-filtered BPD outputs (with_sic, without_sic) at (alpha, tau2)."""
+        delay = np.exp(-2j * np.pi * self.grid.rfreqs() * tau2)
+        with_sic = self._lowpassed(alpha * self._spec_x * delay - self._spec_y)
+        return with_sic, self.without_sic()
 
 
 def _compensated(w: SampledWaveform, sic) -> SampledWaveform:
@@ -361,27 +368,22 @@ def _compensated(w: SampledWaveform, sic) -> SampledWaveform:
     return phase_shift(w, sic.rf_phase_comp)
 
 
-def _lowpassed_reference(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
-    raw = SampledWaveform(s.grid, reference_current(ru_field, s, tau2))
-    return filter_band(raw, "lowpass", s.lpf).samples
-
-
 def run_full(s: LinkScenario, sic) -> LinkResult:
     """Execute the whole link and compute the scenario metrics.
 
-    All passes share one lowpassed reference current; the received RF is
-    linear in the SI and the SOI, so each is built and phase-compensated once.
+    Each pass is one UplinkEvaluator, whose outputs come from the same spectra
+    the tuner objective reads. The received RF is linear in the SI and the SOI,
+    so each is built and phase-compensated once.
     """
     from .signal_core import demodulate_evm  # local to avoid cycle noise
 
     s.validate()
     rf, ru = run_downlink(s)
-    lp_reference = _lowpassed_reference(ru, s, sic.tau2)
 
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
     received_si = _compensated(make_received_signal(rf, s.si_path), sic)
-    with_out, without_out = UplinkEvaluator(ru, received_si, s).outputs(sic.alpha, lp_reference)
+    with_out, without_out = UplinkEvaluator(ru, received_si, s).outputs(sic.alpha, sic.tau2)
     spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
     band = s.si_band()
     residual = band_power(spec_with, *band)
@@ -392,12 +394,12 @@ def run_full(s: LinkScenario, sic) -> LinkResult:
     if s.soi is not None:
         soi_wave = _compensated(build_soi_waveform(s), sic)
         with_out, without_out = UplinkEvaluator(ru, received_si + soi_wave, s).outputs(
-            sic.alpha, lp_reference
+            sic.alpha, sic.tau2
         )
         spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
-        _, soi_only = UplinkEvaluator(ru, soi_wave, s).outputs(0.0, lp_reference)
+        soi_only = UplinkEvaluator(ru, soi_wave, s).without_sic()
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if s.soi.kind == "qam":
             evm = demodulate_evm(soi_only, _soi_qam(s, s.f_if))

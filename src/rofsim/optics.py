@@ -299,10 +299,17 @@ def delay_line(field: OpticalField, tau: float) -> OpticalField:
 
 
 def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWaveform:
-    """Square-law detection of the total intensity (polarization-insensitive)."""
-    ex, ey = field.env_x, field.env_y
-    i = responsivity * (ex.real**2 + ex.imag**2 + ey.real**2 + ey.imag**2)
-    return SampledWaveform(field.grid, i)
+    """Square-law detection of the total intensity (polarization-insensitive).
+
+    A dark rail adds nothing and is skipped, as in `_filter_rails`.
+    """
+    intensity = np.zeros(field.grid.n_samples)
+    for env in (field.env_x, field.env_y):
+        if np.any(env):
+            intensity += env.real**2
+            intensity += env.imag**2
+    intensity *= responsivity
+    return SampledWaveform(field.grid, intensity)
 
 
 def balanced_detect(

@@ -252,25 +252,45 @@ def psd_to_dbm_per_hz(pxx: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(pxx / R_REF / 1e-3, 1e-40))
 
 
+def _welch(x: np.ndarray, grid: TimeGrid, rbw: float, onesided: bool):
+    """Hann-window Welch PSD (V^2/Hz or W/Hz) at the requested resolution
+    bandwidth, 50 % overlap, no detrend; returns (freqs, pxx, rbw achieved)."""
+    fs = grid.sample_rate
+    nperseg = welch_segment(grid, rbw)
+    freqs, pxx = scipy.signal.welch(
+        x,
+        fs=fs,
+        window="hann",
+        nperseg=nperseg,
+        noverlap=nperseg // 2,
+        detrend=False,
+        return_onesided=onesided,
+        scaling="density",
+    )
+    return freqs, pxx, _HANN_ENBW * fs / nperseg
+
+
 def welch_psd(w: SampledWaveform, rbw: float) -> SpectrumEstimate:
     """One-sided averaged-periodogram PSD in dBm/Hz at the requested resolution bandwidth.
 
     Integrating the linear PSD over frequency recovers the waveform mean power
     within 0.2 dB.
     """
-    fs = w.grid.sample_rate
-    nperseg = welch_segment(w.grid, rbw)
-    freqs, pxx = scipy.signal.welch(
-        w.samples,
-        fs=fs,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-    )
+    freqs, pxx, enbw = _welch(w.samples, w.grid, rbw, onesided=True)
+    return SpectrumEstimate(freqs=freqs, psd=psd_to_dbm_per_hz(pxx), rbw=enbw)
+
+
+def envelope_psd(grid: TimeGrid, rails, rbw: float) -> SpectrumEstimate:
+    """Two-sided Welch PSD of complex optical envelopes, summed over the rails.
+
+    Frequencies are offsets from the carrier in increasing order.
+    """
+    total = 0.0
+    for env in rails:
+        freqs, pxx, enbw = _welch(env, grid, rbw, onesided=False)
+        total = total + pxx
     return SpectrumEstimate(
-        freqs=freqs, psd=psd_to_dbm_per_hz(pxx), rbw=_HANN_ENBW * fs / nperseg
+        freqs=sfft.fftshift(freqs), psd=psd_to_dbm_per_hz(sfft.fftshift(total)), rbw=enbw
     )
 
 

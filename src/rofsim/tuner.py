@@ -127,12 +127,12 @@ _TAU_TOL = 1e-15  # s, absolute tolerance of the bounded Brent search on tau2
 _N_SCAN = 96  # delays in the coarse scan of verify_phase_constant
 
 
-def _brent_tau2(objective, t_lo: float, t_hi: float) -> tuple[float, float]:
-    """Bounded Brent minimum of objective(tau2) on [t_lo, t_hi]; returns (tau2, value)."""
+def _brent_tau2(objective, t_lo: float, t_hi: float) -> float:
+    """Bounded Brent minimizer of objective(tau2) on [t_lo, t_hi]."""
     res = minimize_scalar(
         objective, bounds=(t_lo, t_hi), method="bounded", options={"xatol": _TAU_TOL}
     )
-    return float(res.x), float(res.fun)
+    return float(res.x)
 
 
 def _make_evaluator(s: LinkScenario, sic: SicSettings) -> UplinkEvaluator:
@@ -141,25 +141,11 @@ def _make_evaluator(s: LinkScenario, sic: SicSettings) -> UplinkEvaluator:
     return UplinkEvaluator(ru, received, s)
 
 
-def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
-    """Bounded search on tau2 with alpha profiled out in closed form.
-
-    For each delay the least-squares attenuation is exact, so one bounded
-    Brent search over one IF period either side of the seed finds (alpha,
-    tau2). Objective is the residual SI band power; the report never degrades
-    below the seed depth.
-    """
-    ev = _make_evaluator(s, seed)
+def _report(ev: UplinkEvaluator, seed: SicSettings, alpha: float, tau2: float) -> TuneReport:
+    """Report of a refinement that found (alpha, tau2); the seed is kept unless beaten."""
     p_without = ev.residual_band_power_dbm(0.0, 0.0)
     obj_seed = ev.residual_band_power_dbm(seed.alpha, seed.tau2)
-
-    period = 1.0 / s.f_if
-    tau2, obj = _brent_tau2(
-        lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
-        max(0.0, seed.tau2 - period),
-        seed.tau2 + period,
-    )
-    alpha = ev.optimal_alpha(tau2)
+    obj = ev.residual_band_power_dbm(alpha, tau2)
     if obj > obj_seed:
         alpha, tau2, obj = seed.alpha, seed.tau2, obj_seed
     return TuneReport(
@@ -171,6 +157,24 @@ def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
     )
 
 
+def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
+    """Bounded search on tau2 with alpha profiled out in closed form.
+
+    For each delay the least-squares attenuation is exact, so one bounded
+    Brent search over one IF period either side of the seed finds (alpha,
+    tau2). Objective is the residual SI band power; the report never degrades
+    below the seed depth.
+    """
+    ev = _make_evaluator(s, seed)
+    period = 1.0 / s.f_if
+    tau2 = _brent_tau2(
+        lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
+        max(0.0, seed.tau2 - period),
+        seed.tau2 + period,
+    )
+    return _report(ev, seed, ev.optimal_alpha(tau2), tau2)
+
+
 def refine_alpha(s: LinkScenario, settings: SicSettings) -> TuneReport:
     """Attenuator-only refinement with the delay line held fixed.
 
@@ -179,19 +183,7 @@ def refine_alpha(s: LinkScenario, settings: SicSettings) -> TuneReport:
     closed-form least-squares attenuation at that delay.
     """
     ev = _make_evaluator(s, settings)
-    p_without = ev.residual_band_power_dbm(0.0, 0.0)
-    obj0 = ev.residual_band_power_dbm(settings.alpha, settings.tau2)
-    a = ev.optimal_alpha(settings.tau2)
-    obj = ev.residual_band_power_dbm(a, settings.tau2)
-    if obj > obj0:
-        a, obj = settings.alpha, obj0
-    return TuneReport(
-        seed=settings,
-        refined=replace(settings, alpha=a),
-        depth_seed_db=p_without - obj0,
-        depth_refined_db=p_without - obj,
-        iterations=1,
-    )
+    return _report(ev, settings, ev.optimal_alpha(settings.tau2), settings.tau2)
 
 
 def auto_tune(s: LinkScenario, wideband: bool = False) -> TuneReport:
@@ -226,7 +218,7 @@ def verify_phase_constant(s: LinkScenario) -> float:
     if objs.max() - objs.min() < 1.0:
         raise DegenerateScan("residual power flat over the delay scan")
     k = int(np.argmin(objs))
-    tau_star, _ = _brent_tau2(
+    tau_star = _brent_tau2(
         lambda t: ev.residual_band_power_dbm(seed.alpha, max(t, 0.0)),
         taus[k] - period / _N_SCAN,
         taus[k] + period / _N_SCAN,

@@ -23,10 +23,12 @@ from rofsim.optics import attenuate, balanced_detect, delay_line, fiber_propagat
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import (
     QamSignalSpec,
+    SampledWaveform,
     TimeGrid,
     ToneSpec,
     band_power,
     dbm_to_amplitude,
+    filter_band,
     make_tone,
     phase_shift,
     welch_psd,
@@ -160,10 +162,10 @@ class TestRunUplink:
         # run_full's SOI-only pass relies on this alpha = 0 identity
         s = tone_scenario(2e9, 5e9)
         rf, ru = run_downlink(s)
-        received = make_received_signal(rf, s.si_path)
-        lp_reference = rofsim.link._lowpassed_reference(ru, s, 0.0)
-        with_sic, without_sic = UplinkEvaluator(ru, received, s).outputs(0.0, lp_reference)
-        assert np.allclose(with_sic.samples, without_sic.samples, atol=1e-15)
+        seed = seed_settings(s, rf)
+        ev = UplinkEvaluator(ru, make_received_signal(rf, s.si_path), s)
+        with_sic, _ = ev.outputs(0.0, seed.tau2)
+        assert np.array_equal(with_sic.samples, ev.without_sic().samples)
 
     def test_tuned_settings_cancel(self):
         s = tone_scenario(2e9, 5e9)
@@ -253,6 +255,14 @@ def full_fft_band_power_dbm(ev: UplinkEvaluator, alpha: float, tau2: float) -> f
     return float(10.0 * np.log10(msq / 50.0 / 1e-3))
 
 
+# Largest |with-SIC output - LP(bpd_raw)| relative to the peak of LP(bpd_raw).
+# At 2.0 GHz the closed form is exact to round-off; at 2.1 and 2.2 GHz the
+# off-bin drives leak envelope energy above fs/4 (measured up to 3.4e-5).
+OUTPUT_TOLERANCE = {"fig6a": 1e-12, "fig7a": 1e-12, "wideband": 1e-12, "fig7c": 1e-4, "fig8c": 1e-4}
+
+BUNDLED = sorted(p.stem for p in bundled_scenario_dir().glob("*.scenario"))
+
+
 class TestClosedFormObjective:
     @pytest.mark.parametrize("name", ["fig6a", "fig7a", "fig7c", "fig8c", "wideband"])
     def test_matches_full_fft(self, name):
@@ -273,6 +283,24 @@ class TestClosedFormObjective:
             assert ev.residual_band_power_dbm(alpha, tau2) == pytest.approx(
                 full_fft_band_power_dbm(ev, alpha, tau2), abs=1e-3
             )
+            raw = SampledWaveform(ev.grid, ev.bpd_raw(alpha, tau2))
+            ref = filter_band(raw, "lowpass", s.lpf).samples
+            np.testing.assert_allclose(
+                ev.outputs(alpha, tau2)[0].samples,
+                ref,
+                rtol=0,
+                atol=OUTPUT_TOLERANCE[name] * np.abs(ref).max(),
+            )
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reference_envelope_below_quarter_rate(self, name):
+        # the objective and the outputs both delay the reference intensity as
+        # a spectral phase, which is exact only for envelope content below fs/4
+        s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
+        env = run_downlink(s)[1].env_x
+        energy = np.abs(np.fft.fft(env)) ** 2
+        above = np.abs(np.fft.fftfreq(env.size)) >= 0.25
+        assert energy[above].sum() < 1e-6 * energy.sum()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -373,16 +401,18 @@ class TestReferenceArmOracle:
                 ev.bpd_raw(alpha, tau2), ref, rtol=0, atol=1e-12 * np.abs(ref).max()
             )
 
-    def test_run_full_delays_reference_once(self, monkeypatch):
+    def test_run_full_never_delays_the_reference(self, monkeypatch):
+        # run_full applies tau2 as a spectral phase; the optics only run at zero delay
         taus = []
 
-        def counting_delay_line(field, tau):
+        def recording_delay_line(field, tau):
             taus.append(tau)
             return delay_line(field, tau)
 
-        monkeypatch.setattr(rofsim.link, "delay_line", counting_delay_line)
+        monkeypatch.setattr(rofsim.link, "delay_line", recording_delay_line)
         s = bundled("fig7a", GRID_QAM)
         assert s.soi is not None
         sic = seed_settings(s, run_downlink(s)[0])
+        assert sic.tau2 > 0.0
         run_full(s, sic)
-        assert taus == [sic.tau2]
+        assert taus and all(tau == 0.0 for tau in taus)
