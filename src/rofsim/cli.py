@@ -17,17 +17,18 @@ from . import __version__
 from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
 from .link import (
     LinkScenario,
-    UplinkEvaluator,
+    SicSettings,
     build_soi_waveform,
     downlink_taps,
     make_received_signal,
     remodulate,
     run_downlink,
     run_full,
+    signal_output,
 )
 from .scenario import dict_to_scenario, load_scenario, scenario_to_dict
 from .signal_core import envelope_psd, welch_psd
-from .tuner import SicSettings, auto_tune
+from .tuner import auto_tune
 
 _TAPS = ("dp_bpsk_out", "polarizer_out", "ru_y_mod", "bpd_out")
 
@@ -200,7 +201,7 @@ def cmd_spectrum(args) -> int:
             est = envelope_psd(s.grid, [remodulate(ru, received, s).env_y], s.rbw)
             label = "ru_y_mod optical envelope (Hz offset from carrier)"
         else:
-            est = welch_psd(UplinkEvaluator(ru, received, s).without_sic(), s.rbw)
+            est = welch_psd(signal_output(received, s), s.rbw)
             label = "bpd_out electrical PSD (no cancellation)"
     _write_spectrum(out / f"{s.name}_{args.tap}.csv", est, label)
     print(f"{s.name}_{args.tap}.csv")

@@ -13,10 +13,6 @@ class AliasError(RofsimError):
     """Requested frequency is at or above the grid Nyquist frequency."""
 
 
-class UnsupportedConstellation(RofsimError):
-    """QAM order other than 16 requested."""
-
-
 class ResolutionError(RofsimError):
     """Requested resolution bandwidth too small for the record length."""
 

@@ -4,7 +4,6 @@ uplink transport and balanced detection at the CO."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -32,6 +31,7 @@ from .signal_core import (
     band_power,
     cancellation_depth,
     dbm_to_amplitude,
+    demodulate_evm,
     filter_band,
     fractional_delay,
     make_qam,
@@ -146,10 +146,23 @@ class LinkScenario:
 
     def soi_band(self) -> tuple[float, float]:
         if self.soi is not None and self.soi.kind == "qam":
-            hw = 0.5 * (1.0 + self.soi.rolloff) * self.soi.symbol_rate
+            hw = _soi_qam(self, self.f_if).occupied_halfwidth
         else:
             hw = 3.0 * self.rbw
         return (self.f_if - hw, self.f_if + hw)
+
+
+@dataclass(frozen=True)
+class SicSettings:
+    alpha: float = 0.0  # power ratio through the reference-arm attenuator
+    tau2: float = 0.0  # reference-arm delay, seconds
+    rf_phase_comp: float | None = None  # explicit phase shifter (wideband mode)
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        if self.tau2 < 0.0:
+            raise ValueError("tau2 must be non-negative")
 
 
 @dataclass
@@ -229,7 +242,6 @@ def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
 def _soi_qam(s: LinkScenario, center: float) -> QamSignalSpec:
     """16-QAM spec of the SOI, centred at `center`."""
     return QamSignalSpec(
-        order=16,
         symbol_rate=s.soi.symbol_rate,
         center_frequency=center,
         power_dbm=s.soi.power_dbm,
@@ -280,51 +292,64 @@ def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> n
     return photodetect(delay_line(x_co, tau2), s.responsivity).samples
 
 
+def _signal_spectrum(received: SampledWaveform, s: LinkScenario) -> np.ndarray:
+    """B = rfft(i_Y) of the signal arm that `received` re-modulates."""
+    y_co = fiber_propagate(remodulate(run_downlink(s)[1], received, s), s.uplink_fiber)
+    return sfft.rfft(photodetect(y_co, s.responsivity).samples, workers=_FFT_WORKERS)
+
+
+def _lowpassed(spectrum: np.ndarray, s: LinkScenario) -> SampledWaveform:
+    """The scenario lowpass (the skirt of `filter_band`) applied to an rfft spectrum."""
+    h = _edge_mask(s.grid.rfreqs(), s.lpf, rising=False)
+    n = s.grid.n_samples
+    return SampledWaveform(s.grid, sfft.irfft(spectrum * h, n, workers=_FFT_WORKERS))
+
+
+def signal_output(received: SampledWaveform, s: LinkScenario) -> SampledWaveform:
+    """-LP(i_Y): the lowpass BPD output of the signal arm alone (reference arm dark)."""
+    return _lowpassed(-_signal_spectrum(received, s), s)
+
+
+def _compensated(w: SampledWaveform, rf_phase_comp: float | None) -> SampledWaveform:
+    """Apply the RF phase shifter of wideband mode, when there is one."""
+    if rf_phase_comp is None:
+        return w
+    return phase_shift(w, rf_phase_comp)
+
+
 class UplinkEvaluator:
-    """The SIC stage: signal arm of the uplink, closed-form objective and outputs.
+    """The scenario's SI-only SIC stage: closed-form objective and outputs.
 
     Everything upstream of the attenuator/delay line is independent of the SIC
-    settings, so the evaluator keeps two full spectra: B = rfft(i_Y) of the
-    signal arm and A = rfft(i_X) of the undelayed reference arm. The tuner
-    objective reads their SI-band bins, and the lowpass outputs are one irfft
-    of LP(alpha*A*exp(-2j*pi*f*tau2) - B).
+    settings, so the evaluator keeps B = rfft(i_Y) of the signal arm and
+    A = rfft(i_X) of the reference arm at zero delay. Square-law detection
+    drops the carrier phase of the reference-arm delay, and delaying the
+    envelope by tau2 multiplies the bins of its intensity by
+    exp(-2j*pi*f*tau2), exactly while the envelope content lies below fs/4.
+    Then rfft(bpd_raw(alpha, tau2)) = alpha*A*exp(-2j*pi*f*tau2) - B: the
+    objective reads its SI-band bins, and the outputs are one irfft of it.
     """
 
-    def __init__(self, ru_field: OpticalField, received: SampledWaveform, s: LinkScenario):
+    def __init__(self, s: LinkScenario, rf_phase_comp: float | None = None):
         self.scenario = s
         self.grid = s.grid
-        self.ru_field = ru_field
-        y_co = fiber_propagate(remodulate(ru_field, received, s), s.uplink_fiber)
-        self._i_y = photodetect(y_co, s.responsivity).samples
-        self._spec_y = sfft.rfft(self._i_y, workers=_FFT_WORKERS)
+        rf, ru = run_downlink(s)
+        self.received = _compensated(make_received_signal(rf, s.si_path), rf_phase_comp)
+        self._spec_y = _signal_spectrum(self.received, s)
+        self._spec_x = sfft.rfft(reference_current(ru, s, 0.0), workers=_FFT_WORKERS)
+        freqs = self.grid.rfreqs()
+        f_lo, f_hi = s.si_band()
+        mask = (freqs >= f_lo) & (freqs <= f_hi)
+        self._si_bins = (self._spec_x[mask], self._spec_y[mask], freqs[mask])
 
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
-        """Unfiltered balanced-detector output i_X - i_Y, detected in the time domain."""
-        return alpha * reference_current(self.ru_field, self.scenario, tau2) - self._i_y
-
-    @cached_property
-    def _spec_x(self) -> np.ndarray:
-        """A = rfft(R*|x_env|^2), the reference-arm current at zero delay.
-
-        Square-law detection drops the carrier phase of the reference-arm
-        delay, and delaying the envelope by tau2 multiplies the bins of its
-        intensity by exp(-2j*pi*f*tau2). That identity needs the intensity to
-        fit below Nyquist, which holds when the envelope content lies below
-        fs/4; then rfft(bpd_raw(alpha, tau2)) = alpha*A*exp(-2j*pi*f*tau2) - B.
-        """
-        i_x = reference_current(self.ru_field, self.scenario, 0.0)
-        return sfft.rfft(i_x, workers=_FFT_WORKERS)
-
-    @cached_property
-    def _si_band_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SI-band bins (A, B, f) read by the objective."""
-        freqs = self.grid.rfreqs()
-        f_lo, f_hi = self.scenario.si_band()
-        mask = (freqs >= f_lo) & (freqs <= f_hi)
-        return self._spec_x[mask], self._spec_y[mask], freqs[mask]
+        """Unfiltered balanced-detector output i_X - i_Y, with the reference arm
+        delayed and detected in the time domain."""
+        i_x = reference_current(run_downlink(self.scenario)[1], self.scenario, tau2)
+        return alpha * i_x - sfft.irfft(self._spec_y, self.grid.n_samples, workers=_FFT_WORKERS)
 
     def _reference_bins(self, tau2: float) -> np.ndarray:
-        a, _, f = self._si_band_spectra
+        a, _, f = self._si_bins
         return a * np.exp(-2j * np.pi * f * tau2)
 
     def optimal_alpha(self, tau2: float) -> float:
@@ -333,57 +358,37 @@ class UplinkEvaluator:
         norm = np.vdot(a, a).real
         if norm == 0.0:
             return 0.0
-        return float(np.clip(np.vdot(a, self._si_band_spectra[1]).real / norm, 0.0, 1.0))
+        return float(np.clip(np.vdot(a, self._si_bins[1]).real / norm, 0.0, 1.0))
 
     def residual_band_power_dbm(self, alpha: float, tau2: float) -> float:
         """Band power of the residual over the SI band (objective), in closed form."""
-        spec = alpha * self._reference_bins(tau2) - self._si_band_spectra[1]
+        spec = alpha * self._reference_bins(tau2) - self._si_bins[1]
         msq = 2.0 * np.sum(np.abs(spec) ** 2) / self.grid.n_samples**2
         p_dbm = 10.0 * np.log10(max(msq / 50.0 / 1e-3, 1e-40))
         if not np.isfinite(p_dbm):
             raise SimulationError("non-finite residual power")
         return float(p_dbm)
 
-    def _lowpassed(self, spectrum: np.ndarray) -> SampledWaveform:
-        """The scenario lowpass (the skirt of `filter_band`) applied to an rfft spectrum."""
-        h = _edge_mask(self.grid.rfreqs(), self.scenario.lpf, rising=False)
-        n = self.grid.n_samples
-        return SampledWaveform(self.grid, sfft.irfft(spectrum * h, n, workers=_FFT_WORKERS))
-
-    def without_sic(self) -> SampledWaveform:
-        """Lowpass-filtered BPD output with the reference arm dark: -LP(i_Y)."""
-        return self._lowpassed(-self._spec_y)
-
     def outputs(self, alpha: float, tau2: float) -> tuple[SampledWaveform, SampledWaveform]:
         """Lowpass-filtered BPD outputs (with_sic, without_sic) at (alpha, tau2)."""
         delay = np.exp(-2j * np.pi * self.grid.rfreqs() * tau2)
-        with_sic = self._lowpassed(alpha * self._spec_x * delay - self._spec_y)
-        return with_sic, self.without_sic()
+        with_sic = _lowpassed(alpha * self._spec_x * delay - self._spec_y, self.scenario)
+        return with_sic, _lowpassed(-self._spec_y, self.scenario)
 
 
-def _compensated(w: SampledWaveform, sic) -> SampledWaveform:
-    """Apply the RF phase shifter of wideband mode, when the settings carry one."""
-    if sic.rf_phase_comp is None:
-        return w
-    return phase_shift(w, sic.rf_phase_comp)
-
-
-def run_full(s: LinkScenario, sic) -> LinkResult:
+def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     """Execute the whole link and compute the scenario metrics.
 
-    Each pass is one UplinkEvaluator, whose outputs come from the same spectra
-    the tuner objective reads. The received RF is linear in the SI and the SOI,
-    so each is built and phase-compensated once.
+    The SI-only pass is the one SIC stage; the SI + SOI and SOI-only passes
+    detect only the signal arm. The received RF is linear in the SI and the
+    SOI, so each is built and phase-compensated once.
     """
-    from .signal_core import demodulate_evm  # local to avoid cycle noise
-
     s.validate()
-    rf, ru = run_downlink(s)
 
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
-    received_si = _compensated(make_received_signal(rf, s.si_path), sic)
-    with_out, without_out = UplinkEvaluator(ru, received_si, s).outputs(sic.alpha, sic.tau2)
+    ev = UplinkEvaluator(s, sic.rf_phase_comp)
+    with_out, without_out = ev.outputs(sic.alpha, sic.tau2)
     spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
     band = s.si_band()
     residual = band_power(spec_with, *band)
@@ -392,14 +397,16 @@ def run_full(s: LinkScenario, sic) -> LinkResult:
     soi_power = None
     evm = None
     if s.soi is not None:
-        soi_wave = _compensated(build_soi_waveform(s), sic)
-        with_out, without_out = UplinkEvaluator(ru, received_si + soi_wave, s).outputs(
-            sic.alpha, sic.tau2
-        )
+        soi_wave = _compensated(build_soi_waveform(s), sic.rf_phase_comp)
+        # The reference arm never touches the uplink RF, so adding the SOI
+        # changes only the signal arm.
+        full = signal_output(ev.received + soi_wave, s)
+        with_out = SampledWaveform(s.grid, with_out.samples - without_out.samples + full.samples)
+        without_out = full
         spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
-        soi_only = UplinkEvaluator(ru, soi_wave, s).without_sic()
+        soi_only = signal_output(soi_wave, s)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if s.soi.kind == "qam":
             evm = demodulate_evm(soi_only, _soi_qam(s, s.f_if))

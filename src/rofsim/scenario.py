@@ -207,11 +207,27 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
 
 
 def _amp_to_dbm(amplitude: float) -> float:
+    """Tone power in dBm; a zero amplitude is -inf dBm, which loads back to 0 V."""
     return round(float(watts_to_dbm(amplitude**2 / (2.0 * R_REF))), 10)
 
 
+def _check_expressible(s: LinkScenario) -> None:
+    """Raise ScenarioError naming each field a scenario file cannot hold."""
+    mods = ("mod_if", "mod_lo", "mod_uplink")
+    lost = [f"{m}.v_pi" for m in mods if getattr(s, m).v_pi != s.mod_if.v_pi]
+    lost += [f"{m}.insertion_loss" for m in mods if getattr(s, m).insertion_loss != 0.0]
+    tones = ("if_signal", "lo_signal")
+    lost += [f"{t}.phase" for t in tones if getattr(getattr(s, t), "phase", 0.0) != 0.0]
+    if lost:
+        raise ScenarioError(f"a scenario file cannot hold {', '.join(lost)}")
+
+
 def scenario_to_dict(s: LinkScenario, description: str = "") -> dict:
-    """Inverse of dict_to_scenario; numbers rounded so load(save(s)) == s."""
+    """Inverse of dict_to_scenario; numbers rounded so load(save(s)) == s.
+
+    A scenario holding a value the format cannot express is rejected by name.
+    """
+    _check_expressible(s)
     if isinstance(s.if_signal, ToneSpec):
         if_sec = {
             "kind": "tone",

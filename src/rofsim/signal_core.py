@@ -18,7 +18,6 @@ from .errors import (
     LockError,
     RangeError,
     ResolutionError,
-    UnsupportedConstellation,
 )
 
 R_REF = 50.0  # reference impedance for dBm conversions
@@ -31,7 +30,7 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 def watts_to_dbm(p_watts: float) -> float:
     if p_watts <= 0.0:
-        return -400.0
+        return -np.inf
     return 10.0 * np.log10(p_watts / 1e-3)
 
 
@@ -132,7 +131,8 @@ class ToneSpec:
 
 @dataclass(frozen=True)
 class QamSignalSpec:
-    order: int = 16
+    """Root-raised-cosine 16-QAM signal around `center_frequency`."""
+
     symbol_rate: float = 10e6
     center_frequency: float = 2e9
     power_dbm: float = 0.0
@@ -140,8 +140,6 @@ class QamSignalSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.order != 16:
-            raise UnsupportedConstellation(f"unsupported QAM order {self.order}")
         if self.symbol_rate <= 0:
             raise ValueError("symbol_rate must be positive")
         if not 0.0 < self.rolloff <= 1.0:

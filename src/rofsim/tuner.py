@@ -12,25 +12,12 @@ from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
 from .errors import AttenuatorInfeasible, DegenerateScan
-from .link import LinkScenario, UplinkEvaluator, _compensated, make_received_signal, run_downlink
+from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink
 from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec, dbm_to_amplitude
 
 # Aggregate phase constant of the cancellation condition: the TODL delay must
 # satisfy w_if*tau2 = w_s*tau1 + PHASE_CONSTANT (mod 2*pi).
 PHASE_CONSTANT = -5.0 * np.pi / 4.0
-
-
-@dataclass(frozen=True)
-class SicSettings:
-    alpha: float = 0.0  # power ratio through the reference-arm attenuator
-    tau2: float = 0.0  # reference-arm delay, seconds
-    rf_phase_comp: float | None = None  # explicit phase shifter (wideband mode)
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.tau2 < 0.0:
-            raise ValueError("tau2 must be non-negative")
 
 
 @dataclass
@@ -135,12 +122,6 @@ def _brent_tau2(objective, t_lo: float, t_hi: float) -> float:
     return float(res.x)
 
 
-def _make_evaluator(s: LinkScenario, sic: SicSettings) -> UplinkEvaluator:
-    rf, ru = run_downlink(s)
-    received = _compensated(make_received_signal(rf, s.si_path), sic)
-    return UplinkEvaluator(ru, received, s)
-
-
 def _report(ev: UplinkEvaluator, seed: SicSettings, alpha: float, tau2: float) -> TuneReport:
     """Report of a refinement that found (alpha, tau2); the seed is kept unless beaten."""
     p_without = ev.residual_band_power_dbm(0.0, 0.0)
@@ -165,7 +146,7 @@ def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
     tau2). Objective is the residual SI band power; the report never degrades
     below the seed depth.
     """
-    ev = _make_evaluator(s, seed)
+    ev = UplinkEvaluator(s, seed.rf_phase_comp)
     period = 1.0 / s.f_if
     tau2 = _brent_tau2(
         lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
@@ -182,7 +163,7 @@ def refine_alpha(s: LinkScenario, settings: SicSettings) -> TuneReport:
     formula and only the reference-arm attenuation is free; the optimum is the
     closed-form least-squares attenuation at that delay.
     """
-    ev = _make_evaluator(s, settings)
+    ev = UplinkEvaluator(s, settings.rf_phase_comp)
     return _report(ev, settings, ev.optimal_alpha(settings.tau2), settings.tau2)
 
 
@@ -211,7 +192,7 @@ def verify_phase_constant(s: LinkScenario) -> float:
     if not isinstance(s.if_signal, ToneSpec):
         raise ValueError("verify_phase_constant needs a single-tone scenario")
     seed = seed_settings(s, run_downlink(s)[0])
-    ev = _make_evaluator(s, seed)
+    ev = UplinkEvaluator(s, seed.rf_phase_comp)
     period = 1.0 / s.f_if
     taus = np.linspace(0.0, period, _N_SCAN, endpoint=False)
     objs = np.array([ev.residual_band_power_dbm(seed.alpha, t) for t in taus])

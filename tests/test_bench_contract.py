@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import rofsim.cli
 import rofsim.link
+from rofsim.link import SoiSpec
+from rofsim.scenario import bundled_scenario_dir, load_scenario, save_scenario
+from rofsim.signal_core import TimeGrid
 from rofsim.tuner import TuneReport
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -38,3 +42,31 @@ def test_span_target_resolves(span, layer, module_name, attr):
 def test_values_the_runner_reads():
     assert rofsim.link._FFT_WORKERS == -1
     assert "iterations" in {f.name for f in dataclasses.fields(TuneReport)}
+
+
+def test_traced_simulate_reaches_every_stage(tmp_path):
+    # a refactor that routes work around a wrapped name would read 0 here;
+    # 2**19 samples is the shortest record holding 64 symbols at 10 MBaud
+    s = dataclasses.replace(
+        load_scenario(bundled_scenario_dir() / "fig7c.scenario"),
+        grid=TimeGrid(sample_rate=64e9, n_samples=2**19),
+        soi=SoiSpec(kind="qam", power_dbm=-22.0, symbol_rate=10e6, rolloff=0.35, seed=7),
+    )
+    path = tmp_path / "fig7c.scenario"
+    save_scenario(s, path)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        code = rofsim.cli.main(["simulate", str(path), "--auto-tune", "--out", str(tmp_path)])
+    finally:
+        tracer.restore()
+    assert code == 0
+    for span in (
+        "link.downlink",
+        "link.received",
+        "link.evaluator_build",
+        "link.outputs",
+        "tuner.objective",
+        "signal_core.demodulate_evm",
+    ):
+        assert tracer.calls[span] > 0, span

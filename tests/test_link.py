@@ -18,6 +18,7 @@ from rofsim.link import (
     remodulate,
     run_downlink,
     run_full,
+    signal_output,
 )
 from rofsim.optics import attenuate, balanced_detect, delay_line, fiber_propagate, pbs
 from rofsim.scenario import bundled_scenario_dir, load_scenario
@@ -30,7 +31,6 @@ from rofsim.signal_core import (
     dbm_to_amplitude,
     filter_band,
     make_tone,
-    phase_shift,
     welch_psd,
 )
 from rofsim.tuner import SicSettings, auto_tune, seed_settings
@@ -159,13 +159,13 @@ class TestBuildSoi:
 
 class TestRunUplink:
     def test_dark_reference_arm_matches_without(self):
-        # run_full's SOI-only pass relies on this alpha = 0 identity
+        # run_full's SOI passes rely on this alpha = 0 identity
         s = tone_scenario(2e9, 5e9)
-        rf, ru = run_downlink(s)
-        seed = seed_settings(s, rf)
-        ev = UplinkEvaluator(ru, make_received_signal(rf, s.si_path), s)
-        with_sic, _ = ev.outputs(0.0, seed.tau2)
-        assert np.array_equal(with_sic.samples, ev.without_sic().samples)
+        seed = seed_settings(s, run_downlink(s)[0])
+        ev = UplinkEvaluator(s)
+        with_sic, without_sic = ev.outputs(0.0, seed.tau2)
+        assert np.array_equal(with_sic.samples, without_sic.samples)
+        assert np.array_equal(without_sic.samples, signal_output(ev.received, s).samples)
 
     def test_tuned_settings_cancel(self):
         s = tone_scenario(2e9, 5e9)
@@ -267,12 +267,8 @@ class TestClosedFormObjective:
     @pytest.mark.parametrize("name", ["fig6a", "fig7a", "fig7c", "fig8c", "wideband"])
     def test_matches_full_fft(self, name):
         s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
-        rf, ru = run_downlink(s)
         rep = auto_tune(s, wideband=name == "wideband")
-        received = make_received_signal(rf, s.si_path)
-        if rep.seed.rf_phase_comp is not None:
-            received = phase_shift(received, rep.seed.rf_phase_comp)
-        ev = UplinkEvaluator(ru, received, s)
+        ev = UplinkEvaluator(s, rep.seed.rf_phase_comp)
         seed, refined = rep.seed, rep.refined
         points = [
             (seed.alpha, seed.tau2),
@@ -384,10 +380,9 @@ class TestReferenceArmOracle:
         s = bundled(name, GRID_QAM)
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf)
-        received = make_received_signal(rf, s.si_path)
-        ev = UplinkEvaluator(ru, received, s)
+        ev = UplinkEvaluator(s)
         x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
-        y_co = fiber_propagate(remodulate(ru, received, s), s.uplink_fiber)
+        y_co = fiber_propagate(remodulate(ru, ev.received, s), s.uplink_fiber)
         points = [
             (seed.alpha, 0.0),
             (seed.alpha, seed.tau2),
@@ -415,4 +410,21 @@ class TestReferenceArmOracle:
         sic = seed_settings(s, run_downlink(s)[0])
         assert sic.tau2 > 0.0
         run_full(s, sic)
-        assert taus and all(tau == 0.0 for tau in taus)
+        assert taus == [0.0]  # one optical pass through the reference arm
+
+    def test_full_pass_matches_optics(self):
+        # adding the SOI changes only the signal arm, so the full pass is the
+        # SI-only reference arm balanced against the SI + SOI signal arm
+        s = bundled("fig7a", GRID_QAM)
+        assert s.soi is not None
+        rf, ru = run_downlink(s)
+        sic = seed_settings(s, rf)
+        received = make_received_signal(rf, s.si_path) + build_soi_waveform(s)
+        x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
+        y_co_full = fiber_propagate(remodulate(ru, received, s), s.uplink_fiber)
+        raw = balanced_detect(
+            attenuate(delay_line(x_co, sic.tau2), sic.alpha), y_co_full, s.responsivity
+        )
+        ref = filter_band(raw, "lowpass", s.lpf).samples
+        got = run_full(s, sic).bpd_out_with_sic.samples
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())

@@ -48,6 +48,27 @@ class TestScenarioFiles:
             assert load_scenario(copy) == s
             assert hash(load_scenario(copy)) == hash(s)
 
+    @pytest.mark.parametrize(
+        "field, value, lost",
+        [
+            ("mod_lo", {"v_pi": 4.0}, "mod_lo.v_pi"),
+            ("mod_uplink", {"insertion_loss": 1.0}, "mod_uplink.insertion_loss"),
+            ("lo_signal", {"phase": 0.5}, "lo_signal.phase"),
+            ("if_signal", {"amplitude": 0.0}, None),
+        ],
+        ids=["v_pi", "insertion_loss", "tone_phase", "zero_amplitude"],
+    )
+    def test_save_writes_the_scenario_or_names_what_it_cannot(self, tmp_path, field, value, lost):
+        s = load_scenario(bundled_scenario_dir() / "fig6a.scenario")
+        s = dataclasses.replace(s, **{field: dataclasses.replace(getattr(s, field), **value)})
+        path = tmp_path / "s.scenario"
+        if lost is None:
+            save_scenario(s, path)
+            assert load_scenario(path) == s
+        else:
+            with pytest.raises(ScenarioError, match=lost):
+                save_scenario(s, path)
+
     def test_at_least_thirteen_bundled(self):
         assert len(bundled_scenarios()) >= 13
 

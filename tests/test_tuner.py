@@ -9,7 +9,7 @@ import pytest
 from scipy.special import j0, j1
 
 from rofsim.errors import AttenuatorInfeasible, DegenerateScan
-from rofsim.link import UplinkEvaluator, make_received_signal, run_downlink
+from rofsim.link import UplinkEvaluator, run_downlink
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import TimeGrid
 from rofsim.tuner import (
@@ -140,9 +140,8 @@ class TestRefine:
 
     def test_depth_periodic_in_tau2(self):
         s = tone_scenario()
-        rf, ru = run_downlink(s)
         rep = auto_tune(s)
-        ev = UplinkEvaluator(ru, make_received_signal(rf, s.si_path), s)
+        ev = UplinkEvaluator(s)
         a, t = rep.refined.alpha, rep.refined.tau2
         d1 = ev.residual_band_power_dbm(a, t)
         d2 = ev.residual_band_power_dbm(a, t + 1.0 / s.f_if)
