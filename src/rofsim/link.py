@@ -31,6 +31,7 @@ from .signal_core import (
     band_power,
     cancellation_depth,
     dbm_to_amplitude,
+    dbm_to_watts,
     demodulate_evm,
     filter_band,
     fractional_delay,
@@ -54,11 +55,13 @@ class SelfInterferencePath:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
+        if self.gain_db != -np.inf and not 0.0 < self.amplitude_gain < np.inf:
+            raise ValueError("SI path gain must be a finite, non-zero gain (or -inf: path off)")
 
     @property
     def amplitude_gain(self) -> float:
         """Voltage gain of the path; a gain of -inf dB disables it."""
-        return 10.0 ** (self.gain_db / 20.0) if np.isfinite(self.gain_db) else 0.0
+        return 10.0 ** (self.gain_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,22 @@ class LinkScenario:
     responsivity: float = 0.8
     rbw: float = 1e6
 
+    def __post_init__(self):
+        if not 0.0 < dbm_to_watts(self.laser_power_dbm) < np.inf:
+            raise ValueError("laser power must be a finite, non-zero number of watts")
+        nyq = self.grid.nyquist
+        for f in (self.f_if, self.f_lo, self.f_s, self.lpf, *self.bpf):
+            if not 0 < f < nyq:
+                raise ValueError(f"frequency {f:.3g} Hz outside (0, Nyquist)")
+        if not self.bpf[0] < self.f_s < self.bpf[1]:
+            raise ValueError("f_if + f_lo must fall inside the BPF passband")
+        if self.edfa_position not in ("co", "ru"):
+            raise ValueError("edfa_position must be 'co' or 'ru'")
+        if not self.mod_if.v_pi == self.mod_lo.v_pi == self.mod_uplink.v_pi:
+            raise ValueError("the three modulators must share one v_pi")
+        if self.soi is not None and self.soi.kind == "qam":
+            _soi_qam(self, self.f_if)  # checks the symbol rate and roll-off
+
     @property
     def f_if(self) -> float:
         if isinstance(self.if_signal, ToneSpec):
@@ -125,16 +144,6 @@ class LinkScenario:
     @property
     def f_s(self) -> float:
         return self.f_if + self.f_lo
-
-    def validate(self) -> None:
-        nyq = self.grid.nyquist
-        for f in (self.f_if, self.f_lo, self.f_s, self.lpf, *self.bpf):
-            if not 0 < f < nyq:
-                raise ValueError(f"frequency {f:.3g} Hz outside (0, Nyquist)")
-        if not self.bpf[0] < self.f_s < self.bpf[1]:
-            raise ValueError("f_if + f_lo must fall inside the BPF passband")
-        if self.edfa_position not in ("co", "ru"):
-            raise ValueError("edfa_position must be 'co' or 'ru'")
 
     def si_band(self) -> tuple[float, float]:
         """Measurement band for SI power at the down-converted IF."""
@@ -199,7 +208,6 @@ def _if_drive(s: LinkScenario) -> SampledWaveform:
 
 def downlink_taps(s: LinkScenario) -> dict:
     """Run the downlink and expose intermediate fields and waveforms."""
-    s.validate()
     grid = s.grid
     if_drive = _if_drive(s)
     lo_drive = make_tone(s.lo_signal, grid)
@@ -383,8 +391,6 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     detect only the signal arm. The received RF is linear in the SI and the
     SOI, so each is built and phase-compensated once.
     """
-    s.validate()
-
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
     ev = UplinkEvaluator(s, sic.rf_phase_comp)

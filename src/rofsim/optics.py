@@ -62,14 +62,11 @@ class OpticalField:
 @dataclass(frozen=True)
 class ModulatorParams:
     v_pi: float
-    insertion_loss: float = 0.0  # dB
     sideband: str = "lower"
 
     def __post_init__(self):
         if self.v_pi <= 0:
             raise ValueError("v_pi must be positive")
-        if self.insertion_loss < 0:
-            raise ValueError("insertion_loss must be non-negative")
         if self.sideband not in ("upper", "lower"):
             raise ValueError("sideband must be 'upper' or 'lower'")
 
@@ -99,9 +96,10 @@ def laser_cw(
 ) -> OpticalField:
     """CW field of constant envelope sqrt(P) in the selected rail, zero phase.
 
-    power_dbm = -inf yields an all-zero (dark) field.
+    power_dbm = -inf yields an all-zero (dark) field; NaN and +inf are not
+    powers and give a non-finite envelope.
     """
-    amp = np.sqrt(dbm_to_watts(power_dbm)) if np.isfinite(power_dbm) else 0.0
+    amp = np.sqrt(dbm_to_watts(power_dbm))
     env = np.full(grid.n_samples, amp, dtype=np.complex128)
     zero = np.zeros(grid.n_samples, dtype=np.complex128)
     if polarization == "x":
@@ -137,7 +135,7 @@ def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
     pa = rad_per_volt * drive
     pb = rad_per_volt * q - 0.5 * np.pi
     # 0.5*(e^{j pa} + e^{j pb}) written with one complex exponential
-    mag = np.cos(0.5 * (pa - pb)) * 10.0 ** (-params.insertion_loss / 20.0)
+    mag = np.cos(0.5 * (pa - pb))
     return np.exp(0.5j * (pa + pb)) * mag
 
 
@@ -171,7 +169,7 @@ def mzm_dsb(
     if carrier.grid != drive.grid:
         raise GridError("carrier and drive grids differ")
     phi = np.pi * drive.samples / (2.0 * params.v_pi)
-    m = np.cos(phi - np.pi / 4.0) * 10.0 ** (-params.insertion_loss / 20.0)
+    m = np.cos(phi - np.pi / 4.0)
     return OpticalField(
         carrier.grid,
         carrier.carrier_frequency,

@@ -82,71 +82,82 @@ def _need(section: dict, path: str, key: str):
     return section[key]
 
 
-def _positive(value, path: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ScenarioError(f"key '{path}' must be a positive number")
+def _number(section: dict, name: str, default=None, off: bool = False) -> float:
+    """The value of dotted key `name` (`default` when absent) as a finite float;
+    with `off`, also -inf, which switches a source or path off."""
+    key = name.rpartition(".")[2]
+    value = _need(section, *name.split(".")) if default is None else section.get(key, default)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) or (off and value == -math.inf)):
+        raise ScenarioError(f"key '{name}' must be a finite number" + (" or -.inf" if off else ""))
+    return value
+
+
+def _positive(section: dict, name: str, default=None) -> float:
+    value = _number(section, name, default)
+    if value <= 0:
+        raise ScenarioError(f"key '{name}' must be a positive number")
     return value
 
 
 def _tone(section: dict, path: str) -> ToneSpec:
     return ToneSpec(
-        amplitude=dbm_to_amplitude(float(_need(section, path, "power_dbm"))),
-        frequency=_scaled(_positive(_need(section, path, "frequency_ghz"), f"{path}.frequency_ghz"), 9),
+        amplitude=dbm_to_amplitude(_number(section, f"{path}.power_dbm", off=True)),
+        frequency=_scaled(_positive(section, f"{path}.frequency_ghz"), 9),
     )
 
 
 def _fiber(section: dict, path: str) -> FiberParams:
     return FiberParams(
-        length=float(_need(section, path, "length_km")),
-        dispersion=float(section.get("dispersion_ps_nm_km", 17.0)),
-        attenuation=float(section.get("attenuation_db_km", 0.2)),
+        length=_number(section, f"{path}.length_km"),
+        dispersion=_number(section, f"{path}.dispersion_ps_nm_km", 17.0),
+        attenuation=_number(section, f"{path}.attenuation_db_km", 0.2),
     )
 
 
 def dict_to_scenario(doc: dict) -> LinkScenario:
-    """Build a validated LinkScenario from a parsed scenario document."""
+    """Map a parsed scenario document onto a LinkScenario, which checks its own
+    rules when it is built; any broken rule is raised as a ScenarioError."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _check_keys(doc)
+    try:
+        return _build(doc)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ScenarioError(str(exc)) from exc
 
+
+def _build(doc: dict) -> LinkScenario:
     if_sec = doc["if_signal"]
     kind = _need(if_sec, "if_signal", "kind")
-    f_if = _scaled(_positive(_need(if_sec, "if_signal", "frequency_ghz"), "if_signal.frequency_ghz"), 9)
-    if_power = float(_need(if_sec, "if_signal", "power_dbm"))
     if kind == "tone":
-        if_signal: ToneSpec | QamSignalSpec = ToneSpec(
-            amplitude=dbm_to_amplitude(if_power), frequency=f_if
-        )
+        if_signal: ToneSpec | QamSignalSpec = _tone(if_sec, "if_signal")
     elif kind == "qam":
         if_signal = QamSignalSpec(
-            symbol_rate=_scaled(
-                _positive(
-                    _need(if_sec, "if_signal", "symbol_rate_mbaud"),
-                    "if_signal.symbol_rate_mbaud",
-                ),
-                6,
-            ),
-            center_frequency=f_if,
-            power_dbm=if_power,
-            rolloff=float(if_sec.get("rolloff", 0.35)),
+            symbol_rate=_scaled(_positive(if_sec, "if_signal.symbol_rate_mbaud"), 6),
+            center_frequency=_scaled(_positive(if_sec, "if_signal.frequency_ghz"), 9),
+            power_dbm=_number(if_sec, "if_signal.power_dbm"),
+            rolloff=_number(if_sec, "if_signal.rolloff", 0.35),
             seed=int(if_sec.get("data_seed", 1)),
         )
     else:
         raise ScenarioError("key 'if_signal.kind' must be 'tone' or 'qam'")
 
     mods = doc["modulators"]
-    v_pi = _positive(_need(mods, "modulators", "v_pi_volts"), "modulators.v_pi_volts")
+    v_pi = _positive(mods, "modulators.v_pi_volts")
 
     soi = None
     if doc.get("soi") is not None:
         soi_sec = doc["soi"]
         soi = SoiSpec(
             kind=str(_need(soi_sec, "soi", "kind")),
-            power_dbm=float(_need(soi_sec, "soi", "power_dbm")),
-            arrival_delay=_scaled(soi_sec.get("arrival_delay_ns", 0.0), -9),
-            symbol_rate=_scaled(soi_sec.get("symbol_rate_mbaud", 10.0), 6),
-            rolloff=float(soi_sec.get("rolloff", 0.35)),
+            power_dbm=_number(soi_sec, "soi.power_dbm", off=True),
+            arrival_delay=_scaled(_number(soi_sec, "soi.arrival_delay_ns", 0.0), -9),
+            symbol_rate=_scaled(_number(soi_sec, "soi.symbol_rate_mbaud", 10.0), 6),
+            rolloff=_number(soi_sec, "soi.rolloff", 0.35),
             seed=int(soi_sec.get("data_seed", 7)),
         )
 
@@ -155,26 +166,22 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
     if "grid" in doc:
         grid_sec = doc["grid"]
         grid = TimeGrid(
-            sample_rate=_scaled(
-                _positive(_need(grid_sec, "grid", "sample_rate_gsps"), "grid.sample_rate_gsps"), 9
-            ),
+            sample_rate=_scaled(_positive(grid_sec, "grid.sample_rate_gsps"), 9),
             n_samples=int(_need(grid_sec, "grid", "n_samples")),
         )
 
     edfa = doc["edfa"]
     si_sec = doc["si_path"]
-    delay_ns = float(_need(si_sec, "si_path", "delay_ns"))
+    delay_ns = _number(si_sec, "si_path.delay_ns")
     if delay_ns < 0:
         raise ScenarioError("key 'si_path.delay_ns' must be non-negative")
 
     laser = doc["laser"]
-    s = LinkScenario(
+    return LinkScenario(
         name=str(doc["name"]),
         seed=int(doc["seed"]),
-        laser_power_dbm=float(_need(laser, "laser", "power_dbm")),
-        carrier_frequency=_scaled(
-            _positive(_need(laser, "laser", "frequency_thz"), "laser.frequency_thz"), 12
-        ),
+        laser_power_dbm=_number(laser, "laser.power_dbm"),
+        carrier_frequency=_scaled(_positive(laser, "laser.frequency_thz"), 12),
         if_signal=if_signal,
         lo_signal=_tone(doc["lo"], "lo"),
         mod_if=ModulatorParams(v_pi=v_pi, sideband=str(_need(mods, "modulators", "if_sideband"))),
@@ -184,26 +191,21 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
         ),
         downlink_fiber=_fiber(doc["downlink_fiber"], "downlink_fiber"),
         uplink_fiber=_fiber(doc["uplink_fiber"], "uplink_fiber"),
-        edfa_gain_db=float(_need(edfa, "edfa", "gain_db")),
+        edfa_gain_db=_number(edfa, "edfa.gain_db"),
         edfa_position=str(_need(edfa, "edfa", "position")),
         si_path=SelfInterferencePath(
-            gain_db=float(_need(si_sec, "si_path", "gain_db")), delay=_scaled(delay_ns, -9)
+            gain_db=_number(si_sec, "si_path.gain_db", off=True), delay=_scaled(delay_ns, -9)
         ),
         soi=soi,
         bpf=(
-            _scaled(_positive(_need(filters, "filters", "bpf_low_ghz"), "filters.bpf_low_ghz"), 9),
-            _scaled(_positive(_need(filters, "filters", "bpf_high_ghz"), "filters.bpf_high_ghz"), 9),
+            _scaled(_positive(filters, "filters.bpf_low_ghz"), 9),
+            _scaled(_positive(filters, "filters.bpf_high_ghz"), 9),
         ),
-        lpf=_scaled(_positive(_need(filters, "filters", "lpf_cutoff_ghz"), "filters.lpf_cutoff_ghz"), 9),
+        lpf=_scaled(_positive(filters, "filters.lpf_cutoff_ghz"), 9),
         grid=grid,
-        responsivity=float(doc.get("responsivity_a_w", 0.8)),
-        rbw=_scaled(doc.get("rbw_mhz", 1.0), 6),
+        responsivity=_positive(doc, "responsivity_a_w", 0.8),
+        rbw=_scaled(_positive(doc, "rbw_mhz", 1.0), 6),
     )
-    try:
-        s.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return s
 
 
 def _amp_to_dbm(amplitude: float) -> float:
@@ -211,23 +213,14 @@ def _amp_to_dbm(amplitude: float) -> float:
     return round(float(watts_to_dbm(amplitude**2 / (2.0 * R_REF))), 10)
 
 
-def _check_expressible(s: LinkScenario) -> None:
-    """Raise ScenarioError naming each field a scenario file cannot hold."""
-    mods = ("mod_if", "mod_lo", "mod_uplink")
-    lost = [f"{m}.v_pi" for m in mods if getattr(s, m).v_pi != s.mod_if.v_pi]
-    lost += [f"{m}.insertion_loss" for m in mods if getattr(s, m).insertion_loss != 0.0]
-    tones = ("if_signal", "lo_signal")
-    lost += [f"{t}.phase" for t in tones if getattr(getattr(s, t), "phase", 0.0) != 0.0]
-    if lost:
-        raise ScenarioError(f"a scenario file cannot hold {', '.join(lost)}")
+def scenario_to_dict(s: LinkScenario) -> dict:
+    """Inverse of dict_to_scenario; every LinkScenario has a document.
 
-
-def scenario_to_dict(s: LinkScenario, description: str = "") -> dict:
-    """Inverse of dict_to_scenario; numbers rounded so load(save(s)) == s.
-
-    A scenario holding a value the format cannot express is rejected by name.
+    Keys without a unit scale hold the exact float, so they load back exactly.
+    Keys with one (THz, GHz, MBaud, ns, MHz) are rounded to 10 decimals and
+    tone amplitudes are written as dBm: exact for a scenario read from a file,
+    a neighbouring float for an arbitrary value set in code.
     """
-    _check_expressible(s)
     if isinstance(s.if_signal, ToneSpec):
         if_sec = {
             "kind": "tone",
@@ -238,17 +231,16 @@ def scenario_to_dict(s: LinkScenario, description: str = "") -> dict:
         if_sec = {
             "kind": "qam",
             "frequency_ghz": round(s.if_signal.center_frequency / 1e9, 10),
-            "power_dbm": round(s.if_signal.power_dbm, 10),
+            "power_dbm": s.if_signal.power_dbm,
             "symbol_rate_mbaud": round(s.if_signal.symbol_rate / 1e6, 10),
             "rolloff": s.if_signal.rolloff,
             "data_seed": s.if_signal.seed,
         }
     doc = {
         "name": s.name,
-        "description": description,
         "seed": s.seed,
         "laser": {
-            "power_dbm": round(s.laser_power_dbm, 10),
+            "power_dbm": s.laser_power_dbm,
             "frequency_thz": round(s.carrier_frequency / 1e12, 10),
         },
         "if_signal": if_sec,
@@ -292,7 +284,7 @@ def scenario_to_dict(s: LinkScenario, description: str = "") -> dict:
     if s.soi is not None:
         doc["soi"] = {
             "kind": s.soi.kind,
-            "power_dbm": round(s.soi.power_dbm, 10),
+            "power_dbm": s.soi.power_dbm,
             "arrival_delay_ns": round(s.soi.arrival_delay * 1e9, 10),
             "symbol_rate_mbaud": round(s.soi.symbol_rate / 1e6, 10),
             "rolloff": s.soi.rolloff,
@@ -318,9 +310,9 @@ def load_scenario(path: str | Path) -> LinkScenario:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def save_scenario(s: LinkScenario, path: str | Path, description: str = "") -> None:
-    """Write a scenario file that loads back to an equal LinkScenario."""
-    doc = scenario_to_dict(s, description=description)
+def save_scenario(s: LinkScenario, path: str | Path) -> None:
+    """Write the scenario file of `s` (see scenario_to_dict for what loads back exactly)."""
+    doc = scenario_to_dict(s)
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
 
 

@@ -122,7 +122,6 @@ def require_same_grid(*items) -> None:
 class ToneSpec:
     amplitude: float  # volts, peak
     frequency: float  # Hz
-    phase: float = 0.0  # radians
 
     def __post_init__(self):
         if self.amplitude < 0:
@@ -158,15 +157,13 @@ class SpectrumEstimate:
 
 
 def make_tone(spec: ToneSpec, grid: TimeGrid) -> SampledWaveform:
-    """Real cosine amplitude*cos(2*pi*f*t + phase) on the grid."""
+    """Real cosine amplitude*cos(2*pi*f*t) on the grid."""
     if spec.frequency >= grid.nyquist:
         raise AliasError(
             f"tone at {spec.frequency:.3g} Hz exceeds Nyquist {grid.nyquist:.3g} Hz"
         )
     t = grid.times()
-    return SampledWaveform(
-        grid, spec.amplitude * np.cos(2.0 * np.pi * spec.frequency * t + spec.phase)
-    )
+    return SampledWaveform(grid, spec.amplitude * np.cos(2.0 * np.pi * spec.frequency * t))
 
 
 _GRAY2 = np.array([-3.0, -1.0, 3.0, 1.0]) / np.sqrt(10.0)

@@ -239,9 +239,8 @@ class TestRunFull:
 
     def test_validation_runs(self):
         s = tone_scenario(2e9, 5e9)
-        bad = dataclasses.replace(s, lpf=-1.0)
-        with pytest.raises(Exception):
-            run_full(bad, SicSettings())
+        with pytest.raises(ValueError, match="Nyquist"):
+            dataclasses.replace(s, lpf=-1.0)
 
 
 def full_fft_band_power_dbm(ev: UplinkEvaluator, alpha: float, tau2: float) -> float:

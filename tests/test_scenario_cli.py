@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.signal
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import rofsim.link
 from rofsim.cli import main
 from rofsim.errors import ScenarioError
-from rofsim.link import run_full
+from rofsim.link import SoiSpec, run_full
+from rofsim.optics import FiberParams
 from rofsim.scenario import (
     bundled_scenario_dir,
     bundled_scenarios,
@@ -21,6 +23,10 @@ from rofsim.signal_core import TimeGrid, ToneSpec
 from rofsim.tuner import SicSettings
 
 SMALL_GRID = TimeGrid(sample_rate=64e9, n_samples=2**18)
+
+
+def finite(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 @pytest.fixture
@@ -51,23 +57,67 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "field, value, lost",
         [
-            ("mod_lo", {"v_pi": 4.0}, "mod_lo.v_pi"),
-            ("mod_uplink", {"insertion_loss": 1.0}, "mod_uplink.insertion_loss"),
-            ("lo_signal", {"phase": 0.5}, "lo_signal.phase"),
+            ("mod_lo", {"v_pi": 4.0}, "v_pi"),
             ("if_signal", {"amplitude": 0.0}, None),
         ],
-        ids=["v_pi", "insertion_loss", "tone_phase", "zero_amplitude"],
+        ids=["v_pi", "zero_amplitude"],
     )
     def test_save_writes_the_scenario_or_names_what_it_cannot(self, tmp_path, field, value, lost):
+        # a scenario a file cannot hold cannot be built, so save writes any scenario
         s = load_scenario(bundled_scenario_dir() / "fig6a.scenario")
-        s = dataclasses.replace(s, **{field: dataclasses.replace(getattr(s, field), **value)})
+        changed = dataclasses.replace(getattr(s, field), **value)
         path = tmp_path / "s.scenario"
         if lost is None:
+            s = dataclasses.replace(s, **{field: changed})
             save_scenario(s, path)
             assert load_scenario(path) == s
         else:
-            with pytest.raises(ScenarioError, match=lost):
-                save_scenario(s, path)
+            with pytest.raises(ValueError, match=lost):
+                dataclasses.replace(s, **{field: changed})
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        laser=finite(-30.0, 30.0),
+        if_power=finite(-40.0, 20.0),
+        if_rolloff=st.floats(0.0, 1.0, exclude_min=True),
+        soi_power=finite(-80.0, 0.0),
+        soi_rolloff=st.floats(0.0, 1.0, exclude_min=True),
+        v_pi=st.floats(0.1, 20.0),
+        lengths=st.tuples(finite(0.0, 50.0), finite(0.0, 50.0)),
+        dispersion=finite(-30.0, 30.0),
+        attenuation=finite(0.0, 1.0),
+        edfa=finite(-10.0, 40.0),
+        si_gain=finite(-80.0, 40.0),
+        responsivity=st.floats(0.01, 2.0),
+        seeds=st.tuples(*[st.integers(0, 2**31 - 1)] * 3),
+    )
+    def test_unscaled_keys_round_trip_exactly(
+        self, tmp_path_factory, laser, if_power, if_rolloff, soi_power, soi_rolloff, v_pi,
+        lengths, dispersion, attenuation, edfa, si_gain, responsivity, seeds,
+    ):
+        # every key written without a unit scale loads back as the float it held
+        base = load_scenario(bundled_scenario_dir() / "fig7c.scenario")
+        fibers = [FiberParams(n, dispersion, attenuation) for n in lengths]
+        s = dataclasses.replace(
+            base,
+            seed=seeds[0],
+            laser_power_dbm=laser,
+            if_signal=dataclasses.replace(
+                base.if_signal, power_dbm=if_power, rolloff=if_rolloff, seed=seeds[1]
+            ),
+            mod_if=dataclasses.replace(base.mod_if, v_pi=v_pi),
+            mod_lo=dataclasses.replace(base.mod_lo, v_pi=v_pi),
+            mod_uplink=dataclasses.replace(base.mod_uplink, v_pi=v_pi),
+            downlink_fiber=fibers[0],
+            uplink_fiber=fibers[1],
+            edfa_gain_db=edfa,
+            si_path=dataclasses.replace(base.si_path, gain_db=si_gain),
+            soi=SoiSpec(kind="qam", power_dbm=soi_power, rolloff=soi_rolloff, seed=seeds[2]),
+            responsivity=responsivity,
+        )
+        path = tmp_path_factory.mktemp("round_trip") / "s.scenario"
+        save_scenario(s, path)
+        assert load_scenario(path) == s
 
     def test_at_least_thirteen_bundled(self):
         assert len(bundled_scenarios()) >= 13
@@ -114,6 +164,46 @@ class TestScenarioFiles:
         bad.write_text(yaml.safe_dump(doc))
         with pytest.raises(ScenarioError):
             load_scenario(bad)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # rules the scenario checks when it is built
+            ("modulators.if_sideband", "middle", "sideband"),
+            ("soi.kind", "ofdm", "soi kind"),
+            ("downlink_fiber.length_km", -1.0, "length"),
+            ("grid.n_samples", 1, "n_samples"),
+            ("soi.rolloff", 2.0, "rolloff"),
+            # values that are not numbers
+            ("laser.power_dbm", None, "laser.power_dbm"),
+            ("si_path.gain_db", [1, 2], "si_path.gain_db"),
+            # non-finite numbers: -inf alone means "off", and only where a source can be off
+            ("laser.power_dbm", float("nan"), "laser.power_dbm"),
+            ("laser.power_dbm", float("inf"), "laser.power_dbm"),
+            ("si_path.gain_db", float("nan"), "si_path.gain_db"),
+            ("edfa.gain_db", float("nan"), "edfa.gain_db"),
+            ("responsivity_a_w", float("nan"), "responsivity_a_w"),
+            ("if_signal.power_dbm", float("inf"), "if_signal.power_dbm"),
+            # finite values whose power rounds to zero: a dark laser, a silent SI path
+            ("laser.power_dbm", -5000.0, "laser power"),
+            ("si_path.gain_db", -7000.0, "SI path gain"),
+        ],
+    )
+    def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
+        doc = yaml.safe_load(small_scenario.read_text())
+        if key.startswith("soi."):
+            doc["soi"] = {"kind": "qam", "power_dbm": -22.0}
+        *sections, leaf = key.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[leaf] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_scenario(bad)
+        assert str(bad) in str(exc.value)
+        assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
 
 
 class TestCliSimulate:

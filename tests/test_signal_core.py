@@ -51,11 +51,6 @@ class TestMakeTone:
         assert np.allclose(w.samples, expected)
         assert w.mean_power() == pytest.approx(0.5, rel=1e-9)
 
-    def test_half_period_phase_negates(self):
-        a = make_tone(ToneSpec(amplitude=2.0, frequency=2e9, phase=np.pi), GRID)
-        b = make_tone(ToneSpec(amplitude=2.0, frequency=2e9, phase=0.0), GRID)
-        assert np.allclose(a.samples, -b.samples)
-
     def test_nyquist_rejected(self):
         with pytest.raises(AliasError):
             make_tone(ToneSpec(amplitude=1.0, frequency=32e9), GRID)
