@@ -38,9 +38,11 @@ from .signal_core import (
     make_qam,
     make_tone,
     phase_shift,
+    qam_samples_per_symbol,
     welch_psd,
     DEFAULT_GRID,
     _FFT_WORKERS,
+    _SKIRT_FRACTION,
     _edge_mask,
 )
 
@@ -78,6 +80,8 @@ class SoiSpec:
     def __post_init__(self):
         if self.kind not in ("tone", "qam"):
             raise ValueError("soi kind must be 'tone' or 'qam'")
+        if not dbm_to_watts(self.power_dbm) < np.inf:
+            raise ValueError("soi.power_dbm: SOI power must be a finite number of watts")
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,9 @@ class LinkScenario:
 
     def __post_init__(self):
         if not 0.0 < dbm_to_watts(self.laser_power_dbm) < np.inf:
-            raise ValueError("laser power must be a finite, non-zero number of watts")
+            raise ValueError(
+                "laser.power_dbm: laser power must be a finite, non-zero number of watts"
+            )
         nyq = self.grid.nyquist
         for f in (self.f_if, self.f_lo, self.f_s, self.lpf, *self.bpf):
             if not 0 < f < nyq:
@@ -128,8 +134,18 @@ class LinkScenario:
             raise ValueError("edfa_position must be 'co' or 'ru'")
         if not self.mod_if.v_pi == self.mod_lo.v_pi == self.mod_uplink.v_pi:
             raise ValueError("the three modulators must share one v_pi")
+        qam = {"if_signal": self.if_signal} if isinstance(self.if_signal, QamSignalSpec) else {}
         if self.soi is not None and self.soi.kind == "qam":
-            _soi_qam(self, self.f_if)  # checks the symbol rate and roll-off
+            qam["soi"] = _soi_qam(self, self.f_if)  # checks the roll-off
+        for key, spec in qam.items():
+            try:
+                qam_samples_per_symbol(spec, self.grid)
+            except ValueError as exc:
+                raise ValueError(f"{key}.symbol_rate_mbaud: {exc}") from None
+        if max(self.si_band()[1], self.soi_band()[1]) > self.lpf:
+            raise ValueError(
+                "filters.lpf_cutoff_ghz: the SI and SOI bands must lie below the lowpass edge"
+            )
 
     @property
     def f_if(self) -> float:
@@ -230,7 +246,19 @@ def downlink_taps(s: LinkScenario) -> dict:
     }
 
 
-_latest_downlink = None  # (scenario, (rf, ru_field)) of the latest run_downlink
+# [scenario, (rf, ru_field), SI-only UplinkEvaluator or None] of the latest scenario
+_kept = None
+
+
+def _kept_stages(s: LinkScenario) -> list:
+    """The kept slot of `s`. The previous scenario's downlink and SIC stage are
+    freed before the new downlink is computed, so two are never alive at once."""
+    global _kept
+    if _kept is None or _kept[0] != s:
+        _kept = None
+        taps = downlink_taps(s)
+        _kept = [s, (taps["rf"], taps["ru_field"]), None]
+    return _kept
 
 
 def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
@@ -239,12 +267,17 @@ def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
     The result for the latest scenario is kept, so tuning and then running
     the same link computes its downlink once.
     """
-    global _latest_downlink
-    if _latest_downlink is None or _latest_downlink[0] != s:
-        _latest_downlink = None  # free the kept downlink before computing another
-        taps = downlink_taps(s)
-        _latest_downlink = (s, (taps["rf"], taps["ru_field"]))
-    return _latest_downlink[1]
+    return _kept_stages(s)[1]
+
+
+def uplink_evaluator(s: LinkScenario, rf_phase_comp: float | None = None) -> UplinkEvaluator:
+    """The SI-only SIC stage of `s`, kept with its downlink, so tuning and then
+    running the same link builds it once."""
+    kept = _kept_stages(s)
+    if kept[2] is None or kept[2].rf_phase_comp != rf_phase_comp:
+        kept[2] = None  # free the kept stage before building another
+        kept[2] = UplinkEvaluator(s, rf_phase_comp)
+    return kept[2]
 
 
 def _soi_qam(s: LinkScenario, center: float) -> QamSignalSpec:
@@ -306,16 +339,44 @@ def _signal_spectrum(received: SampledWaveform, s: LinkScenario) -> np.ndarray:
     return sfft.rfft(photodetect(y_co, s.responsivity).samples, workers=_FFT_WORKERS)
 
 
-def _lowpassed(spectrum: np.ndarray, s: LinkScenario) -> SampledWaveform:
-    """The scenario lowpass (the skirt of `filter_band`) applied to an rfft spectrum."""
-    h = _edge_mask(s.grid.rfreqs(), s.lpf, rising=False)
-    n = s.grid.n_samples
-    return SampledWaveform(s.grid, sfft.irfft(spectrum * h, n, workers=_FFT_WORKERS))
+def output_decimation(grid: TimeGrid, lpf: float) -> int:
+    """Decimation d of the lowpass outputs: the largest power of two that divides
+    the record into at least 2 samples while the top of the lowpass skirt,
+    (1 + skirt fraction) * lpf, stays strictly below the output Nyquist
+    fs / (2d). The lowpass is exactly zero from that top up, so every d-th
+    sample loses nothing."""
+    top = (1.0 + _SKIRT_FRACTION) * lpf
+    n = grid.n_samples
+    d = 1
+    while n % (2 * d) == 0 and n // (2 * d) >= 2 and top < grid.sample_rate / (4 * d):
+        d *= 2
+    return d
+
+
+def _lowpassed(
+    spectrum: np.ndarray, grid: TimeGrid, lpf: float, d: int | None = None
+) -> SampledWaveform:
+    """The lowpass of `filter_band` applied to an rfft spectrum on `grid`, as
+    every d-th sample (default d: `output_decimation`) on the grid fs/d.
+
+    With m = n/d, the first m//2 + 1 bins hold the whole lowpassed spectrum,
+    and irfft(., m) * (m/n) of them is every d-th sample of irfft(., n).
+    """
+    if d is None:
+        d = output_decimation(grid, lpf)
+    n = grid.n_samples
+    m = n // d
+    keep = m // 2 + 1
+    h = _edge_mask(grid.rfreqs()[:keep], lpf, rising=False)
+    samples = sfft.irfft(spectrum[:keep] * h, m, workers=_FFT_WORKERS)
+    samples *= m / n
+    return SampledWaveform(TimeGrid(grid.sample_rate / d, m), samples)
 
 
 def signal_output(received: SampledWaveform, s: LinkScenario) -> SampledWaveform:
-    """-LP(i_Y): the lowpass BPD output of the signal arm alone (reference arm dark)."""
-    return _lowpassed(-_signal_spectrum(received, s), s)
+    """-LP(i_Y): the lowpass BPD output of the signal arm alone (reference arm
+    dark), on the output grid."""
+    return _lowpassed(-_signal_spectrum(received, s), s.grid, s.lpf)
 
 
 def _compensated(w: SampledWaveform, rf_phase_comp: float | None) -> SampledWaveform:
@@ -341,6 +402,7 @@ class UplinkEvaluator:
     def __init__(self, s: LinkScenario, rf_phase_comp: float | None = None):
         self.scenario = s
         self.grid = s.grid
+        self.rf_phase_comp = rf_phase_comp
         rf, ru = run_downlink(s)
         self.received = _compensated(make_received_signal(rf, s.si_path), rf_phase_comp)
         self._spec_y = _signal_spectrum(self.received, s)
@@ -349,6 +411,9 @@ class UplinkEvaluator:
         f_lo, f_hi = s.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)
         self._si_bins = (self._spec_x[mask], self._spec_y[mask], freqs[mask])
+        for a in (self._spec_y, self._spec_x, *self._si_bins):
+            a.flags.writeable = False  # a kept stage is shared by every caller
+        self._d = output_decimation(self.grid, s.lpf)
 
     def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
         """Unfiltered balanced-detector output i_X - i_Y, with the reference arm
@@ -378,22 +443,28 @@ class UplinkEvaluator:
         return float(p_dbm)
 
     def outputs(self, alpha: float, tau2: float) -> tuple[SampledWaveform, SampledWaveform]:
-        """Lowpass-filtered BPD outputs (with_sic, without_sic) at (alpha, tau2)."""
-        delay = np.exp(-2j * np.pi * self.grid.rfreqs() * tau2)
-        with_sic = _lowpassed(alpha * self._spec_x * delay - self._spec_y, self.scenario)
-        return with_sic, _lowpassed(-self._spec_y, self.scenario)
+        """Lowpass-filtered BPD outputs (with_sic, without_sic) at (alpha, tau2),
+        on the output grid; only the bins below its Nyquist are computed."""
+        keep = self.grid.n_samples // self._d // 2 + 1
+        x, y = self._spec_x[:keep], self._spec_y[:keep]
+        delay = np.exp(-2j * np.pi * self.grid.rfreqs()[:keep] * tau2)
+        lpf = self.scenario.lpf
+        with_sic = _lowpassed(alpha * x * delay - y, self.grid, lpf, self._d)
+        return with_sic, _lowpassed(-y, self.grid, lpf, self._d)
 
 
 def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     """Execute the whole link and compute the scenario metrics.
 
-    The SI-only pass is the one SIC stage; the SI + SOI and SOI-only passes
-    detect only the signal arm. The received RF is linear in the SI and the
-    SOI, so each is built and phase-compensated once.
+    The SI-only pass is the one SIC stage, kept from tuning; the SI + SOI and
+    SOI-only passes detect only the signal arm. The received RF is linear in
+    the SI and the SOI, so each is built and phase-compensated once. The
+    outputs, spectra and powers are on the output grid; EVM reads the SOI at
+    the full rate.
     """
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
-    ev = UplinkEvaluator(s, sic.rf_phase_comp)
+    ev = uplink_evaluator(s, sic.rf_phase_comp)
     with_out, without_out = ev.outputs(sic.alpha, sic.tau2)
     spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
     band = s.si_band()
@@ -407,15 +478,18 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
         # The reference arm never touches the uplink RF, so adding the SOI
         # changes only the signal arm.
         full = signal_output(ev.received + soi_wave, s)
-        with_out = SampledWaveform(s.grid, with_out.samples - without_out.samples + full.samples)
+        with_out = SampledWaveform(
+            with_out.grid, with_out.samples - without_out.samples + full.samples
+        )
         without_out = full
         spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
-        soi_only = signal_output(soi_wave, s)
+        soi_spec = -_signal_spectrum(soi_wave, s)
+        soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if s.soi.kind == "qam":
-            evm = demodulate_evm(soi_only, _soi_qam(s, s.f_if))
+            evm = demodulate_evm(_lowpassed(soi_spec, s.grid, s.lpf, 1), _soi_qam(s, s.f_if))
 
     return LinkResult(
         bpd_out_with_sic=with_out,

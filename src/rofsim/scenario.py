@@ -104,8 +104,11 @@ def _positive(section: dict, name: str, default=None) -> float:
 
 
 def _tone(section: dict, path: str) -> ToneSpec:
+    amplitude = dbm_to_amplitude(_number(section, f"{path}.power_dbm", off=True))
+    if not math.isfinite(amplitude):
+        raise ScenarioError(f"key '{path}.power_dbm' overflows a finite amplitude")
     return ToneSpec(
-        amplitude=dbm_to_amplitude(_number(section, f"{path}.power_dbm", off=True)),
+        amplitude=amplitude,
         frequency=_scaled(_positive(section, f"{path}.frequency_ghz"), 9),
     )
 

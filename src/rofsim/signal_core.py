@@ -5,6 +5,7 @@ All electrical powers are referenced to 50 ohm: P_dBm = 10*log10(Vrms^2/50/1mW).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,11 @@ _FFT_WORKERS = -1
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    """Power in watts; inf when it overflows a float."""
+    try:
+        return 1e-3 * math.pow(10.0, p_dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(p_watts: float) -> float:
@@ -124,8 +129,8 @@ class ToneSpec:
     frequency: float  # Hz
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError("amplitude must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,8 @@ class QamSignalSpec:
             raise ValueError("symbol_rate must be positive")
         if not 0.0 < self.rolloff <= 1.0:
             raise ValueError("rolloff must be in (0, 1]")
+        if not dbm_to_watts(self.power_dbm) < np.inf:
+            raise ValueError("power_dbm must be a finite number of watts")
 
     @property
     def occupied_halfwidth(self) -> float:
@@ -189,15 +196,26 @@ def _rrc_response(freqs: np.ndarray, symbol_rate: float, rolloff: float) -> np.n
     return h
 
 
-def _qam_impulses(spec: QamSignalSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """Symbol impulse train on the grid, its symbol values, and samples per symbol."""
+_MIN_SYMBOLS = 64  # shortest QAM record, in symbols
+
+
+def qam_samples_per_symbol(spec: QamSignalSpec, grid: TimeGrid) -> int:
+    """Samples per symbol of `spec` on `grid`; a ValueError unless the sample
+    rate is an integer multiple of the symbol rate and the record holds at
+    least 64 symbols."""
     sps = grid.sample_rate / spec.symbol_rate
-    if abs(sps - round(sps)) > 1e-9:
+    if not (math.isfinite(sps) and abs(sps - round(sps)) <= 1e-9 and round(sps) >= 1):
         raise ValueError("sample_rate must be an integer multiple of symbol_rate")
     sps = int(round(sps))
+    if grid.n_samples // sps < _MIN_SYMBOLS:
+        raise ValueError(f"grid too short for at least {_MIN_SYMBOLS} symbols")
+    return sps
+
+
+def _qam_impulses(spec: QamSignalSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """Symbol impulse train on the grid, its symbol values, and samples per symbol."""
+    sps = qam_samples_per_symbol(spec, grid)
     n_sym = grid.n_samples // sps
-    if n_sym < 64:
-        raise ValueError("grid too short for at least 64 symbols")
     symbols = _qam16_symbols(n_sym, spec.seed)
     impulses = np.zeros(grid.n_samples, dtype=np.complex128)
     impulses[: n_sym * sps : sps] = symbols

@@ -12,7 +12,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
 from .errors import AttenuatorInfeasible, DegenerateScan
-from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink
+from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink, uplink_evaluator
 from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec, dbm_to_amplitude
 
 # Aggregate phase constant of the cancellation condition: the TODL delay must
@@ -146,7 +146,7 @@ def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
     tau2). Objective is the residual SI band power; the report never degrades
     below the seed depth.
     """
-    ev = UplinkEvaluator(s, seed.rf_phase_comp)
+    ev = uplink_evaluator(s, seed.rf_phase_comp)
     period = 1.0 / s.f_if
     tau2 = _brent_tau2(
         lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
@@ -163,7 +163,7 @@ def refine_alpha(s: LinkScenario, settings: SicSettings) -> TuneReport:
     formula and only the reference-arm attenuation is free; the optimum is the
     closed-form least-squares attenuation at that delay.
     """
-    ev = UplinkEvaluator(s, settings.rf_phase_comp)
+    ev = uplink_evaluator(s, settings.rf_phase_comp)
     return _report(ev, settings, ev.optimal_alpha(settings.tau2), settings.tau2)
 
 
@@ -192,7 +192,7 @@ def verify_phase_constant(s: LinkScenario) -> float:
     if not isinstance(s.if_signal, ToneSpec):
         raise ValueError("verify_phase_constant needs a single-tone scenario")
     seed = seed_settings(s, run_downlink(s)[0])
-    ev = UplinkEvaluator(s, seed.rf_phase_comp)
+    ev = uplink_evaluator(s, seed.rf_phase_comp)
     period = 1.0 / s.f_if
     taus = np.linspace(0.0, period, _N_SCAN, endpoint=False)
     objs = np.array([ev.residual_band_power_dbm(seed.alpha, t) for t in taus])

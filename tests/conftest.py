@@ -1,5 +1,5 @@
 """Shared pytest plumbing: surface the acceptance criterion verdicts, and
-start every test without a kept downlink."""
+start every test without a kept downlink and SIC stage."""
 
 import pytest
 
@@ -9,10 +9,10 @@ CRITERION_LINES: list[str] = []
 
 
 @pytest.fixture(autouse=True)
-def no_kept_downlink():
-    """Empty run_downlink's kept result, so downlink call counts do not
-    depend on which test ran before."""
-    rofsim.link._latest_downlink = None
+def no_kept_stages():
+    """Empty the kept downlink and SI-only SIC stage, so downlink and
+    evaluator build counts do not depend on which test ran before."""
+    rofsim.link._kept = None
 
 
 def pytest_terminal_summary(terminalreporter):

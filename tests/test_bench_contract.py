@@ -70,3 +70,7 @@ def test_traced_simulate_reaches_every_stage(tmp_path):
         "signal_core.demodulate_evm",
     ):
         assert tracer.calls[span] > 0, span
+    # tuning and then running one link computes its downlink and builds its
+    # SI-only SIC stage once
+    assert tracer.calls["link.downlink"] == 1
+    assert tracer.calls["link.evaluator_build"] == 1

@@ -1,6 +1,7 @@
 """End-to-end link behavior: downlink up-conversion, SI path, uplink SIC."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -15,19 +16,23 @@ from rofsim.link import (
     UplinkEvaluator,
     build_soi_waveform,
     make_received_signal,
+    output_decimation,
     remodulate,
     run_downlink,
     run_full,
     signal_output,
+    uplink_evaluator,
 )
 from rofsim.optics import attenuate, balanced_detect, delay_line, fiber_propagate, pbs
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import (
+    _SKIRT_FRACTION,
     QamSignalSpec,
     SampledWaveform,
     TimeGrid,
     ToneSpec,
     band_power,
+    cancellation_depth,
     dbm_to_amplitude,
     filter_band,
     make_tone,
@@ -119,6 +124,58 @@ class TestRunDownlink:
             ru.env_x[0] = 1.0
 
 
+class TestKeptStage:
+    """The SI-only SIC stage is kept with the downlink of the latest scenario."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        init = UplinkEvaluator.__init__
+
+        def counting(self, s, rf_phase_comp=None):
+            calls.append((s.name, rf_phase_comp))
+            init(self, s, rf_phase_comp)
+
+        monkeypatch.setattr(UplinkEvaluator, "__init__", counting)
+        return calls
+
+    def test_tune_then_run_builds_one_evaluator(self, builds):
+        s = tone_scenario()
+        run_full(s, auto_tune(s).refined)
+        assert len(builds) == 1
+
+    def test_wideband_tune_then_run_builds_one_evaluator(self, builds):
+        s = tone_scenario()
+        rep = auto_tune(s, wideband=True)
+        assert rep.refined.rf_phase_comp is not None
+        run_full(s, rep.refined)
+        assert len(builds) == 1
+
+    def test_other_phase_comp_or_scenario_builds_anew(self, builds):
+        s = tone_scenario()
+        ev = uplink_evaluator(s)
+        assert uplink_evaluator(s) is ev
+        comp = uplink_evaluator(s, -1.0)
+        assert comp is not ev and comp.rf_phase_comp == -1.0
+        other = dataclasses.replace(s, si_path=SelfInterferencePath(gain_db=30.0, delay=0.7e-9))
+        assert uplink_evaluator(other) is not comp
+        assert builds == [(s.name, None), (s.name, -1.0), (other.name, None)]
+
+    def test_next_downlink_frees_the_stage(self):
+        s = tone_scenario()
+        ref = weakref.ref(uplink_evaluator(s))
+        assert ref() is not None
+        run_downlink(dataclasses.replace(s, edfa_gain_db=19.0))
+        assert ref() is None
+
+    def test_kept_spectra_are_read_only(self):
+        ev = uplink_evaluator(tone_scenario())
+        with pytest.raises(ValueError):
+            ev._spec_y[0] = 1.0
+        with pytest.raises(ValueError):
+            ev._si_bins[0][0] = 1.0
+
+
 class TestMakeReceivedSignal:
     def test_unity_path_is_identity(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
@@ -145,7 +202,7 @@ class TestMakeReceivedSignal:
 class TestBuildSoi:
     def test_tone_soi_level_and_frequency(self):
         s = tone_scenario(2e9, 5e9)
-        s = dataclasses.replace(s, soi=dataclasses.replace(bundled("fig7a", GRID_TONE).soi))
+        s = dataclasses.replace(s, soi=dataclasses.replace(bundled("fig7a", GRID_QAM).soi))
         w = build_soi_waveform(s)
         assert w.mean_power() == pytest.approx(
             dbm_to_amplitude(-22.0) ** 2 / 2, rel=1e-9
@@ -279,7 +336,7 @@ class TestClosedFormObjective:
                 full_fft_band_power_dbm(ev, alpha, tau2), abs=1e-3
             )
             raw = SampledWaveform(ev.grid, ev.bpd_raw(alpha, tau2))
-            ref = filter_band(raw, "lowpass", s.lpf).samples
+            ref = filter_band(raw, "lowpass", s.lpf).samples[:: output_decimation(s.grid, s.lpf)]
             np.testing.assert_allclose(
                 ev.outputs(alpha, tau2)[0].samples,
                 ref,
@@ -329,6 +386,60 @@ class TestClosedFormObjective:
         delayed = np.fft.rfft(np.abs(x_tau) ** 2)
         intensity = np.fft.rfft(np.abs(x) ** 2) * np.exp(-2j * np.pi * np.fft.rfftfreq(n) * tau)
         return delayed, intensity
+
+
+@st.composite
+def grids_and_lpf(draw):
+    """A grid whose record is a random power of two times an odd number, and a
+    lowpass edge anywhere below its Nyquist."""
+    n = draw(st.sampled_from([1, 3, 5, 7])) * 2 ** draw(st.integers(1, 9))
+    grid = TimeGrid(sample_rate=draw(st.floats(1e9, 1e11)), n_samples=n)
+    return grid, draw(st.floats(1e-3, 0.999)) * grid.nyquist
+
+
+class TestOutputRate:
+    """The lowpass outputs are every d-th sample of the full-rate lowpass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grids_and_lpf(), seed=st.integers(0, 2**32 - 1))
+    def test_lowpassed_is_decimated_filter_band(self, case, seed):
+        grid, lpf = case
+        n = grid.n_samples
+        d = output_decimation(grid, lpf)
+        top = (1.0 + _SKIRT_FRACTION) * lpf
+        # d: the largest power of two dividing n with the skirt top below fs/(2d)
+        assert d & (d - 1) == 0 and n % d == 0 and (d == 1 or top < grid.sample_rate / (2 * d))
+        assert n % (2 * d) != 0 or n // (2 * d) < 2 or top >= grid.sample_rate / (4 * d)
+        if top >= grid.sample_rate / 4:
+            assert d == 1
+        rng = np.random.default_rng(seed)
+        spec = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        got = rofsim.link._lowpassed(spec, grid, lpf)
+        full = SampledWaveform(grid, np.fft.irfft(spec, n))
+        ref = filter_band(full, "lowpass", lpf).samples[::d]
+        assert got.grid == TimeGrid(grid.sample_rate / d, n // d)
+        np.testing.assert_allclose(got.samples, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_bundled_outputs_at_8_gsps(self):
+        for name in BUNDLED:
+            s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
+            assert output_decimation(s.grid, s.lpf) == 8, name
+
+    @pytest.mark.parametrize("name", ["fig6a", "fig7a", "fig8c", "wideband"])
+    def test_metrics_match_full_rate_welch(self, name):
+        s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
+        sic = auto_tune(s, wideband=name == "wideband").refined
+        m = run_full(s, sic).metrics
+        ev = uplink_evaluator(s, sic.rf_phase_comp)
+        est = {}
+        for tag, alpha in (("with", sic.alpha), ("without", 0.0)):
+            raw = SampledWaveform(s.grid, ev.bpd_raw(alpha, sic.tau2))
+            est[tag] = welch_psd(filter_band(raw, "lowpass", s.lpf), s.rbw)
+        band = s.si_band()
+        assert m.depth_db == pytest.approx(
+            cancellation_depth(est["without"], est["with"], band), abs=1e-6
+        )
+        assert m.residual_si_dbm == pytest.approx(band_power(est["with"], *band), abs=1e-6)
 
 
 # run_full metrics at the analytic seed settings on the bundled 2^20-sample
@@ -424,6 +535,6 @@ class TestReferenceArmOracle:
         raw = balanced_detect(
             attenuate(delay_line(x_co, sic.tau2), sic.alpha), y_co_full, s.responsivity
         )
-        ref = filter_band(raw, "lowpass", s.lpf).samples
+        ref = filter_band(raw, "lowpass", s.lpf).samples[:: output_decimation(s.grid, s.lpf)]
         got = run_full(s, sic).bpd_out_with_sic.samples
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())

@@ -173,6 +173,7 @@ class TestScenarioFiles:
             ("soi.kind", "ofdm", "soi kind"),
             ("downlink_fiber.length_km", -1.0, "length"),
             ("grid.n_samples", 1, "n_samples"),
+            ("filters.lpf_cutoff_ghz", 2.0, "filters.lpf_cutoff_ghz"),
             ("soi.rolloff", 2.0, "rolloff"),
             # values that are not numbers
             ("laser.power_dbm", None, "laser.power_dbm"),
@@ -187,6 +188,13 @@ class TestScenarioFiles:
             # finite values whose power rounds to zero: a dark laser, a silent SI path
             ("laser.power_dbm", -5000.0, "laser power"),
             ("si_path.gain_db", -7000.0, "SI path gain"),
+            # finite values whose power overflows a float
+            ("laser.power_dbm", 5000.0, "laser.power_dbm"),
+            ("lo.power_dbm", 5000.0, "lo.power_dbm"),
+            ("soi.power_dbm", 5000.0, "soi.power_dbm"),
+            # QAM rules of the record: whole samples per symbol, at least 64 symbols
+            ("soi.symbol_rate_mbaud", 7.0, "soi.symbol_rate_mbaud"),
+            ("soi.symbol_rate_mbaud", 10.0, "soi.symbol_rate_mbaud.*64 symbols"),
         ],
     )
     def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
@@ -204,6 +212,29 @@ class TestScenarioFiles:
             load_scenario(bad)
         assert str(bad) in str(exc.value)
         assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("if_signal.symbol_rate_mbaud", 7.0, "integer multiple"),
+            ("grid.n_samples", 2**18, "64 symbols"),
+        ],
+    )
+    def test_qam_drive_rules_checked_on_load(self, tmp_path, key, value, message):
+        # the record rules of the QAM drive fail the load, not the downlink
+        doc = yaml.safe_load((bundled_scenario_dir() / "fig7c.scenario").read_text())
+        section, leaf = key.split(".")
+        doc[section][leaf] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ScenarioError, match=f"if_signal.symbol_rate_mbaud: .*{message}") as exc:
+            load_scenario(bad)
+        assert str(bad) in str(exc.value)
+        assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_overflowing_laser_power_is_a_value_error(self):
+        with pytest.raises(ValueError, match="laser.power_dbm"):
+            rofsim.link.LinkScenario(laser_power_dbm=5000.0)
 
 
 class TestCliSimulate:
