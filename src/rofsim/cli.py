@@ -175,7 +175,10 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        # a point equal to the base reuses the stages tuning kept, so it runs first
+        rows = [None] * len(points)
+        for i in sorted(range(len(points)), key=lambda i: points[i][1] != s):
+            rows[i] = _sweep_point(payloads[i])
     axis_tag = args.axis.replace(".", "_")
     header = f"# axis={args.axis}\n# {args.axis},{_METRIC_COLS}"
     body = "\n".join(f"{v:.6f},{row}" for (v, _), row in zip(points, rows))

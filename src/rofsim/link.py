@@ -222,13 +222,55 @@ def _if_drive(s: LinkScenario) -> SampledWaveform:
     return make_qam(s.if_signal, s.grid)
 
 
-def downlink_taps(s: LinkScenario) -> dict:
-    """Run the downlink and expose intermediate fields and waveforms."""
-    grid = s.grid
+def _modulator_key(s: LinkScenario) -> tuple:
+    """The fields the modulator output reads: the laser, the two drives and
+    their modulators."""
+    return (s.grid, s.laser_power_dbm, s.carrier_frequency, s.if_signal, s.lo_signal,
+            s.mod_if, s.mod_lo)
+
+
+def _downlink_key(s: LinkScenario) -> tuple:
+    """The fields the downlink reads: the modulator's plus the EDFA, the
+    downlink fiber, the BPF and the photodiode."""
+    return _modulator_key(s) + (s.edfa_gain_db, s.edfa_position, s.downlink_fiber, s.bpf,
+                                s.responsivity)
+
+
+def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
+    """The fields the SI-only SIC stage reads: the downlink's plus the SI path,
+    the uplink, the SI band, the lowpass and the RF phase shifter."""
+    return _downlink_key(s) + (s.si_path, s.mod_uplink, s.uplink_fiber, s.rbw, s.lpf,
+                               rf_phase_comp)
+
+
+# Latest (key, output) of each kept stage, in chain order: modulator output,
+# downlink, SI-only SIC stage.
+_kept: list = [None, None, None]
+
+
+def _kept_stage(i: int, key: tuple, build):
+    """The output of kept stage i for `key`. A changed key frees this stage and
+    every later one before `build` runs, so two downlinks are never alive at once."""
+    if _kept[i] is None or _kept[i][0] != key:
+        _kept[i:] = [None] * (len(_kept) - i)
+        _kept[i] = (key, build())
+    return _kept[i][1]
+
+
+def _modulate(s: LinkScenario) -> OpticalField:
+    """Output of the dual-polarization modulator driven by the IF and LO."""
     if_drive = _if_drive(s)
-    lo_drive = make_tone(s.lo_signal, grid)
-    laser = laser_cw(s.laser_power_dbm, s.carrier_frequency, "x", grid)
-    dp_out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
+    lo_drive = make_tone(s.lo_signal, s.grid)
+    laser = laser_cw(s.laser_power_dbm, s.carrier_frequency, "x", s.grid)
+    return dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
+
+
+def downlink_taps(s: LinkScenario) -> dict:
+    """Run the downlink and expose intermediate fields and waveforms. The
+    modulator output is kept, so a scenario that changes only later fields
+    reuses it."""
+    grid = s.grid
+    dp_out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
     stage = _amplify(dp_out, s.edfa_gain_db) if s.edfa_position == "co" else dp_out
     stage = fiber_propagate(stage, s.downlink_fiber)
     if s.edfa_position == "ru":
@@ -246,38 +288,27 @@ def downlink_taps(s: LinkScenario) -> dict:
     }
 
 
-# [scenario, (rf, ru_field), SI-only UplinkEvaluator or None] of the latest scenario
-_kept = None
-
-
-def _kept_stages(s: LinkScenario) -> list:
-    """The kept slot of `s`. The previous scenario's downlink and SIC stage are
-    freed before the new downlink is computed, so two are never alive at once."""
-    global _kept
-    if _kept is None or _kept[0] != s:
-        _kept = None
-        taps = downlink_taps(s)
-        _kept = [s, (taps["rf"], taps["ru_field"]), None]
-    return _kept
-
-
 def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
     """Downlink chain: returns the up-converted RF and the RU optical field.
 
-    The result for the latest scenario is kept, so tuning and then running
-    the same link computes its downlink once.
+    The result for the latest downlink fields is kept, so tuning and then
+    running the same link, or a sweep over an uplink-side field, computes the
+    downlink once.
     """
-    return _kept_stages(s)[1]
+
+    def build():
+        taps = downlink_taps(s)
+        return taps["rf"], taps["ru_field"]
+
+    return _kept_stage(1, _downlink_key(s), build)
 
 
 def uplink_evaluator(s: LinkScenario, rf_phase_comp: float | None = None) -> UplinkEvaluator:
-    """The SI-only SIC stage of `s`, kept with its downlink, so tuning and then
-    running the same link builds it once."""
-    kept = _kept_stages(s)
-    if kept[2] is None or kept[2].rf_phase_comp != rf_phase_comp:
-        kept[2] = None  # free the kept stage before building another
-        kept[2] = UplinkEvaluator(s, rf_phase_comp)
-    return kept[2]
+    """The SI-only SIC stage of `s`, kept for the latest fields it reads, so
+    tuning and then running the same link builds it once. Its `scenario` may
+    differ from `s` in fields the stage does not read (`name`, `seed`, `soi`)."""
+    return _kept_stage(2, _evaluator_key(s, rf_phase_comp),
+                       lambda: UplinkEvaluator(s, rf_phase_comp))
 
 
 def _soi_qam(s: LinkScenario, center: float) -> QamSignalSpec:

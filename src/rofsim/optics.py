@@ -127,16 +127,23 @@ def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
     hybrid of the modulator is `_hilbert90`); the sign of the quadrature path
     selects which first-order sideband survives.
     """
+    q = _hilbert90(drive)
     if params.sideband == "lower":
-        q = -_hilbert90(drive)
-    else:
-        q = _hilbert90(drive)
+        np.negative(q, out=q)
     rad_per_volt = np.pi / params.v_pi
     pa = rad_per_volt * drive
-    pb = rad_per_volt * q - 0.5 * np.pi
-    # 0.5*(e^{j pa} + e^{j pb}) written with one complex exponential
-    mag = np.cos(0.5 * (pa - pb))
-    return np.exp(0.5j * (pa + pb)) * mag
+    pb = np.multiply(rad_per_volt, q, out=q)
+    np.subtract(pb, 0.5 * np.pi, out=pb)
+    # 0.5*(e^{j pa} + e^{j pb}) written with one complex exponential,
+    # exp(0.5j*(pa + pb)) * cos(0.5*(pa - pb)), computed in place
+    mag = np.subtract(pa, pb)
+    np.multiply(0.5, mag, out=mag)
+    np.cos(mag, out=mag)
+    np.add(pa, pb, out=pa)
+    del q, pb
+    out = np.multiply(0.5j, pa)
+    np.exp(out, out=out)
+    return np.multiply(out, mag, out=out)
 
 
 def dd_mzm_ssb(

@@ -382,22 +382,33 @@ def demodulate_evm(w: SampledWaveform, spec: QamSignalSpec) -> float:
     matched-filtered spectrum is the impulse-train spectrum times h^2.
     """
     grid = w.grid
+    # Every record is filtered, mixed and conjugated in place and freed once
+    # used, so no more than three complex records are alive at once.
     impulses, symbols, sps = _qam_impulses(spec, grid)
-    t = grid.times()
-    z = w.samples * np.exp(-2j * np.pi * spec.center_frequency * t)
     h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
-    zf_spec = sfft.fft(z, workers=_FFT_WORKERS) * h
+    ref_spec = sfft.fft(impulses, workers=_FFT_WORKERS)
+    del impulses
+    ref_spec *= h**2
+    z = np.multiply(-2j * np.pi * spec.center_frequency, grid.times())
+    np.exp(z, out=z)
+    np.multiply(w.samples, z, out=z)
+    zf_spec = sfft.fft(z, workers=_FFT_WORKERS)
+    del z
+    zf_spec *= h
+    del h
     zf = sfft.ifft(zf_spec, workers=_FFT_WORKERS)
-    ref_spec = sfft.fft(impulses, workers=_FFT_WORKERS) * h**2
-    xc = sfft.ifft(zf_spec * np.conj(ref_spec), workers=_FFT_WORKERS)
-    lag = int(np.argmax(np.abs(xc)))
-    peak = np.abs(xc[lag])
-    if peak < 5.0 * np.sqrt(np.mean(np.abs(xc) ** 2)):
+    np.conj(ref_spec, out=ref_spec)
+    np.multiply(zf_spec, ref_spec, out=ref_spec)  # zf_spec * conj(ref_spec)
+    del zf_spec
+    xc = sfft.ifft(ref_spec, workers=_FFT_WORKERS)
+    del ref_spec
+    mag = np.abs(xc)
+    lag = int(np.argmax(mag))
+    if np.abs(xc[lag]) < 5.0 * np.sqrt(np.mean(mag**2)):
         raise LockError("no correlation peak; carrier or seed mismatch")
-    zf = np.roll(zf, -lag)
     n_sym = symbols.size
     idx = np.arange(_EVM_GUARD_SYMBOLS, n_sym - _EVM_GUARD_SYMBOLS)
-    rx = zf[idx * sps]
+    rx = zf[(idx * sps + lag) % grid.n_samples]  # symbols of zf advanced by the lag
     ref = symbols[idx]
     gain = np.vdot(ref, rx) / np.vdot(ref, ref)
     if abs(gain) == 0.0:

@@ -1,5 +1,5 @@
 """Shared pytest plumbing: surface the acceptance criterion verdicts, and
-start every test without a kept downlink and SIC stage."""
+start every test without a kept modulator output, downlink or SIC stage."""
 
 import pytest
 
@@ -10,9 +10,9 @@ CRITERION_LINES: list[str] = []
 
 @pytest.fixture(autouse=True)
 def no_kept_stages():
-    """Empty the kept downlink and SI-only SIC stage, so downlink and
-    evaluator build counts do not depend on which test ran before."""
-    rofsim.link._kept = None
+    """Empty every kept stage slot, so modulator, downlink and evaluator build
+    counts do not depend on which test ran before."""
+    rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -74,3 +74,57 @@ def test_traced_simulate_reaches_every_stage(tmp_path):
     # SI-only SIC stage once
     assert tracer.calls["link.downlink"] == 1
     assert tracer.calls["link.evaluator_build"] == 1
+
+
+def traced_main(argv):
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        code = rofsim.cli.main(argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    return tracer
+
+
+@pytest.fixture
+def fig8c_file(tmp_path):
+    # fig8c, 4.1 km each way, on the shortest record holding 64 symbols at 10 MBaud
+    s = dataclasses.replace(
+        load_scenario(bundled_scenario_dir() / "fig8c.scenario"),
+        grid=TimeGrid(sample_rate=64e9, n_samples=2**19),
+    )
+    path = tmp_path / "fig8c.scenario"
+    save_scenario(s, path)
+    return path
+
+
+def sweep_argv(path, out, axis, values, jobs=1):
+    return ["sweep", str(path), "--axis", axis, "--values", values, "--hold-sic",
+            "--jobs", str(jobs), "--out", str(out)]
+
+
+def test_held_fiber_sweep_reuses_each_stage(tmp_path, fig8c_file):
+    # the base point (4.1 km) runs first and reuses what tuning kept; the
+    # other lengths reuse the modulator output and compute one downlink each
+    argv = sweep_argv(fig8c_file, tmp_path / "j1", "downlink_fiber.length_km", "10,0,4.1")
+    tracer = traced_main(argv)
+    assert tracer.calls["optics.dp_bpsk_modulate"] == 1
+    assert tracer.calls["link.downlink"] == 3
+    assert tracer.calls["link.evaluator_build"] == 3
+    csv = "fig8c_sweep_downlink_fiber_length_km.csv"
+    serial = (tmp_path / "j1" / csv).read_bytes()
+    assert [line.split(b",")[0] for line in serial.splitlines()[2:]] == [
+        b"0.000000", b"4.100000", b"10.000000"
+    ]
+    argv = sweep_argv(fig8c_file, tmp_path / "j2", "downlink_fiber.length_km", "10,0,4.1", 2)
+    assert rofsim.cli.main(argv) == 0
+    assert (tmp_path / "j2" / csv).read_bytes() == serial
+
+
+def test_held_uplink_sweep_computes_one_downlink(tmp_path, fig8c_file):
+    argv = sweep_argv(fig8c_file, tmp_path, "si_path.delay_ns", "0.5,0.6,0.7")
+    tracer = traced_main(argv)
+    assert tracer.calls["link.downlink"] == 1
+    assert tracer.calls["optics.dp_bpsk_modulate"] == 1
+    assert tracer.calls["link.evaluator_build"] == 3  # the base (0.6 ns) and two more

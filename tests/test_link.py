@@ -161,12 +161,43 @@ class TestKeptStage:
         assert uplink_evaluator(other) is not comp
         assert builds == [(s.name, None), (s.name, -1.0), (other.name, None)]
 
-    def test_next_downlink_frees_the_stage(self):
+    def test_next_downlink_frees_the_stage(self, monkeypatch):
+        # the modulator output, downlink and SIC stage of `s` are all freed
+        # before the next modulator output is computed
         s = tone_scenario()
-        ref = weakref.ref(uplink_evaluator(s))
-        assert ref() is not None
+        ev = uplink_evaluator(s)
+        rf, ru = run_downlink(s)
+        refs = [weakref.ref(x) for x in (ev, rf, ru, rofsim.link.downlink_taps(s)["dp_bpsk_out"])]
+        del ev, rf, ru
+        alive_at_modulation = []
+        modulate = rofsim.link._modulate
+
+        def recording(s):
+            alive_at_modulation.append([r() is not None for r in refs])
+            return modulate(s)
+
+        monkeypatch.setattr(rofsim.link, "_modulate", recording)
+        run_downlink(dataclasses.replace(s, laser_power_dbm=9.0))
+        assert alive_at_modulation == [[False] * 4]
+        assert all(r() is None for r in refs)
+
+    def test_downlink_field_keeps_the_modulator_output(self, monkeypatch):
+        s = tone_scenario()
+        dp_out = weakref.ref(rofsim.link.downlink_taps(s)["dp_bpsk_out"])
+        stage = weakref.ref(uplink_evaluator(s))
+        monkeypatch.setattr(rofsim.link, "_modulate", None)  # a second modulation fails
         run_downlink(dataclasses.replace(s, edfa_gain_db=19.0))
-        assert ref() is None
+        assert dp_out() is not None and stage() is None
+
+    def test_uplink_field_keeps_the_downlink(self, builds, monkeypatch):
+        s = tone_scenario()
+        ev = uplink_evaluator(s)
+        monkeypatch.setattr(rofsim.link, "downlink_taps", None)  # a second downlink fails
+        other = dataclasses.replace(s, si_path=SelfInterferencePath(gain_db=30.0, delay=0.7e-9))
+        assert uplink_evaluator(other) is not ev
+        soi_only = dataclasses.replace(other, name="x", seed=2, soi=SoiSpec(power_dbm=-30.0))
+        assert uplink_evaluator(soi_only) is uplink_evaluator(other)
+        assert len(builds) == 2
 
     def test_kept_spectra_are_read_only(self):
         ev = uplink_evaluator(tone_scenario())
@@ -174,6 +205,132 @@ class TestKeptStage:
             ev._spec_y[0] = 1.0
         with pytest.raises(ValueError):
             ev._si_bins[0][0] = 1.0
+
+
+GRID_KEYS = TimeGrid(sample_rate=64e9, n_samples=2**16)
+
+
+def key_scenarios() -> dict:
+    """A tone and a QAM scenario on a short grid, with an SOI of each kind; the
+    symbol rates fit 65 symbols, so either kind of SOI is valid."""
+    tone = dataclasses.replace(
+        tone_scenario(), grid=GRID_KEYS, soi=SoiSpec(kind="tone", power_dbm=-22.0, symbol_rate=64e6)
+    )
+    fig8c = load_scenario(bundled_scenario_dir() / "fig8c.scenario")
+    qam = dataclasses.replace(
+        fig8c,
+        grid=GRID_KEYS,
+        if_signal=dataclasses.replace(fig8c.if_signal, symbol_rate=64e6),
+        soi=SoiSpec(kind="qam", power_dbm=-22.0, symbol_rate=64e6),
+    )
+    return {"tone": tone, "qam": qam}
+
+
+def leaf_paths(obj, prefix=()):
+    """Dotted paths of every leaf value of a (nested) scenario dataclass."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from leaf_paths(getattr(obj, f.name), prefix + (f.name,))
+    elif isinstance(obj, tuple):
+        for i, v in enumerate(obj):
+            yield from leaf_paths(v, prefix + (i,))
+    else:
+        yield prefix
+
+
+def with_leaf(obj, path, value):
+    """`obj` with the leaf at `path` replaced; a modulator's v_pi is shared by
+    all three modulators, so it changes for all of them."""
+    if path[-1] == "v_pi":
+        mods = {m: dataclasses.replace(getattr(obj, m), v_pi=value)
+                for m in ("mod_if", "mod_lo", "mod_uplink")}
+        return dataclasses.replace(obj, **mods)
+    head, *rest = path
+    if isinstance(obj, tuple):
+        items = list(obj)
+        items[head] = with_leaf(obj[head], rest, value) if rest else value
+        return tuple(items)
+    new = with_leaf(getattr(obj, head), rest, value) if rest else value
+    return dataclasses.replace(obj, **{head: new})
+
+
+def perturbed(s: LinkScenario, path) -> LinkScenario:
+    """The first valid scenario with a different value at `path`."""
+    value = s
+    for p in path:
+        value = value[p] if isinstance(value, tuple) else getattr(value, p)
+    if isinstance(value, str):
+        candidates = [
+            {"lower": "upper", "upper": "lower", "ru": "co", "co": "ru",
+             "tone": "qam", "qam": "tone"}.get(value, value + "x")
+        ]
+    elif isinstance(value, int):
+        candidates = [value + 1, 2 * value]
+    elif value:
+        candidates = [value * 2.0, value * 1.01, value / 2.0]
+    else:
+        candidates = [0.5, 1e-10]
+    for v in candidates:
+        try:
+            return with_leaf(s, path, v)
+        except ValueError:
+            continue
+    raise AssertionError(f"no valid perturbation of {path}")
+
+
+def field_arrays(field) -> list:
+    return [np.array([field.carrier_frequency]), field.env_x, field.env_y]
+
+
+def modulator_stage(s):
+    return field_arrays(rofsim.link._modulate(s))
+
+
+def downlink_stage(s):
+    rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
+    taps = rofsim.link.downlink_taps(s)
+    return [taps["rf"].samples, *field_arrays(taps["ru_field"])]
+
+
+def evaluator_stage(s):
+    rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
+    ev = UplinkEvaluator(s)
+    with_sic, without_sic = ev.outputs(0.5, 0.3e-9)
+    return [ev.received.samples, ev._spec_x, ev._spec_y, *ev._si_bins,
+            with_sic.samples, without_sic.samples]
+
+
+STAGES = {
+    "modulator": (rofsim.link._modulator_key, modulator_stage),
+    "downlink": (rofsim.link._downlink_key, downlink_stage),
+    "evaluator": (lambda s: rofsim.link._evaluator_key(s, None), evaluator_stage),
+}
+
+
+def bit_identical(a: list, b: list) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+class TestStageKeys:
+    """A kept stage is reused while its key is unchanged, so every field it
+    reads must be in its key: a changed field either changes the key or leaves
+    the stage output bit-identical."""
+
+    @pytest.mark.parametrize("kind", ["tone", "qam"])
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_every_leaf_changes_the_key_or_not_the_output(self, kind, stage):
+        s = key_scenarios()[kind]
+        key, output = STAGES[stage]
+        base = output(s)
+        paths = list(leaf_paths(s))
+        assert len(paths) >= 35
+        missed = []
+        for path in paths:
+            other = perturbed(s, path)
+            if key(other) == key(s) and not bit_identical(output(other), base):
+                missed.append(".".join(map(str, path)))
+        assert missed == []
 
 
 class TestMakeReceivedSignal:
