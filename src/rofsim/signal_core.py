@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.signal
 
 from .errors import (
     AliasError,
@@ -251,13 +250,13 @@ _HANN_ENBW = 1.5  # equivalent noise bandwidth of a Hann window, in bins
 
 def welch_segment(grid: TimeGrid, rbw: float) -> int:
     """Hann segment length in samples that yields the requested resolution bandwidth."""
-    nperseg = int(round(_HANN_ENBW * grid.sample_rate / rbw))
+    nperseg = max(int(round(_HANN_ENBW * grid.sample_rate / rbw)), 8)
     if nperseg > grid.n_samples:
         raise ResolutionError(
             f"rbw {rbw:.3g} Hz needs {nperseg} samples/segment; record has "
             f"{grid.n_samples}"
         )
-    return max(nperseg, 8)
+    return nperseg
 
 
 def psd_to_dbm_per_hz(pxx: np.ndarray) -> np.ndarray:
@@ -267,20 +266,29 @@ def psd_to_dbm_per_hz(pxx: np.ndarray) -> np.ndarray:
 
 def _welch(x: np.ndarray, grid: TimeGrid, rbw: float, onesided: bool):
     """Hann-window Welch PSD (V^2/Hz or W/Hz) at the requested resolution
-    bandwidth, 50 % overlap, no detrend; returns (freqs, pxx, rbw achieved)."""
+    bandwidth, 50 % overlap, no detrend; returns (freqs, pxx, rbw achieved).
+
+    Every full segment is used, without padding, in one batched FFT. With
+    `onesided` (real records) every bin but DC and an even-length Nyquist bin
+    is doubled; otherwise (complex envelopes) the estimate is two-sided, in
+    FFT order.
+    """
     fs = grid.sample_rate
     nperseg = welch_segment(grid, rbw)
-    freqs, pxx = scipy.signal.welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        return_onesided=onesided,
-        scaling="density",
-    )
-    return freqs, pxx, _HANN_ENBW * fs / nperseg
+    # periodic Hann window, computed as SciPy's get_window("hann", nperseg) computes it
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+    if onesided:
+        freqs = sfft.rfftfreq(nperseg, 1.0 / fs)
+        spec = sfft.rfft(segments * win, axis=-1, workers=_FFT_WORKERS)
+    else:
+        freqs = sfft.fftfreq(nperseg, 1.0 / fs)
+        spec = sfft.fft(segments * win, axis=-1, workers=_FFT_WORKERS)
+    pxx = spec.real**2 + spec.imag**2
+    pxx *= 1.0 / (fs * np.sum(win * win))
+    if onesided:
+        pxx[:, 1 : (nperseg + 1) // 2] *= 2.0
+    return freqs, pxx.mean(axis=0), _HANN_ENBW * fs / nperseg
 
 
 def welch_psd(w: SampledWaveform, rbw: float) -> SpectrumEstimate:

@@ -4,13 +4,21 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.signal
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import rofsim.cli
 import rofsim.link
+import rofsim.signal_core
 from rofsim.cli import main
-from rofsim.errors import ScenarioError
+from rofsim.errors import (
+    AxisError,
+    FilterSpecError,
+    GridError,
+    ScenarioError,
+    SimulationError,
+    TapError,
+)
 from rofsim.link import SoiSpec, run_full
 from rofsim.optics import FiberParams
 from rofsim.scenario import (
@@ -275,13 +283,13 @@ class TestCliSimulate:
     def test_spectra_reuse_run_full_welch(self, tmp_path, small_scenario, monkeypatch):
         # without an SOI, the CSV spectra are the SI-only estimates of run_full
         calls = []
-        welch = scipy.signal.welch
+        welch = rofsim.signal_core._welch
 
         def counting(*args, **kwargs):
             calls.append(1)
             return welch(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.signal, "welch", counting)
+        monkeypatch.setattr(rofsim.signal_core, "_welch", counting)
         assert main(["simulate", str(small_scenario), "--out", str(tmp_path)]) == 0
         assert len(calls) == 2
 
@@ -441,3 +449,24 @@ class TestCliSpectrum:
             ["spectrum", str(small_scenario), "--out", str(tmp_path), "--tap", "nope"]
         )
         assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (GridError, 3),
+        (FilterSpecError, 3),
+        (SimulationError, 3),
+        (AxisError, 2),
+        (TapError, 2),
+        (ScenarioError, 2),
+        (ValueError, 2),
+    ],
+)
+def test_error_exit_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(rofsim.cli, "cmd_tune", fail)
+    assert main(["tune", "any.scenario"]) == code
+    assert "boom" in capsys.readouterr().err

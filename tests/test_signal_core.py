@@ -1,9 +1,17 @@
 """Waveform, spectrum and metric primitives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import rofsim
 from rofsim.errors import AliasError, LockError, RangeError, ResolutionError
 from rofsim.signal_core import (
     QamSignalSpec,
@@ -20,8 +28,9 @@ from rofsim.signal_core import (
     make_tone,
     phase_shift,
     welch_psd,
+    welch_segment,
 )
-from rofsim.signal_core import _edge_mask
+from rofsim.signal_core import _edge_mask, _welch
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
 GRID_LONG = TimeGrid(sample_rate=64e9, n_samples=2**18)
@@ -133,6 +142,53 @@ class TestWelchPsd:
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID)
         with pytest.raises(ResolutionError):
             welch_psd(w, rbw=100.0)
+        # the 8-sample minimum segment is longer than this record
+        short = SampledWaveform(TimeGrid(1e9, 4), np.zeros(4))
+        with pytest.raises(ResolutionError):
+            welch_psd(short, rbw=1e9)
+
+    @settings(deadline=None, max_examples=25)
+    @pytest.mark.parametrize("onesided", [True, False])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("tiled", [True, False])
+    @given(data=st.data())
+    def test_matches_scipy_welch(self, onesided, odd, tiled, data):
+        nperseg = 2 * data.draw(st.integers(4, 100)) + odd
+        hop = nperseg - nperseg // 2
+        tail = 0 if tiled else data.draw(st.integers(1, hop - 1))
+        n = nperseg + data.draw(st.integers(0, 6)) * hop + tail
+        fs = 1e9
+        grid = TimeGrid(fs, n)
+        rbw = 1.5 * fs / nperseg
+        assert welch_segment(grid, rbw) == nperseg
+        parts = data.draw(
+            arrays(np.float64, (1 if onesided else 2, n), elements=st.floats(-1e3, 1e3))
+        )
+        x = parts[0] if onesided else parts[0] + 1j * parts[1]
+
+        freqs, pxx, _ = _welch(x, grid, rbw, onesided)
+        ref_freqs, ref = scipy.signal.welch(
+            x, fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+            detrend=False, return_onesided=onesided, scaling="density",
+        )
+        assert np.array_equal(freqs, ref_freqs)
+        # bins far below the peak are compared against it, not against themselves
+        np.testing.assert_allclose(pxx, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+def test_import_loads_no_scipy_signal():
+    # the Welch estimator runs on scipy.fft, so importing rofsim must not pay
+    # for scipy.signal and the scipy.stats it pulls in
+    code = (
+        "import sys, rofsim, rofsim.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    src = str(Path(rofsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestBandPower:
