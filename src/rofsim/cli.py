@@ -26,7 +26,7 @@ from .link import (
     run_full,
     signal_output,
 )
-from .scenario import dict_to_scenario, load_scenario, scenario_to_dict
+from .scenario import load_scenario, set_axis
 from .signal_core import envelope_psd, welch_psd
 from .tuner import auto_tune
 
@@ -134,22 +134,6 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _set_axis(doc: dict, axis: str, value: float) -> dict:
-    parts = axis.split(".")
-    node = doc
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise AxisError(f"axis '{axis}' not found in scenario")
-        node = node[p]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise AxisError(f"axis '{axis}' not found in scenario")
-    if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
-        raise AxisError(f"axis '{axis}' is not numeric")
-    node[leaf] = value
-    return doc
-
-
 def _sweep_point(payload):
     s, hold_sic, held = payload
     sic = held if hold_sic else auto_tune(s).refined
@@ -165,10 +149,7 @@ def cmd_sweep(args) -> int:
         raise AxisError(f"values must be numeric: {exc}") from exc
     if not values:
         raise AxisError("values list is empty")
-    points = []
-    for v in sorted(values):
-        doc = _set_axis(scenario_to_dict(s), args.axis, v)
-        points.append((v, dict_to_scenario(doc)))
+    points = [(v, set_axis(s, args.axis, v)) for v in sorted(values)]
     held = auto_tune(s).refined if args.hold_sic else None
     payloads = [(sp, args.hold_sic, held) for _, sp in points]
     if args.jobs > 1:

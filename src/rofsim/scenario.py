@@ -1,56 +1,94 @@
 """Scenario files: YAML documents with unit-suffixed keys mirroring
-LinkScenario, strict about unknown keys so typos fail loudly."""
+LinkScenario, strict about unknown keys so typos fail loudly. One table of
+file keys drives loading, saving, the key checks and the sweep's axes."""
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
-from .errors import ScenarioError
+from .errors import AxisError, ScenarioError
 from .link import LinkScenario, SelfInterferencePath, SoiSpec
 from .optics import FiberParams, ModulatorParams
-from .signal_core import (
-    QamSignalSpec,
-    TimeGrid,
-    ToneSpec,
-    dbm_to_amplitude,
-    watts_to_dbm,
-    DEFAULT_GRID,
-    R_REF,
+from .signal_core import QamSignalSpec, TimeGrid, ToneSpec, dbm_to_amplitude, watts_to_dbm, R_REF
+
+
+class _Row(NamedTuple):
+    key: str  # dotted file key
+    paths: tuple[str, ...]  # the LinkScenario fields it fills, dotted into their parts
+    rule: str  # number, off (or -inf), positive, non-negative, tone (dBm <-> volts), integer, word
+    default: object = None  # None: required
+    exp: int | None = None  # the key's unit is 10**exp SI units (ns: -9, GHz: 9)
+
+
+_HEAD = (
+    _Row("name", ("name",), "word"),
+    _Row("description", (), "word", ""),
+    _Row("seed", ("seed",), "integer"),
+    _Row("laser.power_dbm", ("laser_power_dbm",), "number"),
+    _Row("laser.frequency_thz", ("carrier_frequency",), "positive", exp=12),
+    _Row("if_signal.kind", (), "word"),
 )
-
-# Allowed keys per section. Only `grid` and `responsivity_a_w` may be omitted
-# (instrument defaults); `soi` and `description` are optional content.
-_SCHEMA = {
-    "name": None,
-    "description": None,
-    "seed": None,
-    "laser": {"power_dbm", "frequency_thz"},
-    "if_signal": {
-        "kind",
-        "frequency_ghz",
-        "power_dbm",
-        "symbol_rate_mbaud",
-        "rolloff",
-        "data_seed",
-    },
-    "lo": {"frequency_ghz", "power_dbm"},
-    "modulators": {"v_pi_volts", "if_sideband", "lo_sideband", "uplink_sideband"},
-    "downlink_fiber": {"length_km", "dispersion_ps_nm_km", "attenuation_db_km"},
-    "uplink_fiber": {"length_km", "dispersion_ps_nm_km", "attenuation_db_km"},
-    "edfa": {"gain_db", "position"},
-    "si_path": {"gain_db", "delay_ns"},
-    "soi": {"kind", "power_dbm", "arrival_delay_ns", "symbol_rate_mbaud", "rolloff", "data_seed"},
-    "filters": {"bpf_low_ghz", "bpf_high_ghz", "lpf_cutoff_ghz"},
-    "grid": {"sample_rate_gsps", "n_samples"},
-    "responsivity_a_w": None,
-    "rbw_mhz": None,
+# one sub-table per kind of IF drive; a document may hold the keys of either
+_IF_SIGNAL = {
+    "tone": (ToneSpec, (
+        _Row("if_signal.frequency_ghz", ("if_signal.frequency",), "positive", exp=9),
+        _Row("if_signal.power_dbm", ("if_signal.amplitude",), "tone"),
+    )),
+    "qam": (QamSignalSpec, (
+        _Row("if_signal.frequency_ghz", ("if_signal.center_frequency",), "positive", exp=9),
+        _Row("if_signal.power_dbm", ("if_signal.power_dbm",), "number"),
+        _Row("if_signal.symbol_rate_mbaud", ("if_signal.symbol_rate",), "positive", exp=6),
+        _Row("if_signal.rolloff", ("if_signal.rolloff",), "number", 0.35),
+        _Row("if_signal.data_seed", ("if_signal.seed",), "integer", 1),
+    )),
 }
+_TAIL = (
+    _Row("lo.frequency_ghz", ("lo_signal.frequency",), "positive", exp=9),
+    _Row("lo.power_dbm", ("lo_signal.amplitude",), "tone"),
+    _Row("modulators.v_pi_volts", ("mod_if.v_pi", "mod_lo.v_pi", "mod_uplink.v_pi"), "positive"),
+    _Row("modulators.if_sideband", ("mod_if.sideband",), "word"),
+    _Row("modulators.lo_sideband", ("mod_lo.sideband",), "word"),
+    _Row("modulators.uplink_sideband", ("mod_uplink.sideband",), "word"),
+    _Row("downlink_fiber.length_km", ("downlink_fiber.length",), "number"),
+    _Row("downlink_fiber.dispersion_ps_nm_km", ("downlink_fiber.dispersion",), "number", 17.0),
+    _Row("downlink_fiber.attenuation_db_km", ("downlink_fiber.attenuation",), "number", 0.2),
+    _Row("uplink_fiber.length_km", ("uplink_fiber.length",), "number"),
+    _Row("uplink_fiber.dispersion_ps_nm_km", ("uplink_fiber.dispersion",), "number", 17.0),
+    _Row("uplink_fiber.attenuation_db_km", ("uplink_fiber.attenuation",), "number", 0.2),
+    _Row("edfa.gain_db", ("edfa_gain_db",), "number"),
+    _Row("edfa.position", ("edfa_position",), "word"),
+    _Row("si_path.gain_db", ("si_path.gain_db",), "off"),
+    _Row("si_path.delay_ns", ("si_path.delay",), "non-negative", exp=-9),
+    _Row("filters.bpf_low_ghz", ("bpf.0",), "positive", exp=9),
+    _Row("filters.bpf_high_ghz", ("bpf.1",), "positive", exp=9),
+    _Row("filters.lpf_cutoff_ghz", ("lpf",), "positive", exp=9),
+    _Row("grid.sample_rate_gsps", ("grid.sample_rate",), "positive", exp=9),
+    _Row("grid.n_samples", ("grid.n_samples",), "integer"),
+    _Row("responsivity_a_w", ("responsivity",), "positive", 0.8),
+    _Row("rbw_mhz", ("rbw",), "positive", 1.0, exp=6),
+    _Row("soi.kind", ("soi.kind",), "word"),
+    _Row("soi.power_dbm", ("soi.power_dbm",), "off"),
+    _Row("soi.arrival_delay_ns", ("soi.arrival_delay",), "number", 0.0, exp=-9),
+    _Row("soi.symbol_rate_mbaud", ("soi.symbol_rate",), "number", 10.0, exp=6),
+    _Row("soi.rolloff", ("soi.rolloff",), "number", 0.35),
+    _Row("soi.data_seed", ("soi.seed",), "integer", 7),
+)
+_TABLES = {kind: _HEAD + rows + _TAIL for kind, (_, rows) in _IF_SIGNAL.items()}
 
-_OPTIONAL = {"grid", "responsivity_a_w", "rbw_mhz", "soi", "description"}
+_PARTS = {  # LinkScenario fields that several keys fill, and what builds them from their parts
+    "lo_signal": ToneSpec, "si_path": SelfInterferencePath, "soi": SoiSpec, "grid": TimeGrid,
+    **dict.fromkeys(("mod_if", "mod_lo", "mod_uplink"), ModulatorParams),
+    **dict.fromkeys(("downlink_fiber", "uplink_fiber"), FiberParams),
+    "bpf": lambda **edge: (edge["0"], edge["1"]),
+}
+_OPTIONAL = ("grid", "soi")  # sections a file may leave out: DEFAULT_GRID, no SOI
+_KEYS = frozenset(row.key for rows in _TABLES.values() for row in rows)
+_SECTIONS = frozenset(key.partition(".")[0] for key in _KEYS if "." in key)
 
 
 def _scaled(value: float, exp: int) -> float:
@@ -61,64 +99,43 @@ def _scaled(value: float, exp: int) -> float:
 
 def _check_keys(doc: dict) -> None:
     for key, value in doc.items():
-        if key not in _SCHEMA:
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ScenarioError(f"key '{key}' must be a mapping")
+            for sub in value:
+                if f"{key}.{sub}" not in _KEYS:
+                    raise ScenarioError(f"unknown key '{key}.{sub}'")
+        elif key not in _KEYS:
             raise ScenarioError(f"unknown key '{key}'")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
-            raise ScenarioError(f"key '{key}' must be a mapping")
-        for sub in value:
-            if sub not in allowed:
-                raise ScenarioError(f"unknown key '{key}.{sub}'")
-    for key in _SCHEMA:
-        if key not in doc and key not in _OPTIONAL:
-            raise ScenarioError(f"missing required key '{key}'")
+    for row in _HEAD + _TAIL:
+        top = row.key.partition(".")[0]
+        if row.default is None and top not in _OPTIONAL and top not in doc:
+            raise ScenarioError(f"missing required key '{top}'")
 
 
-def _need(section: dict, path: str, key: str):
-    if key not in section:
-        raise ScenarioError(f"missing required key '{path}.{key}'")
-    return section[key]
-
-
-def _number(section: dict, name: str, default=None, off: bool = False) -> float:
-    """The value of dotted key `name` (`default` when absent) as a finite float;
-    with `off`, also -inf, which switches a source or path off."""
-    key = name.rpartition(".")[2]
-    value = _need(section, *name.split(".")) if default is None else section.get(key, default)
+def _read(row: _Row, value):
+    """The field value of a file value under the rule of its row."""
+    if row.rule == "word":
+        return str(value)
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) or (off and value == -math.inf)):
-        raise ScenarioError(f"key '{name}' must be a finite number" + (" or -.inf" if off else ""))
-    return value
-
-
-def _positive(section: dict, name: str, default=None) -> float:
-    value = _number(section, name, default)
-    if value <= 0:
-        raise ScenarioError(f"key '{name}' must be a positive number")
-    return value
-
-
-def _tone(section: dict, path: str) -> ToneSpec:
-    amplitude = dbm_to_amplitude(_number(section, f"{path}.power_dbm", off=True))
-    if not math.isfinite(amplitude):
-        raise ScenarioError(f"key '{path}.power_dbm' overflows a finite amplitude")
-    return ToneSpec(
-        amplitude=amplitude,
-        frequency=_scaled(_positive(section, f"{path}.frequency_ghz"), 9),
-    )
-
-
-def _fiber(section: dict, path: str) -> FiberParams:
-    return FiberParams(
-        length=_number(section, f"{path}.length_km"),
-        dispersion=_number(section, f"{path}.dispersion_ps_nm_km", 17.0),
-        attenuation=_number(section, f"{path}.attenuation_db_km", 0.2),
-    )
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if row.rule == "integer":
+        if isinstance(value, bool) or not (isinstance(value, int) or number.is_integer()):
+            raise ScenarioError(f"key '{row.key}' must be an integer")
+        return value if isinstance(value, int) else int(number)
+    off = row.rule in ("off", "tone")
+    if not (math.isfinite(number) or (off and number == -math.inf)):
+        raise ScenarioError(
+            f"key '{row.key}' must be a finite number" + (" or -.inf" if off else ""))
+    if row.rule == "positive" and number <= 0:
+        raise ScenarioError(f"key '{row.key}' must be a positive number")
+    if row.rule == "non-negative" and number < 0:
+        raise ScenarioError(f"key '{row.key}' must be non-negative")
+    if row.rule == "tone" and not math.isfinite(number := dbm_to_amplitude(number)):
+        raise ScenarioError(f"key '{row.key}' overflows a finite amplitude")
+    return number if row.exp is None else _scaled(number, row.exp)
 
 
 def dict_to_scenario(doc: dict) -> LinkScenario:
@@ -127,93 +144,28 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _check_keys(doc)
+    if "kind" not in doc["if_signal"]:
+        raise ScenarioError("missing required key 'if_signal.kind'")
+    kind = str(doc["if_signal"]["kind"])
+    if kind not in _IF_SIGNAL:
+        raise ScenarioError("key 'if_signal.kind' must be 'tone' or 'qam'")
+    fields: dict = {}
     try:
-        return _build(doc)
+        for row in _TABLES[kind]:
+            section, _, leaf = row.key.rpartition(".")
+            node = doc.get(section) if section else doc
+            if not row.paths or node is None:  # no field, or an optional section left out
+                continue
+            if leaf not in node and row.default is None:
+                raise ScenarioError(f"missing required key '{row.key}'")
+            value = _read(row, node.get(leaf, row.default))
+            for path in row.paths:
+                part, _, name = path.rpartition(".")
+                (fields.setdefault(part, {}) if part else fields)[name] = value
+        parts = dict(_PARTS, if_signal=_IF_SIGNAL[kind][0])
+        return LinkScenario(**{k: parts[k](**v) if k in parts else v for k, v in fields.items()})
     except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(str(exc)) from exc
-
-
-def _build(doc: dict) -> LinkScenario:
-    if_sec = doc["if_signal"]
-    kind = _need(if_sec, "if_signal", "kind")
-    if kind == "tone":
-        if_signal: ToneSpec | QamSignalSpec = _tone(if_sec, "if_signal")
-    elif kind == "qam":
-        if_signal = QamSignalSpec(
-            symbol_rate=_scaled(_positive(if_sec, "if_signal.symbol_rate_mbaud"), 6),
-            center_frequency=_scaled(_positive(if_sec, "if_signal.frequency_ghz"), 9),
-            power_dbm=_number(if_sec, "if_signal.power_dbm"),
-            rolloff=_number(if_sec, "if_signal.rolloff", 0.35),
-            seed=int(if_sec.get("data_seed", 1)),
-        )
-    else:
-        raise ScenarioError("key 'if_signal.kind' must be 'tone' or 'qam'")
-
-    mods = doc["modulators"]
-    v_pi = _positive(mods, "modulators.v_pi_volts")
-
-    soi = None
-    if doc.get("soi") is not None:
-        soi_sec = doc["soi"]
-        soi = SoiSpec(
-            kind=str(_need(soi_sec, "soi", "kind")),
-            power_dbm=_number(soi_sec, "soi.power_dbm", off=True),
-            arrival_delay=_scaled(_number(soi_sec, "soi.arrival_delay_ns", 0.0), -9),
-            symbol_rate=_scaled(_number(soi_sec, "soi.symbol_rate_mbaud", 10.0), 6),
-            rolloff=_number(soi_sec, "soi.rolloff", 0.35),
-            seed=int(soi_sec.get("data_seed", 7)),
-        )
-
-    filters = doc["filters"]
-    grid = DEFAULT_GRID
-    if "grid" in doc:
-        grid_sec = doc["grid"]
-        grid = TimeGrid(
-            sample_rate=_scaled(_positive(grid_sec, "grid.sample_rate_gsps"), 9),
-            n_samples=int(_need(grid_sec, "grid", "n_samples")),
-        )
-
-    edfa = doc["edfa"]
-    si_sec = doc["si_path"]
-    delay_ns = _number(si_sec, "si_path.delay_ns")
-    if delay_ns < 0:
-        raise ScenarioError("key 'si_path.delay_ns' must be non-negative")
-
-    laser = doc["laser"]
-    return LinkScenario(
-        name=str(doc["name"]),
-        seed=int(doc["seed"]),
-        laser_power_dbm=_number(laser, "laser.power_dbm"),
-        carrier_frequency=_scaled(_positive(laser, "laser.frequency_thz"), 12),
-        if_signal=if_signal,
-        lo_signal=_tone(doc["lo"], "lo"),
-        mod_if=ModulatorParams(v_pi=v_pi, sideband=str(_need(mods, "modulators", "if_sideband"))),
-        mod_lo=ModulatorParams(v_pi=v_pi, sideband=str(_need(mods, "modulators", "lo_sideband"))),
-        mod_uplink=ModulatorParams(
-            v_pi=v_pi, sideband=str(_need(mods, "modulators", "uplink_sideband"))
-        ),
-        downlink_fiber=_fiber(doc["downlink_fiber"], "downlink_fiber"),
-        uplink_fiber=_fiber(doc["uplink_fiber"], "uplink_fiber"),
-        edfa_gain_db=_number(edfa, "edfa.gain_db"),
-        edfa_position=str(_need(edfa, "edfa", "position")),
-        si_path=SelfInterferencePath(
-            gain_db=_number(si_sec, "si_path.gain_db", off=True), delay=_scaled(delay_ns, -9)
-        ),
-        soi=soi,
-        bpf=(
-            _scaled(_positive(filters, "filters.bpf_low_ghz"), 9),
-            _scaled(_positive(filters, "filters.bpf_high_ghz"), 9),
-        ),
-        lpf=_scaled(_positive(filters, "filters.lpf_cutoff_ghz"), 9),
-        grid=grid,
-        responsivity=_positive(doc, "responsivity_a_w", 0.8),
-        rbw=_scaled(_positive(doc, "rbw_mhz", 1.0), 6),
-    )
-
-
-def _amp_to_dbm(amplitude: float) -> float:
-    """Tone power in dBm; a zero amplitude is -inf dBm, which loads back to 0 V."""
-    return round(float(watts_to_dbm(amplitude**2 / (2.0 * R_REF))), 10)
 
 
 def scenario_to_dict(s: LinkScenario) -> dict:
@@ -224,76 +176,35 @@ def scenario_to_dict(s: LinkScenario) -> dict:
     tone amplitudes are written as dBm: exact for a scenario read from a file,
     a neighbouring float for an arbitrary value set in code.
     """
-    if isinstance(s.if_signal, ToneSpec):
-        if_sec = {
-            "kind": "tone",
-            "frequency_ghz": round(s.if_signal.frequency / 1e9, 10),
-            "power_dbm": _amp_to_dbm(s.if_signal.amplitude),
-        }
-    else:
-        if_sec = {
-            "kind": "qam",
-            "frequency_ghz": round(s.if_signal.center_frequency / 1e9, 10),
-            "power_dbm": s.if_signal.power_dbm,
-            "symbol_rate_mbaud": round(s.if_signal.symbol_rate / 1e6, 10),
-            "rolloff": s.if_signal.rolloff,
-            "data_seed": s.if_signal.seed,
-        }
-    doc = {
-        "name": s.name,
-        "seed": s.seed,
-        "laser": {
-            "power_dbm": s.laser_power_dbm,
-            "frequency_thz": round(s.carrier_frequency / 1e12, 10),
-        },
-        "if_signal": if_sec,
-        "lo": {
-            "frequency_ghz": round(s.lo_signal.frequency / 1e9, 10),
-            "power_dbm": _amp_to_dbm(s.lo_signal.amplitude),
-        },
-        "modulators": {
-            "v_pi_volts": s.mod_if.v_pi,
-            "if_sideband": s.mod_if.sideband,
-            "lo_sideband": s.mod_lo.sideband,
-            "uplink_sideband": s.mod_uplink.sideband,
-        },
-        "downlink_fiber": {
-            "length_km": s.downlink_fiber.length,
-            "dispersion_ps_nm_km": s.downlink_fiber.dispersion,
-            "attenuation_db_km": s.downlink_fiber.attenuation,
-        },
-        "uplink_fiber": {
-            "length_km": s.uplink_fiber.length,
-            "dispersion_ps_nm_km": s.uplink_fiber.dispersion,
-            "attenuation_db_km": s.uplink_fiber.attenuation,
-        },
-        "edfa": {"gain_db": s.edfa_gain_db, "position": s.edfa_position},
-        "si_path": {
-            "gain_db": s.si_path.gain_db,
-            "delay_ns": round(s.si_path.delay * 1e9, 10),
-        },
-        "filters": {
-            "bpf_low_ghz": round(s.bpf[0] / 1e9, 10),
-            "bpf_high_ghz": round(s.bpf[1] / 1e9, 10),
-            "lpf_cutoff_ghz": round(s.lpf / 1e9, 10),
-        },
-        "grid": {
-            "sample_rate_gsps": round(s.grid.sample_rate / 1e9, 10),
-            "n_samples": s.grid.n_samples,
-        },
-        "responsivity_a_w": s.responsivity,
-        "rbw_mhz": round(s.rbw / 1e6, 10),
-    }
-    if s.soi is not None:
-        doc["soi"] = {
-            "kind": s.soi.kind,
-            "power_dbm": s.soi.power_dbm,
-            "arrival_delay_ns": round(s.soi.arrival_delay * 1e9, 10),
-            "symbol_rate_mbaud": round(s.soi.symbol_rate / 1e6, 10),
-            "rolloff": s.soi.rolloff,
-            "data_seed": s.soi.seed,
-        }
+    kind = "tone" if isinstance(s.if_signal, ToneSpec) else "qam"
+    doc: dict = {}
+    for row in _TABLES[kind]:
+        if row.key == "if_signal.kind":
+            value = kind
+        elif not row.paths or getattr(s, row.paths[0].partition(".")[0]) is None:
+            continue
+        else:
+            value = s
+            for name in row.paths[0].split("."):
+                value = value[int(name)] if name.isdigit() else getattr(value, name)
+            if row.rule == "tone":  # dBm; a zero amplitude is -inf dBm, which loads back to 0 V
+                value = round(float(watts_to_dbm(value**2 / (2.0 * R_REF))), 10)
+            elif row.exp is not None:
+                value = round(value * 10.0**-row.exp if row.exp < 0 else value / 10.0**row.exp, 10)
+        section, _, leaf = row.key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[leaf] = value
     return doc
+
+
+def set_axis(s: LinkScenario, axis: str, value: float) -> LinkScenario:
+    """`s` with the numeric file key `axis` set to `value`, through its document."""
+    doc = scenario_to_dict(s)
+    row = next((r for r in _TABLES[doc["if_signal"]["kind"]] if r.key == axis), None)
+    section, _, leaf = axis.rpartition(".")
+    if row is None or row.rule == "word" or (section and section not in doc):
+        raise AxisError(f"axis '{axis}' is not a numeric key of this scenario")
+    (doc[section] if section else doc)[leaf] = value
+    return dict_to_scenario(doc)
 
 
 def load_scenario(path: str | Path) -> LinkScenario:

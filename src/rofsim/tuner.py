@@ -35,7 +35,9 @@ def analytic_alpha(m1: float, m2: float, m3: float) -> float:
         raise ValueError("modulation indices must be non-negative")
     denom = 2.0 * j0(m1) * j1(m1)
     if denom == 0.0:
-        raise ZeroDivisionError("J0(m1)*J1(m1) vanishes; alpha undefined")
+        raise AttenuatorInfeasible(
+            f"the IF drive (index m1 = {m1:.3g}) makes J0(m1)*J1(m1) vanish; alpha undefined"
+        )
     alpha = math.sqrt(2.0) * j0(m2) * j0(m3) * j1(m2) * j1(m3) / denom
     if alpha > 1.0:
         raise AttenuatorInfeasible(

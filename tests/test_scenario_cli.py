@@ -1,6 +1,7 @@
 """Scenario file round-trips and command-line interface behavior."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import rofsim.cli
 import rofsim.link
+import rofsim.scenario
 import rofsim.signal_core
 from rofsim.cli import main
 from rofsim.errors import (
@@ -127,6 +129,12 @@ class TestScenarioFiles:
         save_scenario(s, path)
         assert load_scenario(path) == s
 
+    def test_readme_lists_every_key(self):
+        # the key reference in the README is kept from the scenario key table
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Scenario files\n")[1].split("\n## ")[0]
+        assert [k for k in sorted(rofsim.scenario._KEYS) if f"| `{k}` |" not in section] == []
+
     def test_at_least_thirteen_bundled(self):
         assert len(bundled_scenarios()) >= 13
 
@@ -162,7 +170,7 @@ class TestScenarioFiles:
         doc["lo"]["frequency_ghz"] = -1.0
         bad = tmp_path / "bad.scenario"
         bad.write_text(yaml.safe_dump(doc))
-        with pytest.raises(Exception):
+        with pytest.raises(ScenarioError, match="lo.frequency_ghz"):
             load_scenario(bad)
 
     def test_missing_section_rejected(self, tmp_path, small_scenario):
@@ -170,7 +178,7 @@ class TestScenarioFiles:
         del doc["lo"]
         bad = tmp_path / "bad.scenario"
         bad.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="'lo'"):
             load_scenario(bad)
 
     @pytest.mark.parametrize(
@@ -203,6 +211,11 @@ class TestScenarioFiles:
             # QAM rules of the record: whole samples per symbol, at least 64 symbols
             ("soi.symbol_rate_mbaud", 7.0, "soi.symbol_rate_mbaud"),
             ("soi.symbol_rate_mbaud", 10.0, "soi.symbol_rate_mbaud.*64 symbols"),
+            # integer keys take whole numbers only, never truncated
+            ("grid.n_samples", 262144.5, "'grid.n_samples' must be an integer"),
+            ("seed", 3.7, "'seed' must be an integer"),
+            ("soi.data_seed", True, "'soi.data_seed' must be an integer"),
+            ("grid.n_samples", float("nan"), "'grid.n_samples' must be an integer"),
         ],
     )
     def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
@@ -336,6 +349,19 @@ class TestCliSimulate:
 
 
 class TestCliTune:
+    @pytest.mark.parametrize(
+        "command", [["tune"], ["simulate", "--auto-tune"]], ids=["tune", "simulate"]
+    )
+    def test_zero_if_drive_exit_3(self, tmp_path, small_scenario, capsys, command):
+        # an IF drive of -inf dBm is off, and the analytic attenuation is undefined
+        doc = yaml.safe_load(small_scenario.read_text())
+        doc["if_signal"]["power_dbm"] = float("-inf")
+        off = tmp_path / "off.scenario"
+        off.write_text(yaml.safe_dump(doc))
+        assert main([command[0], str(off), *command[1:], "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "IF drive" in err and "Traceback" not in err
+
     def test_tune_writes_report(self, tmp_path, small_scenario):
         out = tmp_path / "out"
         rc = main(["tune", str(small_scenario), "--out", str(out)])
@@ -381,16 +407,27 @@ class TestCliSweep:
             texts.append((out / "fig6a_sweep_si_path_delay_ns.csv").read_text())
         assert texts[0] == texts[1]
 
-    def test_unknown_axis_exit_2(self, tmp_path, small_scenario):
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("si_path.bogus", "1,2"),
+            ("modulators.if_sideband", "1,2"),  # a word, not a number
+            ("laser", "1,2"),  # a section, not a key
+            ("soi.power_dbm", "-30"),  # the scenario has no SOI
+            ("grid.n_samples", "262144.5"),  # not an integer
+        ],
+    )
+    def test_unknown_axis_exit_2(self, tmp_path, small_scenario, capsys, axis, values):
         rc = main(
             [
                 "sweep", str(small_scenario),
                 "--out", str(tmp_path),
-                "--axis", "si_path.bogus",
-                "--values", "1,2",
+                "--axis", axis,
+                "--values", values,
             ]
         )
         assert rc == 2
+        assert f"'{axis}'" in capsys.readouterr().err
 
 
 class TestCliSpectrum:

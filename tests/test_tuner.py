@@ -61,7 +61,7 @@ class TestAnalyticAlpha:
             analytic_alpha(0.01, 1.0, 1.0)
 
     def test_vanishing_denominator(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(AttenuatorInfeasible, match="IF drive"):
             analytic_alpha(0.0, 0.2, 0.2)
 
 
@@ -180,7 +180,7 @@ class TestPhaseConstant:
 
     def test_degenerate_scan_detected(self):
         s = tone_scenario(gain_db=-np.inf)
-        with pytest.raises((DegenerateScan, ZeroDivisionError)):
+        with pytest.raises((DegenerateScan, AttenuatorInfeasible)):
             verify_phase_constant(s)
 
 
