@@ -17,10 +17,10 @@ from .optics import (
     delay_line,
     dp_bpsk_modulate,
     fiber_propagate,
+    fiber_transfer,
     laser_cw,
     pbs,
     photodetect,
-    polarizer,
 )
 from .signal_core import (
     QamSignalSpec,
@@ -89,6 +89,7 @@ class LinkScenario:
     """Full parameter set of one experiment."""
 
     name: str = "scenario"
+    description: str = ""  # a line of text for the reader; no stage reads it
     seed: int = 1
     laser_power_dbm: float = 10.0
     carrier_frequency: float = 191.3e12
@@ -209,13 +210,6 @@ class LinkResult:
     metrics: LinkMetrics
 
 
-def _amplify(field: OpticalField, gain_db: float) -> OpticalField:
-    g = 10.0 ** (gain_db / 20.0)
-    return OpticalField(
-        field.grid, field.carrier_frequency, g * field.env_x, g * field.env_y
-    )
-
-
 def _if_drive(s: LinkScenario) -> SampledWaveform:
     if isinstance(s.if_signal, ToneSpec):
         return make_tone(s.if_signal, s.grid)
@@ -231,9 +225,10 @@ def _modulator_key(s: LinkScenario) -> tuple:
 
 def _downlink_key(s: LinkScenario) -> tuple:
     """The fields the downlink reads: the modulator's plus the EDFA, the
-    downlink fiber, the BPF and the photodiode."""
+    downlink fiber, the BPF and the photodiode, and whether the link carries
+    spectra, which sets the domain of the RU field's X rail."""
     return _modulator_key(s) + (s.edfa_gain_db, s.edfa_position, s.downlink_fiber, s.bpf,
-                                s.responsivity)
+                                s.responsivity, _carries_spectra(s))
 
 
 def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
@@ -257,6 +252,14 @@ def _kept_stage(i: int, key: tuple, build):
     return _kept[i][1]
 
 
+def _carries_spectra(s: LinkScenario) -> bool:
+    """Whether the link holds its optical rails as spectra: when a fibre has
+    length. Every element between the modulators and the photodiodes is
+    linear, so the rails are transformed only where a modulator or a
+    photodiode needs samples."""
+    return bool(s.downlink_fiber.length or s.uplink_fiber.length)
+
+
 def _modulate(s: LinkScenario) -> OpticalField:
     """Output of the dual-polarization modulator driven by the IF and LO."""
     if_drive = _if_drive(s)
@@ -265,20 +268,53 @@ def _modulate(s: LinkScenario) -> OpticalField:
     return dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
 
 
+def _modulator_output(s: LinkScenario) -> OpticalField:
+    """The kept modulator output, held in the domain the link of `s` carries.
+    A kept output held in the other domain is converted in its place (two
+    transforms) instead of being modulated again."""
+    spectral = _carries_spectra(s)
+    out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
+    if out.spectral != (spectral, spectral):
+        rails = (out.spectrum_x, out.spectrum_y) if spectral else (out.env_x, out.env_y)
+        out = OpticalField(out.grid, out.carrier_frequency, *rails, spectral=(spectral,) * 2)
+        _kept[0] = (_kept[0][0], out)
+    return out
+
+
 def downlink_taps(s: LinkScenario) -> dict:
     """Run the downlink and expose intermediate fields and waveforms. The
     modulator output is kept, so a scenario that changes only later fields
-    reuses it."""
+    reuses it.
+
+    The EDFA, the fiber, the splitter and the polarizer act on the rails in
+    the domain the modulator output is held in. Held as spectra, the chain
+    transforms two rails: the polarizer output, for the photodiode, and the
+    RU Y rail, for the uplink modulator. The RU X rail stays a spectrum.
+    """
     grid = s.grid
-    dp_out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
-    stage = _amplify(dp_out, s.edfa_gain_db) if s.edfa_position == "co" else dp_out
-    stage = fiber_propagate(stage, s.downlink_fiber)
+    dp_out = _modulator_output(s)
+    spectral = dp_out.spectral[0]
+    x, y = (dp_out.spectrum_x, dp_out.spectrum_y) if spectral else (dp_out.env_x, dp_out.env_y)
+    gain = 10.0 ** (s.edfa_gain_db / 20.0)
+    if s.edfa_position == "co":
+        x, y = gain * x, gain * y
+    if s.downlink_fiber.length:
+        h = fiber_transfer(s.downlink_fiber, grid)
+        x, y = h * x, h * y
+        del h
     if s.edfa_position == "ru":
-        stage = _amplify(stage, s.edfa_gain_db)
+        x, y = gain * x, gain * y
     # 3-dB optical splitter: both outputs carry the same read-only field
     half = 1.0 / np.sqrt(2.0)
-    ru_field = OpticalField(grid, s.carrier_frequency, half * stage.env_x, half * stage.env_y)
-    pol_out = polarizer(ru_field, np.pi / 4.0)
+    x, y = half * x, half * y
+    pol = np.cos(np.pi / 4.0) * x  # the 45-degree polarizer
+    pol += np.sin(np.pi / 4.0) * y
+    if spectral:
+        pol = sfft.ifft(pol, workers=_FFT_WORKERS, overwrite_x=True)
+        y = sfft.ifft(y, workers=_FFT_WORKERS, overwrite_x=True)
+    ru_field = OpticalField(grid, s.carrier_frequency, x, y, spectral=(spectral, False))
+    dark = np.zeros(grid.n_samples, dtype=np.complex128)
+    pol_out = OpticalField(grid, s.carrier_frequency, pol, dark)
     rf = filter_band(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
     return {
         "dp_bpsk_out": dp_out,
@@ -353,21 +389,56 @@ def make_received_signal(
 
 
 def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenario) -> OpticalField:
-    """RU re-modulation: the received RF drives the SSB modulator on the Y rail."""
-    return dd_mzm_ssb(pbs(ru_field)[1], received, s.mod_uplink)
+    """RU re-modulation: the received RF drives the SSB modulator on the Y rail.
+    Only that rail of the RU field is read; the output's X rail is dark."""
+    dark = np.zeros(s.grid.n_samples, dtype=np.complex128)
+    y_rail = OpticalField(s.grid, ru_field.carrier_frequency, dark, ru_field.env_y)
+    return dd_mzm_ssb(y_rail, received, s.mod_uplink)
 
 
 def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
     """Photocurrent i_X of the reference arm: the X rail of the RU field carried
-    to the CO and delayed by tau2. It never touches the uplink RF."""
+    to the CO and delayed by tau2, in the time domain (the test oracle of the
+    SIC stage). It never touches the uplink RF."""
     x_co = fiber_propagate(pbs(ru_field)[0], s.uplink_fiber)
     return photodetect(delay_line(x_co, tau2), s.responsivity).samples
 
 
-def _signal_spectrum(received: SampledWaveform, s: LinkScenario) -> np.ndarray:
-    """B = rfft(i_Y) of the signal arm that `received` re-modulates."""
-    y_co = fiber_propagate(remodulate(run_downlink(s)[1], received, s), s.uplink_fiber)
-    return sfft.rfft(photodetect(y_co, s.responsivity).samples, workers=_FFT_WORKERS)
+def _square_law(env: np.ndarray, responsivity: float) -> np.ndarray:
+    """Photocurrent R*|env|^2 of one lit rail, rounded as `photodetect` rounds it."""
+    current = env.real**2
+    current += env.imag**2
+    current *= responsivity
+    return current
+
+
+def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
+    """The uplink fiber's transfer function; None when it has no length."""
+    return fiber_transfer(s.uplink_fiber, s.grid) if s.uplink_fiber.length else None
+
+
+def _reference_spectrum(ru_field: OpticalField, s: LinkScenario, h_up: np.ndarray | None) -> np.ndarray:
+    """A = rfft(i_X) of the reference arm at zero delay. An X rail held as a
+    spectrum crosses both fibers as one product, R*|ifft(h_up * X_ru)|^2."""
+    if ru_field.spectral[0]:
+        x_ru = ru_field.spectrum_x
+        env = sfft.ifft(x_ru if h_up is None else h_up * x_ru, workers=_FFT_WORKERS)
+    else:
+        env = ru_field.env_x
+    return sfft.rfft(_square_law(env, s.responsivity), workers=_FFT_WORKERS)
+
+
+def _signal_spectrum(
+    received: SampledWaveform, s: LinkScenario, h_up: np.ndarray | None = None
+) -> np.ndarray:
+    """B = rfft(i_Y) of the signal arm that `received` re-modulates; `h_up` is
+    the uplink fiber's transfer when the caller holds it."""
+    env = remodulate(run_downlink(s)[1], received, s).env_y
+    if s.uplink_fiber.length:
+        spec = sfft.fft(env, workers=_FFT_WORKERS)
+        spec *= _uplink_transfer(s) if h_up is None else h_up
+        env = sfft.ifft(spec, workers=_FFT_WORKERS, overwrite_x=True)
+    return sfft.rfft(_square_law(env, s.responsivity), workers=_FFT_WORKERS)
 
 
 def output_decimation(grid: TimeGrid, lpf: float) -> int:
@@ -436,8 +507,9 @@ class UplinkEvaluator:
         self.rf_phase_comp = rf_phase_comp
         rf, ru = run_downlink(s)
         self.received = _compensated(make_received_signal(rf, s.si_path), rf_phase_comp)
-        self._spec_y = _signal_spectrum(self.received, s)
-        self._spec_x = sfft.rfft(reference_current(ru, s, 0.0), workers=_FFT_WORKERS)
+        h_up = _uplink_transfer(s)  # both arms cross the uplink fiber
+        self._spec_y = _signal_spectrum(self.received, s, h_up)
+        self._spec_x = _reference_spectrum(ru, s, h_up)
         freqs = self.grid.rfreqs()
         f_lo, f_hi = s.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)

@@ -3,7 +3,7 @@
 Optical fields are dual-polarization complex envelopes referenced to the
 carrier frequency. The dual-drive MZM is modeled exactly (complex exponential
 of the per-sample arm phases); its small-signal Bessel expansion is provided
-separately as a test oracle.
+in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -12,33 +12,64 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.special import j0, j1
 
-from .errors import GainNotAllowed, GridError, RailConflict
+from .errors import GridError, RailConflict
 from .signal_core import _FFT_WORKERS, SampledWaveform, TimeGrid, dbm_to_watts
 
 C_LIGHT = 299_792_458.0
 _REFERENCE_WAVELENGTH_NM = 1567.0  # wavelength at which the dispersion is quoted
 
 
-@dataclass
+def _read_only(rail) -> np.ndarray:
+    rail = np.asarray(rail, dtype=np.complex128)
+    rail.flags.writeable = False
+    return rail
+
+
 class OpticalField:
-    """Dual-polarization complex envelope (sqrt(W)) around a carrier; rails are read-only."""
+    """Dual-polarization complex envelope (sqrt(W)) around a carrier.
 
-    grid: TimeGrid
-    carrier_frequency: float
-    env_x: np.ndarray
-    env_y: np.ndarray
+    Each rail is held in one domain: as samples, or as its spectrum (the
+    unnormalised `scipy.fft.fft`, on `grid.freqs()`) where the link carries it
+    through linear elements only. `env_x`/`env_y` give a rail's samples and
+    `spectrum_x`/`spectrum_y` its spectrum; a rail held in the other domain is
+    transformed on demand and the result is not kept. Rails are read-only.
+    """
 
-    def __post_init__(self):
-        self.env_x = np.asarray(self.env_x, dtype=np.complex128)
-        self.env_y = np.asarray(self.env_y, dtype=np.complex128)
-        if self.env_x.shape != (self.grid.n_samples,) or self.env_y.shape != (
-            self.grid.n_samples,
-        ):
+    def __init__(self, grid: TimeGrid, carrier_frequency: float, env_x, env_y,
+                 spectral: tuple[bool, bool] = (False, False)):
+        self.grid = grid
+        self.carrier_frequency = carrier_frequency
+        self.spectral = tuple(spectral)
+        self._held = (_read_only(env_x), _read_only(env_y))
+        if any(rail.shape != (grid.n_samples,) for rail in self._held):
             raise ValueError("envelope length must match grid")
-        self.env_x.flags.writeable = False
-        self.env_y.flags.writeable = False
+
+    def _samples(self, i: int) -> np.ndarray:
+        if not self.spectral[i]:
+            return self._held[i]
+        return _read_only(sfft.ifft(self._held[i], workers=_FFT_WORKERS))
+
+    def _spectrum(self, i: int) -> np.ndarray:
+        if self.spectral[i]:
+            return self._held[i]
+        return _read_only(sfft.fft(self._held[i], workers=_FFT_WORKERS))
+
+    @property
+    def env_x(self) -> np.ndarray:
+        return self._samples(0)
+
+    @property
+    def env_y(self) -> np.ndarray:
+        return self._samples(1)
+
+    @property
+    def spectrum_x(self) -> np.ndarray:
+        return self._spectrum(0)
+
+    @property
+    def spectrum_y(self) -> np.ndarray:
+        return self._spectrum(1)
 
     def total_power(self) -> float:
         """Time-averaged optical power in watts."""
@@ -48,8 +79,7 @@ class OpticalField:
 
     def rail(self) -> str:
         """Which rail carries energy: 'x', 'y', 'both' or 'dark'."""
-        has_x = bool(np.any(self.env_x))
-        has_y = bool(np.any(self.env_y))
+        has_x, has_y = (bool(np.any(rail)) for rail in self._held)
         if has_x and has_y:
             return "both"
         if has_x:
@@ -166,39 +196,6 @@ def dd_mzm_ssb(
     return OpticalField(carrier.grid, carrier.carrier_frequency, carrier.env_x, carrier.env_y * m)
 
 
-def mzm_dsb(
-    carrier: OpticalField, drive: SampledWaveform, params: ModulatorParams
-) -> OpticalField:
-    """Quadrature-biased push-pull MZM: double-sideband intensity modulator.
-
-    Used as the dispersion power-fading control against the SSB path.
-    """
-    if carrier.grid != drive.grid:
-        raise GridError("carrier and drive grids differ")
-    phi = np.pi * drive.samples / (2.0 * params.v_pi)
-    m = np.cos(phi - np.pi / 4.0)
-    return OpticalField(
-        carrier.grid,
-        carrier.carrier_frequency,
-        carrier.env_x * m,
-        carrier.env_y * m,
-    )
-
-
-def ssb_smallsignal_coefficients(m: float) -> dict:
-    """First-order line coefficients of the SSB modulator for index m.
-
-    Analytic oracle for dd_mzm_ssb spectra: carrier (sqrt(2)/2)*J0(m)*e^{j pi/4}
-    and retained first sideband J1(m)*e^{j pi}.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return {
-        "carrier": (np.sqrt(2.0) / 2.0) * j0(m) * np.exp(1j * np.pi / 4.0),
-        "sideband": j1(m) * np.exp(1j * np.pi),
-    }
-
-
 def dp_bpsk_modulate(
     carrier: OpticalField,
     if_drive: SampledWaveform,
@@ -263,32 +260,30 @@ def _filter_rails(field: OpticalField, h: np.ndarray) -> OpticalField:
     return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))
 
 
-def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
-    """Chromatic dispersion and loss as a quadratic spectral phase on both rails.
+def fiber_transfer(fp: FiberParams, grid: TimeGrid) -> np.ndarray:
+    """Transfer function of the fiber on `grid.freqs()`: loss * exp(0.5j*beta2*L*w^2).
 
     Phase is referenced to the carrier; the common group delay is dropped so
-    path delays are not double-counted by the link model.
+    path delays are not double-counted by the link model. w^2 is even, so the
+    n//2 + 1 non-negative bins are evaluated and mirrored onto the negative ones.
     """
-    if fp.length == 0.0:
-        return field
+    n = grid.n_samples
     length_m = fp.length * 1e3
-    dw = 2.0 * np.pi * field.grid.freqs()
-    h = 10.0 ** (-fp.attenuation * fp.length / 20.0) * np.exp(
+    dw = 2.0 * np.pi * grid.rfreqs()
+    half = 10.0 ** (-fp.attenuation * fp.length / 20.0) * np.exp(
         0.5j * fp.beta2 * length_m * dw**2
     )
-    return _filter_rails(field, h)
+    h = np.empty(n, dtype=np.complex128)
+    h[: half.size] = half
+    h[half.size:] = half[n - half.size:0:-1]
+    return h
 
 
-def attenuate(field: OpticalField, alpha: float) -> OpticalField:
-    """Scale power by alpha (0 <= alpha <= 1)."""
-    if alpha > 1.0:
-        raise GainNotAllowed(f"attenuator cannot amplify (alpha={alpha})")
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
-    s = np.sqrt(alpha)
-    return OpticalField(
-        field.grid, field.carrier_frequency, s * field.env_x, s * field.env_y
-    )
+def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
+    """Chromatic dispersion and loss (`fiber_transfer`) on both rails, in the time domain."""
+    if fp.length == 0.0:
+        return field
+    return _filter_rails(field, fiber_transfer(fp, field.grid))
 
 
 def delay_line(field: OpticalField, tau: float) -> OpticalField:
@@ -315,15 +310,3 @@ def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWavefo
             intensity += env.imag**2
     intensity *= responsivity
     return SampledWaveform(field.grid, intensity)
-
-
-def balanced_detect(
-    plus: OpticalField, minus: OpticalField, responsivity: float = 0.8
-) -> SampledWaveform:
-    """Difference of two square-law photocurrents."""
-    if plus.grid != minus.grid:
-        raise GridError("balanced detector inputs do not share a grid")
-    return SampledWaveform(
-        plus.grid,
-        photodetect(plus, responsivity).samples - photodetect(minus, responsivity).samples,
-    )

@@ -27,7 +27,7 @@ class _Row(NamedTuple):
 
 _HEAD = (
     _Row("name", ("name",), "word"),
-    _Row("description", (), "word", ""),
+    _Row("description", ("description",), "word", ""),
     _Row("seed", ("seed",), "integer"),
     _Row("laser.power_dbm", ("laser_power_dbm",), "number"),
     _Row("laser.frequency_thz", ("carrier_frequency",), "positive", exp=12),
@@ -183,6 +183,8 @@ def scenario_to_dict(s: LinkScenario) -> dict:
             value = kind
         elif not row.paths or getattr(s, row.paths[0].partition(".")[0]) is None:
             continue
+        elif row.key == "description" and not s.description:
+            continue  # written only when there is one
         else:
             value = s
             for name in row.paths[0].split("."):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
-from .errors import AttenuatorInfeasible, DegenerateScan
+from .errors import AttenuatorInfeasible, DegenerateScan, DelayRangeError
 from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink, uplink_evaluator
 from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec, dbm_to_amplitude
 
@@ -73,7 +73,10 @@ def analytic_tau2(
     while tau >= horizon:
         tau -= period
     if tau < 0.0:
-        raise ValueError("no non-negative tau2 below the horizon")
+        raise DelayRangeError(
+            f"no non-negative tau2 below the horizon of {horizon:.3g} s "
+            f"(the delay repeats every {period:.3g} s)"
+        )
     return tau
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_LINES
+from optics_oracles import mzm_dsb, ssb_smallsignal_coefficients
 
 from rofsim.link import UplinkEvaluator, run_downlink, run_full
 from rofsim.optics import (
@@ -19,9 +20,7 @@ from rofsim.optics import (
     dd_mzm_ssb,
     fiber_propagate,
     laser_cw,
-    mzm_dsb,
     photodetect,
-    ssb_smallsignal_coefficients,
 )
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import DEFAULT_GRID, ToneSpec, make_tone

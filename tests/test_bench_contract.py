@@ -112,6 +112,9 @@ def test_held_fiber_sweep_reuses_each_stage(tmp_path, fig8c_file):
     assert tracer.calls["optics.dp_bpsk_modulate"] == 1
     assert tracer.calls["link.downlink"] == 3
     assert tracer.calls["link.evaluator_build"] == 3
+    # the QAM drive's pair, the kept modulator spectra, then per point the
+    # polarizer output, the RU Y rail, the reference arm and the signal arm's pair
+    assert tracer.calls["fft.complex"] == 2 + 2 + 3 * 5
     csv = "fig8c_sweep_downlink_fiber_length_km.csv"
     serial = (tmp_path / "j1" / csv).read_bytes()
     assert [line.split(b",")[0] for line in serial.splitlines()[2:]] == [

@@ -23,7 +23,16 @@ from rofsim.link import (
     signal_output,
     uplink_evaluator,
 )
-from rofsim.optics import attenuate, balanced_detect, delay_line, fiber_propagate, pbs
+from rofsim.optics import (
+    FiberParams,
+    OpticalField,
+    dd_mzm_ssb,
+    delay_line,
+    fiber_propagate,
+    pbs,
+    photodetect,
+    polarizer,
+)
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import (
     _SKIRT_FRACTION,
@@ -39,6 +48,8 @@ from rofsim.signal_core import (
     welch_psd,
 )
 from rofsim.tuner import SicSettings, auto_tune, seed_settings
+
+from optics_oracles import attenuate, balanced_detect
 
 GRID_TONE = TimeGrid(sample_rate=64e9, n_samples=2**18)
 GRID_QAM = TimeGrid(sample_rate=64e9, n_samples=2**19)
@@ -199,6 +210,21 @@ class TestKeptStage:
         assert uplink_evaluator(soi_only) is uplink_evaluator(other)
         assert len(builds) == 2
 
+    def test_fibre_run_converts_the_kept_modulator_output(self, monkeypatch):
+        # a link with a fibre holds the modulator output as spectra; a
+        # fibre-free run on the same modulator converts it back to samples
+        s = tone_scenario()
+        rf = run_downlink(s)[0].samples
+        assert rofsim.link._kept[0][1].spectral == (False, False)
+        fibre = dataclasses.replace(s, uplink_fiber=FiberParams(length=4.1))
+        assert run_downlink(fibre)[1].spectral == (True, False)
+        assert rofsim.link._kept[0][1].spectral == (True, True)
+        monkeypatch.setattr(rofsim.link, "_modulate", None)  # a second modulation fails
+        again = run_downlink(s)
+        assert rofsim.link._kept[0][1].spectral == (False, False)
+        assert again[1].spectral == (False, False)
+        np.testing.assert_allclose(again[0].samples, rf, rtol=0, atol=1e-12 * np.abs(rf).max())
+
     def test_kept_spectra_are_read_only(self):
         ev = uplink_evaluator(tone_scenario())
         with pytest.raises(ValueError):
@@ -331,6 +357,70 @@ class TestStageKeys:
             if key(other) == key(s) and not bit_identical(output(other), base):
                 missed.append(".".join(map(str, path)))
         assert missed == []
+
+
+GRID_CHAIN = TimeGrid(sample_rate=64e9, n_samples=2**12)
+
+
+def time_domain_chain(s: LinkScenario, received: SampledWaveform) -> list:
+    """rf, the RU Y rail, i_X at zero delay and i_Y of `received`, with every
+    optical element of the link applied to samples (fiber_propagate,
+    polarizer, pbs, photodetect)."""
+    field = rofsim.link._modulate(s)
+    gain = 10.0 ** (s.edfa_gain_db / 20.0)
+
+    def amplified(f):
+        return OpticalField(f.grid, f.carrier_frequency, gain * f.env_x, gain * f.env_y)
+
+    if s.edfa_position == "co":
+        field = amplified(field)
+    field = fiber_propagate(field, s.downlink_fiber)
+    if s.edfa_position == "ru":
+        field = amplified(field)
+    half = 1.0 / np.sqrt(2.0)
+    ru = OpticalField(s.grid, s.carrier_frequency, half * field.env_x, half * field.env_y)
+    rf = filter_band(photodetect(polarizer(ru, np.pi / 4.0), s.responsivity), "bandpass", *s.bpf)
+    x_ru, y_ru = pbs(ru)
+    i_x = photodetect(fiber_propagate(x_ru, s.uplink_fiber), s.responsivity)
+    y_mod = dd_mzm_ssb(y_ru, received, s.mod_uplink)
+    i_y = photodetect(fiber_propagate(y_mod, s.uplink_fiber), s.responsivity)
+    return [rf.samples, y_ru.env_y, i_x.samples, i_y.samples]
+
+
+class TestSpectralChain:
+    """With a fibre, the link carries the optical rails as spectra between
+    the modulators and the photodiodes; what it detects is the time-domain
+    chain's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        down=st.one_of(st.just(0.0), st.floats(0.0, 25.0)),
+        up=st.one_of(st.just(0.0), st.floats(0.0, 25.0)),
+        edfa=st.sampled_from(["co", "ru"]),
+        if_sideband=st.sampled_from(["lower", "upper"]),
+        lo_sideband=st.sampled_from(["lower", "upper"]),
+    )
+    def test_matches_the_time_domain_chain(self, down, up, edfa, if_sideband, lo_sideband):
+        base = dataclasses.replace(tone_scenario(), grid=GRID_CHAIN)
+        s = dataclasses.replace(
+            base,
+            downlink_fiber=FiberParams(length=down),
+            uplink_fiber=FiberParams(length=up),
+            edfa_position=edfa,
+            mod_if=dataclasses.replace(base.mod_if, sideband=if_sideband),
+            mod_lo=dataclasses.replace(base.mod_lo, sideband=lo_sideband),
+        )
+        rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
+        rf, ru = run_downlink(s)
+        assert ru.spectral == (down > 0.0 or up > 0.0, False)
+        ev = uplink_evaluator(s)
+        n = s.grid.n_samples
+        got = [rf.samples, ru.env_y, np.fft.irfft(ev._spec_x, n), np.fft.irfft(ev._spec_y, n)]
+        want = time_domain_chain(s, ev.received)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+        if down == up == 0.0:  # a fibre-free link computes what it always did
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestMakeReceivedSignal:
@@ -664,7 +754,8 @@ class TestReferenceArmOracle:
             )
 
     def test_run_full_never_delays_the_reference(self, monkeypatch):
-        # run_full applies tau2 as a spectral phase; the optics only run at zero delay
+        # run_full applies tau2 as a spectral phase and detects the reference
+        # rail directly; the optical delay line is only the oracle's
         taus = []
 
         def recording_delay_line(field, tau):
@@ -677,7 +768,7 @@ class TestReferenceArmOracle:
         sic = seed_settings(s, run_downlink(s)[0])
         assert sic.tau2 > 0.0
         run_full(s, sic)
-        assert taus == [0.0]  # one optical pass through the reference arm
+        assert taus == []
 
     def test_full_pass_matches_optics(self):
         # adding the SOI changes only the signal arm, so the full pass is the

@@ -10,22 +10,21 @@ from rofsim.optics import (
     FiberParams,
     ModulatorParams,
     OpticalField,
-    attenuate,
-    balanced_detect,
     dd_mzm_ssb,
     delay_line,
     dp_bpsk_modulate,
     fiber_propagate,
+    fiber_transfer,
     laser_cw,
-    mzm_dsb,
     pbc,
     pbs,
     photodetect,
     polarizer,
-    ssb_smallsignal_coefficients,
 )
 from rofsim.optics import _hilbert90, _ssb_transfer
 from rofsim.signal_core import TimeGrid, ToneSpec, make_tone
+
+from optics_oracles import attenuate, balanced_detect, mzm_dsb, ssb_smallsignal_coefficients
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
 FC = 191.3e12
@@ -292,6 +291,28 @@ class TestFiber:
         expected = 0.5 * fp.beta2 * 4.1e3 * (2 * np.pi * 8e9) ** 2
         assert np.angle(rot) == pytest.approx(expected, abs=0.002)
         assert expected == pytest.approx(-0.115, abs=0.005)
+
+    @pytest.mark.parametrize("n", [2**20, 4097, 1000, 2])
+    @pytest.mark.parametrize("length", [0.3, 4.1, 20.0])
+    def test_transfer_is_the_full_grid_formula(self, n, length):
+        # w^2 is even, so mirroring the non-negative bins is exact
+        fp = FiberParams(length=length)
+        grid = TimeGrid(sample_rate=64e9, n_samples=n)
+        dw = 2.0 * np.pi * grid.freqs()
+        loss = 10.0 ** (-fp.attenuation * fp.length / 20.0)
+        full = loss * np.exp(0.5j * fp.beta2 * (fp.length * 1e3) * dw**2)
+        assert np.array_equal(fiber_transfer(fp, grid), full)
+
+    def test_spectral_rails_read_as_samples(self):
+        f = self._modulated()
+        spectrum_x = f.spectrum_x
+        held = OpticalField(GRID, FC, spectrum_x, f.spectrum_y, spectral=(True, True))
+        assert held.rail() == f.rail() == "x"
+        assert held.spectrum_x is spectrum_x
+        np.testing.assert_allclose(held.env_x, f.env_x, rtol=0, atol=1e-15)
+        for rail in (held.env_x, held.spectrum_x, f.spectrum_x):
+            with pytest.raises(ValueError):
+                rail[0] = 0.0
 
     def test_cascade_equals_sum(self):
         f = self._modulated()

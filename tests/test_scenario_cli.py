@@ -15,6 +15,7 @@ import rofsim.signal_core
 from rofsim.cli import main
 from rofsim.errors import (
     AxisError,
+    DelayRangeError,
     FilterSpecError,
     GridError,
     ScenarioError,
@@ -59,10 +60,16 @@ class TestScenarioFiles:
     def test_round_trip_every_bundled_scenario(self, tmp_path):
         for path in bundled_scenarios():
             s = load_scenario(path)
+            assert s.description  # every bundled file describes itself
             copy = tmp_path / path.name
             save_scenario(s, copy)
             assert load_scenario(copy) == s
             assert hash(load_scenario(copy)) == hash(s)
+            # the description line survives, so the file saves as it ships
+            assert copy.read_text() == path.read_text()
+        # a scenario without a description writes no description key
+        save_scenario(dataclasses.replace(s, description=""), copy)
+        assert "description" not in yaml.safe_load(copy.read_text())
 
     @pytest.mark.parametrize(
         "field, value, lost",
@@ -494,6 +501,7 @@ class TestCliSpectrum:
         (GridError, 3),
         (FilterSpecError, 3),
         (SimulationError, 3),
+        (DelayRangeError, 3),
         (AxisError, 2),
         (TapError, 2),
         (ScenarioError, 2),
@@ -507,3 +515,13 @@ def test_error_exit_code(monkeypatch, capsys, error, code):
     monkeypatch.setattr(rofsim.cli, "cmd_tune", fail)
     assert main(["tune", "any.scenario"]) == code
     assert "boom" in capsys.readouterr().err
+
+
+def test_tune_with_no_delay_below_the_horizon_exits_3(tmp_path, capsys):
+    # fig6a needs tau2 = 0.1875 ns (mod 0.5 ns); on 32 samples at 64 GS/s the
+    # tuner's horizon, a quarter of the record, is 0.125 ns
+    s = load_scenario(bundled_scenario_dir() / "fig6a.scenario")
+    path = tmp_path / "short.scenario"
+    save_scenario(dataclasses.replace(s, grid=TimeGrid(sample_rate=64e9, n_samples=32)), path)
+    assert main(["tune", str(path), "--out", str(tmp_path)]) == 3
+    assert "horizon" in capsys.readouterr().err

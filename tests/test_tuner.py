@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import j0, j1
 
-from rofsim.errors import AttenuatorInfeasible, DegenerateScan
+from rofsim.errors import AttenuatorInfeasible, DegenerateScan, DelayRangeError
 from rofsim.link import UplinkEvaluator, run_downlink
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import TimeGrid
@@ -91,6 +91,12 @@ class TestAnalyticTau2:
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
             analytic_tau2(0.0, self.W_S, 1e-9)
+
+    def test_horizon_below_the_in_period_delay(self):
+        # at tau1 = 0 the delay is 0.1875 ns modulo the 0.5 ns IF period
+        assert analytic_tau2(self.W_IF, self.W_S, 0.0, horizon=0.2e-9) == pytest.approx(0.1875e-9)
+        with pytest.raises(DelayRangeError, match="horizon"):
+            analytic_tau2(self.W_IF, self.W_S, 0.0, horizon=0.1e-9)
 
 
 class TestSeedSettings:
