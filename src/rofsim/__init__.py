@@ -12,7 +12,6 @@ from .errors import (
     AliasError,
     AttenuatorInfeasible,
     AxisError,
-    DegenerateScan,
     DelayRangeError,
     FilterSpecError,
     GainNotAllowed,
@@ -80,7 +79,6 @@ from .tuner import (
     refine,
     refine_alpha,
     seed_settings,
-    verify_phase_constant,
 )
 from .scenario import (
     bundled_scenario_dir,
@@ -108,7 +106,6 @@ __all__ = [
     "DelayRangeError",
     "AttenuatorInfeasible",
     "SimulationError",
-    "DegenerateScan",
     "ScenarioError",
     "AxisError",
     "TapError",
@@ -161,7 +158,6 @@ __all__ = [
     "refine",
     "refine_alpha",
     "auto_tune",
-    "verify_phase_constant",
     # scenario io
     "load_scenario",
     "save_scenario",

@@ -49,10 +49,6 @@ class SimulationError(RofsimError):
     """Simulation produced a non-finite objective."""
 
 
-class DegenerateScan(RofsimError):
-    """Delay scan found no clear optimum."""
-
-
 class ScenarioError(RofsimError):
     """Scenario file failed to parse or validate."""
 

@@ -13,6 +13,7 @@ from .optics import (
     FiberParams,
     ModulatorParams,
     OpticalField,
+    dark_rail,
     dd_mzm_ssb,
     delay_line,
     dp_bpsk_modulate,
@@ -294,27 +295,30 @@ def downlink_taps(s: LinkScenario) -> dict:
     grid = s.grid
     dp_out = _modulator_output(s)
     spectral = dp_out.spectral[0]
-    x, y = (dp_out.spectrum_x, dp_out.spectrum_y) if spectral else (dp_out.env_x, dp_out.env_y)
+    rails = (dp_out.spectrum_x, dp_out.spectrum_y) if spectral else (dp_out.env_x, dp_out.env_y)
+    x, y = (np.array(r) for r in rails)  # one copy of the kept rails
+
+    def scale(k):
+        """x, y = k * x, k * y in place, in that operand order."""
+        np.multiply(k, x, out=x)
+        np.multiply(k, y, out=y)
+
     gain = 10.0 ** (s.edfa_gain_db / 20.0)
     if s.edfa_position == "co":
-        x, y = gain * x, gain * y
+        scale(gain)
     if s.downlink_fiber.length:
-        h = fiber_transfer(s.downlink_fiber, grid)
-        x, y = h * x, h * y
-        del h
+        scale(fiber_transfer(s.downlink_fiber, grid))
     if s.edfa_position == "ru":
-        x, y = gain * x, gain * y
+        scale(gain)
     # 3-dB optical splitter: both outputs carry the same read-only field
-    half = 1.0 / np.sqrt(2.0)
-    x, y = half * x, half * y
+    scale(1.0 / np.sqrt(2.0))
     pol = np.cos(np.pi / 4.0) * x  # the 45-degree polarizer
     pol += np.sin(np.pi / 4.0) * y
     if spectral:
         pol = sfft.ifft(pol, workers=_FFT_WORKERS, overwrite_x=True)
         y = sfft.ifft(y, workers=_FFT_WORKERS, overwrite_x=True)
     ru_field = OpticalField(grid, s.carrier_frequency, x, y, spectral=(spectral, False))
-    dark = np.zeros(grid.n_samples, dtype=np.complex128)
-    pol_out = OpticalField(grid, s.carrier_frequency, pol, dark)
+    pol_out = OpticalField(grid, s.carrier_frequency, pol, dark_rail(grid.n_samples))
     rf = filter_band(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
     return {
         "dp_bpsk_out": dp_out,
@@ -391,8 +395,8 @@ def make_received_signal(
 def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenario) -> OpticalField:
     """RU re-modulation: the received RF drives the SSB modulator on the Y rail.
     Only that rail of the RU field is read; the output's X rail is dark."""
-    dark = np.zeros(s.grid.n_samples, dtype=np.complex128)
-    y_rail = OpticalField(s.grid, ru_field.carrier_frequency, dark, ru_field.env_y)
+    y_rail = OpticalField(s.grid, ru_field.carrier_frequency, dark_rail(s.grid.n_samples),
+                          ru_field.env_y)
     return dd_mzm_ssb(y_rail, received, s.mod_uplink)
 
 
@@ -475,10 +479,12 @@ def _lowpassed(
     return SampledWaveform(TimeGrid(grid.sample_rate / d, m), samples)
 
 
-def signal_output(received: SampledWaveform, s: LinkScenario) -> SampledWaveform:
+def signal_output(
+    received: SampledWaveform, s: LinkScenario, h_up: np.ndarray | None = None
+) -> SampledWaveform:
     """-LP(i_Y): the lowpass BPD output of the signal arm alone (reference arm
-    dark), on the output grid."""
-    return _lowpassed(-_signal_spectrum(received, s), s.grid, s.lpf)
+    dark), on the output grid; `h_up` as in `_signal_spectrum`."""
+    return _lowpassed(-_signal_spectrum(received, s, h_up), s.grid, s.lpf)
 
 
 def _compensated(w: SampledWaveform, rf_phase_comp: float | None) -> SampledWaveform:
@@ -578,9 +584,10 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     evm = None
     if s.soi is not None:
         soi_wave = _compensated(build_soi_waveform(s), sic.rf_phase_comp)
+        h_up = _uplink_transfer(s)  # both SOI passes cross the uplink fiber
         # The reference arm never touches the uplink RF, so adding the SOI
         # changes only the signal arm.
-        full = signal_output(ev.received + soi_wave, s)
+        full = signal_output(ev.received + soi_wave, s, h_up)
         with_out = SampledWaveform(
             with_out.grid, with_out.samples - without_out.samples + full.samples
         )
@@ -588,7 +595,8 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
         spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
-        soi_spec = -_signal_spectrum(soi_wave, s)
+        soi_spec = -_signal_spectrum(soi_wave, s, h_up)
+        del h_up  # freed before the EVM, which sets the peak of run_full
         soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if s.soi.kind == "qam":

@@ -26,6 +26,12 @@ def _read_only(rail) -> np.ndarray:
     return rail
 
 
+def dark_rail(n: int) -> np.ndarray:
+    """An unlit rail of n samples: a read-only zero-stride view of one zero,
+    which holds no per-sample memory."""
+    return np.broadcast_to(np.complex128(0), (n,))
+
+
 class OpticalField:
     """Dual-polarization complex envelope (sqrt(W)) around a carrier.
 
@@ -131,7 +137,7 @@ def laser_cw(
     """
     amp = np.sqrt(dbm_to_watts(power_dbm))
     env = np.full(grid.n_samples, amp, dtype=np.complex128)
-    zero = np.zeros(grid.n_samples, dtype=np.complex128)
+    zero = dark_rail(grid.n_samples)
     if polarization == "x":
         return OpticalField(grid, carrier_frequency, env, zero)
     if polarization == "y":
@@ -192,8 +198,10 @@ def dd_mzm_ssb(
         raise ValueError("dd_mzm_ssb carrier must occupy a single rail")
     m = _ssb_transfer(drive.samples, params)
     if rail in ("x", "dark"):
-        return OpticalField(carrier.grid, carrier.carrier_frequency, carrier.env_x * m, carrier.env_y)
-    return OpticalField(carrier.grid, carrier.carrier_frequency, carrier.env_x, carrier.env_y * m)
+        return OpticalField(carrier.grid, carrier.carrier_frequency,
+                            np.multiply(carrier.env_x, m, out=m), carrier.env_y)
+    return OpticalField(carrier.grid, carrier.carrier_frequency,
+                        carrier.env_x, np.multiply(carrier.env_y, m, out=m))
 
 
 def dp_bpsk_modulate(
@@ -216,24 +224,21 @@ def dp_bpsk_modulate(
     env = carrier.env_x if rail in ("x", "dark") else carrier.env_y
     c = env / np.sqrt(2.0)
     mx = _ssb_transfer(if_drive.samples, p_if)
+    np.multiply(c, mx, out=mx)
     my = _ssb_transfer(lo_drive.samples, p_lo)
-    return OpticalField(carrier.grid, carrier.carrier_frequency, c * mx, c * my)
+    np.multiply(c, my, out=my)
+    return OpticalField(carrier.grid, carrier.carrier_frequency, mx, my)
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:
     """Project onto a linear polarizer axis; output on the X rail."""
     out = np.cos(angle) * field.env_x + np.sin(angle) * field.env_y
-    return OpticalField(
-        field.grid,
-        field.carrier_frequency,
-        out,
-        np.zeros(field.grid.n_samples, dtype=np.complex128),
-    )
+    return OpticalField(field.grid, field.carrier_frequency, out, dark_rail(field.grid.n_samples))
 
 
 def pbs(field: OpticalField) -> tuple[OpticalField, OpticalField]:
     """Split rails losslessly into two single-rail fields."""
-    zero = np.zeros(field.grid.n_samples, dtype=np.complex128)
+    zero = dark_rail(field.grid.n_samples)
     return (
         OpticalField(field.grid, field.carrier_frequency, field.env_x, zero),
         OpticalField(field.grid, field.carrier_frequency, zero, field.env_y),

@@ -8,10 +8,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
-from .errors import AttenuatorInfeasible, DegenerateScan, DelayRangeError
+from .errors import AttenuatorInfeasible, DelayRangeError
 from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink, uplink_evaluator
 from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec, dbm_to_amplitude
 
@@ -116,15 +115,101 @@ def seed_settings(
 
 
 _TAU_TOL = 1e-15  # s, absolute tolerance of the bounded Brent search on tau2
-_N_SCAN = 96  # delays in the coarse scan of verify_phase_constant
+_MAX_EVALS = 500  # objective evaluations before the bounded Brent search stops
 
 
 def _brent_tau2(objective, t_lo: float, t_hi: float) -> float:
-    """Bounded Brent minimizer of objective(tau2) on [t_lo, t_hi]."""
-    res = minimize_scalar(
-        objective, bounds=(t_lo, t_hi), method="bounded", options={"xatol": _TAU_TOL}
-    )
-    return float(res.x)
+    """Bounded Brent minimizer of objective(tau2) on [t_lo, t_hi], t_lo <= t_hi.
+
+    A line-for-line port of `_minimize_scalar_bounded` (fminbound) in SciPy's
+    `scipy/optimize/_optimize.py` (SciPy 1.17), Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers, used under the BSD 3-Clause
+    License. It makes the same operations in the same order, so it evaluates
+    the objective at the same delays and returns the same `x`, bit for bit,
+    as `minimize_scalar(objective, bounds=(t_lo, t_hi), method="bounded",
+    options={"xatol": _TAU_TOL})`, without importing `scipy.optimize`.
+    """
+    xatol = _TAU_TOL
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = t_lo, t_hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = objective(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = objective(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _MAX_EVALS:
+            break
+
+    return float(xf)
 
 
 def _report(ev: UplinkEvaluator, seed: SicSettings, alpha: float, tau2: float) -> TuneReport:
@@ -182,33 +267,3 @@ def auto_tune(s: LinkScenario, wideband: bool = False) -> TuneReport:
     if wideband:
         return refine_alpha(s, seed)
     return refine(s, seed)
-
-
-def _wrap_phase(phi: float) -> float:
-    return float((phi + np.pi) % (2.0 * np.pi) - np.pi)
-
-
-def verify_phase_constant(s: LinkScenario) -> float:
-    """Empirical cancellation phase constant wrap(w_if*tau2* - w_s*tau1).
-
-    Scans tau2 over one IF period at the analytic alpha and locates the
-    depth-maximizing delay.
-    """
-    if not isinstance(s.if_signal, ToneSpec):
-        raise ValueError("verify_phase_constant needs a single-tone scenario")
-    seed = seed_settings(s, run_downlink(s)[0])
-    ev = uplink_evaluator(s, seed.rf_phase_comp)
-    period = 1.0 / s.f_if
-    taus = np.linspace(0.0, period, _N_SCAN, endpoint=False)
-    objs = np.array([ev.residual_band_power_dbm(seed.alpha, t) for t in taus])
-    if objs.max() - objs.min() < 1.0:
-        raise DegenerateScan("residual power flat over the delay scan")
-    k = int(np.argmin(objs))
-    tau_star = _brent_tau2(
-        lambda t: ev.residual_band_power_dbm(seed.alpha, max(t, 0.0)),
-        taus[k] - period / _N_SCAN,
-        taus[k] + period / _N_SCAN,
-    )
-    w_if = 2.0 * np.pi * s.f_if
-    w_s = 2.0 * np.pi * s.f_s
-    return _wrap_phase(w_if * max(tau_star, 0.0) - w_s * s.si_path.delay)

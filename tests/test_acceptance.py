@@ -12,6 +12,7 @@ import pytest
 
 from conftest import CRITERION_LINES
 from optics_oracles import mzm_dsb, ssb_smallsignal_coefficients
+from tuner_oracles import verify_phase_constant
 
 from rofsim.link import UplinkEvaluator, run_downlink, run_full
 from rofsim.optics import (
@@ -30,7 +31,6 @@ from rofsim.tuner import (
     analytic_tau2,
     auto_tune,
     seed_settings,
-    verify_phase_constant,
 )
 
 FC = 191.3e12

@@ -1,6 +1,7 @@
 """End-to-end link behavior: downlink up-conversion, SI path, uplink SIC."""
 
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -231,6 +232,62 @@ class TestKeptStage:
             ev._spec_y[0] = 1.0
         with pytest.raises(ValueError):
             ev._si_bins[0][0] = 1.0
+
+
+class TestMemory:
+    """Dark rails hold no samples, each fibre is evaluated once, and a cold
+    tune and run stays within a traced memory budget."""
+
+    @pytest.mark.parametrize("fibre", [0.0, 4.1])
+    def test_every_dark_rail_is_a_zero_stride_view(self, fibre, monkeypatch):
+        fields = []
+        init = OpticalField.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            fields.append(self)
+
+        monkeypatch.setattr(OpticalField, "__init__", recording)
+        s = tone_scenario(soi=SoiSpec(power_dbm=-22.0), uplink_fiber=FiberParams(length=fibre))
+        run_full(s, auto_tune(s).refined)
+        rofsim.link.downlink_taps(s)
+        dark = [r for f in fields for r in f._held if not np.any(r)]
+        # the laser's Y rail, the polarizer output's Y rail and the X rail of
+        # each re-modulation (SI-only stage and both SOI passes)
+        assert len(dark) >= 6
+        assert all(r.strides == (0,) and not r.flags.writeable for r in dark)
+
+    def test_run_full_evaluates_the_uplink_fibre_once(self, monkeypatch):
+        s = bundled("fig8c", GRID_QAM, soi=SoiSpec(power_dbm=-22.0, arrival_delay=0.1e-9))
+        sic = auto_tune(s).refined  # keeps the stage, so run_full runs only the SOI passes
+        lengths = []
+        transfer = rofsim.link.fiber_transfer
+
+        def recording(fp, grid):
+            lengths.append(fp.length)
+            return transfer(fp, grid)
+
+        monkeypatch.setattr(rofsim.link, "fiber_transfer", recording)
+        run_full(s, sic)
+        assert lengths == [4.1]
+
+    def test_cold_tune_and_run_traced_peak(self):
+        # fig7c at 2^20 samples: the kept modulator output, downlink and
+        # SI-only stage hold 98 MiB when run_full returns; the traced peak
+        # of a cold auto_tune -> run_full measured 112.1 MiB
+        s = load_scenario(bundled_scenario_dir() / "fig7c.scenario")
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_full(s, auto_tune(s).refined)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 117.0 * 2**20
 
 
 GRID_KEYS = TimeGrid(sample_rate=64e9, n_samples=2**16)

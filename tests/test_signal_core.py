@@ -177,11 +177,12 @@ class TestWelchPsd:
 
 
 def test_import_loads_no_scipy_signal():
-    # the Welch estimator runs on scipy.fft, so importing rofsim must not pay
-    # for scipy.signal and the scipy.stats it pulls in
+    # the Welch estimator runs on scipy.fft and the tuner's bounded Brent
+    # search is in the package, so importing rofsim must not pay for
+    # scipy.signal, the scipy.stats it pulls in, or scipy.optimize
     code = (
-        "import sys, rofsim, rofsim.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "import sys, rofsim, rofsim.cli; print(sorted(m for m in "
+        "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))"
     )
     src = str(Path(rofsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

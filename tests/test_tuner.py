@@ -6,22 +6,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
 
-from rofsim.errors import AttenuatorInfeasible, DegenerateScan, DelayRangeError
+from tuner_oracles import DegenerateScan, verify_phase_constant
+
+from rofsim.errors import AttenuatorInfeasible, DelayRangeError
 from rofsim.link import UplinkEvaluator, run_downlink
 from rofsim.scenario import bundled_scenario_dir, load_scenario
 from rofsim.signal_core import TimeGrid
 from rofsim.tuner import (
+    _MAX_EVALS,
+    _TAU_TOL,
     PHASE_CONSTANT,
     SicSettings,
+    _brent_tau2,
     analytic_alpha,
     analytic_tau2,
     auto_tune,
     refine,
     refine_alpha,
     seed_settings,
-    verify_phase_constant,
 )
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**18)
@@ -171,6 +177,76 @@ class TestRefineAlpha:
         seed = seed_settings(s, rf, wideband=True)
         rep = refine_alpha(s, seed)
         assert rep.depth_refined_db >= rep.depth_seed_db - 0.1
+
+
+def bounded_brent_runs(objective, lo, hi):
+    """(x, evaluated points) of the in-package search and of SciPy's bounded
+    Brent search with the tuner's tolerance."""
+    runs = []
+    for search in (
+        lambda f: _brent_tau2(f, lo, hi),
+        lambda f: minimize_scalar(
+            f, bounds=(lo, hi), method="bounded", options={"xatol": _TAU_TOL}
+        ).x,
+    ):
+        points = []
+        x = search(lambda t: (points.append(t), objective(t))[1])
+        runs.append((float(x), points))
+    return runs
+
+
+class TestBoundedBrent:
+    """`_brent_tau2` is a port of SciPy's bounded Brent search: the same
+    evaluated points and the same minimizer, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0), st.floats(0.1, 40.0), st.floats(0.0, 2.0 * np.pi)
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        curvature=st.floats(0.0, 3.0),
+        centre=st.floats(-2.0, 2.0),
+        scale_exp=st.integers(-12, 3),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-3, 10.0),
+    )
+    @example(terms=[(1.0, 3.0, 0.5)], curvature=0.0, centre=0.0, scale_exp=-10, lo=0.0, width=1.0)
+    def test_matches_scipy_on_multimodal_objectives(
+        self, terms, curvature, centre, scale_exp, lo, width
+    ):
+        # a smooth multimodal objective on an interval of width `width *
+        # scale`, with scale from 1e-12 (the tuner's delays) to 1e3
+        scale = 10.0**scale_exp
+        amp, freq, phase = (np.array(c) for c in zip(*terms))
+
+        def objective(t):
+            u = t / scale
+            return float(np.sum(amp * np.sin(freq * u + phase)) + curvature * (u - centre) ** 2)
+
+        (x, points), (x_ref, points_ref) = bounded_brent_runs(
+            objective, lo * scale, (lo + width) * scale
+        )
+        assert x == x_ref
+        assert points == points_ref
+        assert lo * scale <= x <= (lo + width) * scale
+
+    def test_stops_at_the_evaluation_cap(self):
+        # on +-1e120 golden-section steps need more than 500 evaluations to
+        # shrink the bracket to the absolute tolerance around 0
+        (x, points), (x_ref, points_ref) = bounded_brent_runs(
+            lambda t: abs(t) ** 0.1, -1e120, 7e119
+        )
+        res = minimize_scalar(
+            lambda t: abs(t) ** 0.1, bounds=(-1e120, 7e119), method="bounded",
+            options={"xatol": _TAU_TOL},
+        )
+        assert res.status == 1 and res.nfev == _MAX_EVALS  # SciPy hit its cap
+        assert len(points) == _MAX_EVALS
+        assert x == x_ref and points == points_ref
 
 
 class TestPhaseConstant:
