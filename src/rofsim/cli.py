@@ -152,8 +152,9 @@ def cmd_sweep(args) -> int:
     points = [(v, set_axis(s, args.axis, v)) for v in sorted(values)]
     held = auto_tune(s).refined if args.hold_sic else None
     payloads = [(sp, args.hold_sic, held) for _, sp in points]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         # a point equal to the base reuses the stages tuning kept, so it runs first
@@ -190,6 +191,13 @@ def cmd_spectrum(args) -> int:
     _write_spectrum(out / f"{s.name}_{args.tap}.csv", est, label)
     print(f"{s.name}_{args.tap}.csv")
     return 0
+
+
+def _worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-run over an axis of scenario values")
     common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=_worker_count, default=1,
+                         help="parallel workers (at most one per point)")
     p_sweep.add_argument("--axis", required=True, help="dotted scenario key, e.g. downlink_fiber.length_km")
     p_sweep.add_argument("--values", required=True, help="comma-separated numeric values")
     p_sweep.add_argument(

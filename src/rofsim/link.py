@@ -13,7 +13,6 @@ from .optics import (
     FiberParams,
     ModulatorParams,
     OpticalField,
-    dark_rail,
     dd_mzm_ssb,
     delay_line,
     dp_bpsk_modulate,
@@ -22,6 +21,7 @@ from .optics import (
     laser_cw,
     pbs,
     photodetect,
+    polarizer,
 )
 from .signal_core import (
     QamSignalSpec,
@@ -273,12 +273,8 @@ def _modulator_output(s: LinkScenario) -> OpticalField:
     """The kept modulator output, held in the domain the link of `s` carries.
     A kept output held in the other domain is converted in its place (two
     transforms) instead of being modulated again."""
-    spectral = _carries_spectra(s)
-    out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
-    if out.spectral != (spectral, spectral):
-        rails = (out.spectrum_x, out.spectrum_y) if spectral else (out.env_x, out.env_y)
-        out = OpticalField(out.grid, out.carrier_frequency, *rails, spectral=(spectral,) * 2)
-        _kept[0] = (_kept[0][0], out)
+    out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s)).held_as((_carries_spectra(s),) * 2)
+    _kept[0] = (_kept[0][0], out)
     return out
 
 
@@ -290,35 +286,17 @@ def downlink_taps(s: LinkScenario) -> dict:
     The EDFA, the fiber, the splitter and the polarizer act on the rails in
     the domain the modulator output is held in. Held as spectra, the chain
     transforms two rails: the polarizer output, for the photodiode, and the
-    RU Y rail, for the uplink modulator. The RU X rail stays a spectrum.
+    RU Y rail, for the uplink modulator. The RU X rail stays in its domain.
     """
-    grid = s.grid
     dp_out = _modulator_output(s)
-    spectral = dp_out.spectral[0]
-    rails = (dp_out.spectrum_x, dp_out.spectrum_y) if spectral else (dp_out.env_x, dp_out.env_y)
-    x, y = (np.array(r) for r in rails)  # one copy of the kept rails
-
-    def scale(k):
-        """x, y = k * x, k * y in place, in that operand order."""
-        np.multiply(k, x, out=x)
-        np.multiply(k, y, out=y)
-
-    gain = 10.0 ** (s.edfa_gain_db / 20.0)
-    if s.edfa_position == "co":
-        scale(gain)
-    if s.downlink_fiber.length:
-        scale(fiber_transfer(s.downlink_fiber, grid))
-    if s.edfa_position == "ru":
-        scale(gain)
-    # 3-dB optical splitter: both outputs carry the same read-only field
-    scale(1.0 / np.sqrt(2.0))
-    pol = np.cos(np.pi / 4.0) * x  # the 45-degree polarizer
-    pol += np.sin(np.pi / 4.0) * y
-    if spectral:
-        pol = sfft.ifft(pol, workers=_FFT_WORKERS, overwrite_x=True)
-        y = sfft.ifft(y, workers=_FFT_WORKERS, overwrite_x=True)
-    ru_field = OpticalField(grid, s.carrier_frequency, x, y, spectral=(spectral, False))
-    pol_out = OpticalField(grid, s.carrier_frequency, pol, dark_rail(grid.n_samples))
+    edfa = (10.0 ** (s.edfa_gain_db / 20.0),)
+    co, ru = (edfa, ()) if s.edfa_position == "co" else ((), edfa)
+    # EDFA at the CO, fiber, EDFA at the RU and the 3-dB optical splitter,
+    # whose two outputs carry the same read-only field
+    split = fiber_propagate(dp_out.scaled(*co), s.downlink_fiber).scaled(*ru, 1.0 / np.sqrt(2.0))
+    ru_field = split.held_as((split.spectral[0], False))
+    pol_out = polarizer(split, np.pi / 4.0).held_as((False, False))
+    del split  # a spectrum Y rail is freed before the photodiode runs
     rf = filter_band(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
     return {
         "dp_bpsk_out": dp_out,
@@ -393,27 +371,17 @@ def make_received_signal(
 
 
 def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenario) -> OpticalField:
-    """RU re-modulation: the received RF drives the SSB modulator on the Y rail.
-    Only that rail of the RU field is read; the output's X rail is dark."""
-    y_rail = OpticalField(s.grid, ru_field.carrier_frequency, dark_rail(s.grid.n_samples),
-                          ru_field.env_y)
-    return dd_mzm_ssb(y_rail, received, s.mod_uplink)
+    """RU re-modulation: the received RF drives the SSB modulator on the Y
+    output of the RU's beam splitter; the output's X rail is dark."""
+    return dd_mzm_ssb(pbs(ru_field)[1], received, s.mod_uplink)
 
 
 def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
     """Photocurrent i_X of the reference arm: the X rail of the RU field carried
-    to the CO and delayed by tau2, in the time domain (the test oracle of the
-    SIC stage). It never touches the uplink RF."""
+    to the CO and delayed by tau2 in the optical delay line (the test oracle
+    of the SIC stage). It never touches the uplink RF."""
     x_co = fiber_propagate(pbs(ru_field)[0], s.uplink_fiber)
     return photodetect(delay_line(x_co, tau2), s.responsivity).samples
-
-
-def _square_law(env: np.ndarray, responsivity: float) -> np.ndarray:
-    """Photocurrent R*|env|^2 of one lit rail, rounded as `photodetect` rounds it."""
-    current = env.real**2
-    current += env.imag**2
-    current *= responsivity
-    return current
 
 
 def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
@@ -421,15 +389,15 @@ def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
     return fiber_transfer(s.uplink_fiber, s.grid) if s.uplink_fiber.length else None
 
 
-def _reference_spectrum(ru_field: OpticalField, s: LinkScenario, h_up: np.ndarray | None) -> np.ndarray:
-    """A = rfft(i_X) of the reference arm at zero delay. An X rail held as a
-    spectrum crosses both fibers as one product, R*|ifft(h_up * X_ru)|^2."""
-    if ru_field.spectral[0]:
-        x_ru = ru_field.spectrum_x
-        env = sfft.ifft(x_ru if h_up is None else h_up * x_ru, workers=_FFT_WORKERS)
-    else:
-        env = ru_field.env_x
-    return sfft.rfft(_square_law(env, s.responsivity), workers=_FFT_WORKERS)
+def _arm_spectrum(field: OpticalField, s: LinkScenario, h_up: np.ndarray | None) -> np.ndarray:
+    """rfft of the photocurrent of one SIC arm: `field` carried to the CO
+    through the uplink fiber, whose transfer is `h_up` (None: no length). A
+    rail held as a spectrum is transformed, and its spectrum freed, before
+    it is detected."""
+    if h_up is not None:
+        field = field.filtered(h_up)
+    field = field.held_as((False, False))
+    return sfft.rfft(photodetect(field, s.responsivity).samples, workers=_FFT_WORKERS)
 
 
 def _signal_spectrum(
@@ -437,12 +405,9 @@ def _signal_spectrum(
 ) -> np.ndarray:
     """B = rfft(i_Y) of the signal arm that `received` re-modulates; `h_up` is
     the uplink fiber's transfer when the caller holds it."""
-    env = remodulate(run_downlink(s)[1], received, s).env_y
-    if s.uplink_fiber.length:
-        spec = sfft.fft(env, workers=_FFT_WORKERS)
-        spec *= _uplink_transfer(s) if h_up is None else h_up
-        env = sfft.ifft(spec, workers=_FFT_WORKERS, overwrite_x=True)
-    return sfft.rfft(_square_law(env, s.responsivity), workers=_FFT_WORKERS)
+    h_up = _uplink_transfer(s) if h_up is None else h_up
+    # passed unbound, so the re-modulated rail is freed once it is filtered
+    return _arm_spectrum(remodulate(run_downlink(s)[1], received, s), s, h_up)
 
 
 def output_decimation(grid: TimeGrid, lpf: float) -> int:
@@ -515,7 +480,7 @@ class UplinkEvaluator:
         self.received = _compensated(make_received_signal(rf, s.si_path), rf_phase_comp)
         h_up = _uplink_transfer(s)  # both arms cross the uplink fiber
         self._spec_y = _signal_spectrum(self.received, s, h_up)
-        self._spec_x = _reference_spectrum(ru, s, h_up)
+        self._spec_x = _arm_spectrum(pbs(ru)[0], s, h_up)  # A: the reference arm at zero delay
         freqs = self.grid.rfreqs()
         f_lo, f_hi = s.si_band()
         mask = (freqs >= f_lo) & (freqs <= f_hi)

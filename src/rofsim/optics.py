@@ -40,6 +40,8 @@ class OpticalField:
     through linear elements only. `env_x`/`env_y` give a rail's samples and
     `spectrum_x`/`spectrum_y` its spectrum; a rail held in the other domain is
     transformed on demand and the result is not kept. Rails are read-only.
+    The linear steps `scaled` and `filtered` act on each rail in the domain it
+    is held in; `held_as` converts.
     """
 
     def __init__(self, grid: TimeGrid, carrier_frequency: float, env_x, env_y,
@@ -76,6 +78,39 @@ class OpticalField:
     @property
     def spectrum_y(self) -> np.ndarray:
         return self._spectrum(1)
+
+    def held_as(self, spectral: tuple[bool, bool]) -> OpticalField:
+        """The field with its rails held in the given domains (itself if they are)."""
+        if tuple(spectral) == self.spectral:
+            return self
+        rails = [self._spectrum(i) if sp else self._samples(i) for i, sp in enumerate(spectral)]
+        return OpticalField(self.grid, self.carrier_frequency, *rails, spectral=spectral)
+
+    def _each_lit(self, step) -> OpticalField:
+        """step(rail, spectral) on each lit rail, in its held domain; a dark rail stays dark."""
+        rails = [step(r, sp) if np.any(r) else r for r, sp in zip(self._held, self.spectral)]
+        return OpticalField(self.grid, self.carrier_frequency, *rails, spectral=self.spectral)
+
+    def scaled(self, *factors: float) -> OpticalField:
+        """Scalar gain: each lit rail times every factor in turn (k * rail), into
+        one new buffer per rail; with no factor, the field itself."""
+        def step(rail, _):
+            out = np.multiply(factors[0], rail)
+            for k in factors[1:]:
+                np.multiply(k, out, out=out)
+            return out
+        return self._each_lit(step) if factors else self
+
+    def filtered(self, h: np.ndarray) -> OpticalField:
+        """Linear filter: each lit rail's spectrum times h (on `grid.freqs()`);
+        h * rail for a spectrum rail, one FFT pair (inverse in place) for samples."""
+        def step(rail, spectral):
+            if spectral:
+                return h * rail
+            spec = sfft.fft(rail, workers=_FFT_WORKERS)
+            spec *= h
+            return sfft.ifft(spec, workers=_FFT_WORKERS, overwrite_x=True)
+        return self._each_lit(step)
 
     def total_power(self) -> float:
         """Time-averaged optical power in watts."""
@@ -231,17 +266,23 @@ def dp_bpsk_modulate(
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:
-    """Project onto a linear polarizer axis; output on the X rail."""
-    out = np.cos(angle) * field.env_x + np.sin(angle) * field.env_y
-    return OpticalField(field.grid, field.carrier_frequency, out, dark_rail(field.grid.n_samples))
+    """Project onto a linear polarizer axis; output on the X rail, in the
+    domain the input's X rail is held in."""
+    x, y = field.held_as((field.spectral[0],) * 2)._held
+    out = np.cos(angle) * x
+    out += np.sin(angle) * y
+    return OpticalField(field.grid, field.carrier_frequency, out,
+                        dark_rail(field.grid.n_samples), spectral=(field.spectral[0], False))
 
 
 def pbs(field: OpticalField) -> tuple[OpticalField, OpticalField]:
-    """Split rails losslessly into two single-rail fields."""
+    """Split rails losslessly into two single-rail fields; each rail stays in
+    the domain it is held in."""
     zero = dark_rail(field.grid.n_samples)
+    (x, y), (sx, sy) = field._held, field.spectral
     return (
-        OpticalField(field.grid, field.carrier_frequency, field.env_x, zero),
-        OpticalField(field.grid, field.carrier_frequency, zero, field.env_y),
+        OpticalField(field.grid, field.carrier_frequency, x, zero, spectral=(sx, False)),
+        OpticalField(field.grid, field.carrier_frequency, zero, y, spectral=(False, sy)),
     )
 
 
@@ -251,18 +292,8 @@ def pbc(x: OpticalField, y: OpticalField) -> OpticalField:
         raise GridError("pbc inputs do not share a grid")
     if x.rail() in ("y", "both") or y.rail() in ("x", "both"):
         raise RailConflict("pbc inputs must occupy complementary rails")
-    return OpticalField(x.grid, x.carrier_frequency, x.env_x, y.env_y)
-
-
-def _filter_rails(field: OpticalField, h: np.ndarray) -> OpticalField:
-    """Multiply the spectrum of each rail by h; a dark rail stays dark."""
-
-    def run(env):
-        if not np.any(env):
-            return env
-        return sfft.ifft(sfft.fft(env, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
-
-    return OpticalField(field.grid, field.carrier_frequency, run(field.env_x), run(field.env_y))
+    return OpticalField(x.grid, x.carrier_frequency, x._held[0], y._held[1],
+                        spectral=(x.spectral[0], y.spectral[1]))
 
 
 def fiber_transfer(fp: FiberParams, grid: TimeGrid) -> np.ndarray:
@@ -285,10 +316,10 @@ def fiber_transfer(fp: FiberParams, grid: TimeGrid) -> np.ndarray:
 
 
 def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
-    """Chromatic dispersion and loss (`fiber_transfer`) on both rails, in the time domain."""
+    """Chromatic dispersion and loss (`fiber_transfer`) on both rails."""
     if fp.length == 0.0:
         return field
-    return _filter_rails(field, fiber_transfer(fp, field.grid))
+    return field.filtered(fiber_transfer(fp, field.grid))
 
 
 def delay_line(field: OpticalField, tau: float) -> OpticalField:
@@ -300,18 +331,21 @@ def delay_line(field: OpticalField, tau: float) -> OpticalField:
     ph = np.exp(-2j * np.pi * field.grid.freqs() * tau) * np.exp(
         -2j * np.pi * field.carrier_frequency * tau
     )
-    return _filter_rails(field, ph)
+    return field.filtered(ph)
 
 
 def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWaveform:
     """Square-law detection of the total intensity (polarization-insensitive).
 
-    A dark rail adds nothing and is skipped, as in `_filter_rails`.
+    A dark rail adds nothing and is skipped, as in `OpticalField.filtered`.
     """
-    intensity = np.zeros(field.grid.n_samples)
+    intensity = None  # starts at the first lit rail's square (0 + a == a), not at zeros
     for env in (field.env_x, field.env_y):
         if np.any(env):
-            intensity += env.real**2
+            square = env.real**2
+            intensity = square if intensity is None else np.add(intensity, square, out=intensity)
             intensity += env.imag**2
+    if intensity is None:
+        intensity = np.zeros(field.grid.n_samples)
     intensity *= responsivity
     return SampledWaveform(field.grid, intensity)

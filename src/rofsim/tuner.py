@@ -63,6 +63,10 @@ def analytic_tau2(
     """
     if omega_if <= 0:
         raise ValueError("omega_if must be positive")
+    if tau1 >= horizon:  # the fold below would take about tau2 / period passes
+        raise DelayRangeError(
+            f"SI delay {tau1:.3g} s is not below the horizon of {horizon:.3g} s"
+        )
     tau = omega_s * tau1 / omega_if
     if not wideband:
         tau += PHASE_CONSTANT / omega_if

@@ -115,6 +115,13 @@ def test_held_fiber_sweep_reuses_each_stage(tmp_path, fig8c_file):
     # the QAM drive's pair, the kept modulator spectra, then per point the
     # polarizer output, the RU Y rail, the reference arm and the signal arm's pair
     assert tracer.calls["fft.complex"] == 2 + 2 + 3 * 5
+    # the link chains the optics elements: per point one downlink fiber (0 km
+    # included), one polarizer and three photodiodes (the downlink's and the
+    # two SIC arms'), and the RU's beam splitter once per SIC arm
+    assert tracer.calls["optics.fiber_propagate"] == 3
+    assert tracer.calls["optics.polarizer"] == 3
+    assert tracer.calls["optics.pbs_pbc"] == 3 * 2
+    assert tracer.calls["optics.photodetect"] == 3 * 3
     csv = "fig8c_sweep_downlink_fiber_length_km.csv"
     serial = (tmp_path / "j1" / csv).read_bytes()
     assert [line.split(b",")[0] for line in serial.splitlines()[2:]] == [

@@ -396,6 +396,35 @@ class TestCliSweep:
         values = [float(l.split(",")[0]) for l in lines[2:]]
         assert values == sorted(values) == [26.0, 28.0, 30.0]
 
+    def test_pool_is_capped_at_the_number_of_points(self, tmp_path, small_scenario, monkeypatch):
+        workers = []
+
+        class InProcess:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rofsim.cli, "ProcessPoolExecutor", InProcess)
+        argv = ["sweep", str(small_scenario), "--out", str(tmp_path), "--axis",
+                "si_path.delay_ns", "--values", "0.5,1.0,1.5", "--hold-sic", "--jobs"]
+        assert main(argv + ["64"]) == 0
+        assert workers == [3]
+        for jobs in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [jobs])
+            assert exc.value.code == 2
+        assert workers == [3]
+
     def test_parallel_matches_serial(self, tmp_path, small_scenario):
         texts = []
         for sub, jobs in (("s", "1"), ("p", "2")):
@@ -464,11 +493,19 @@ class TestCliSpectrum:
         path = tmp_path / "fig7a.scenario"
         save_scenario(s, path)
         est = run_full(s, SicSettings()).spectrum_without_sic
+        rofsim.link._kept[2] = None  # so building the SI-only stage is seen
+        arm = rofsim.link._arm_spectrum
 
         def refuse(*args, **kwargs):
             raise AssertionError("reference arm detected for the bpd_out tap")
 
-        monkeypatch.setattr(rofsim.link, "reference_current", refuse)
+        def signal_arm_only(field, *args):
+            if field.rail() != "y":
+                refuse()
+            return arm(field, *args)
+
+        monkeypatch.setattr(rofsim.link.UplinkEvaluator, "__init__", refuse)
+        monkeypatch.setattr(rofsim.link, "_arm_spectrum", signal_arm_only)
         rc = main(["spectrum", str(path), "--out", str(tmp_path), "--tap", "bpd_out"])
         assert rc == 0
         lines = (tmp_path / "fig7a_bpd_out.csv").read_text().splitlines()

@@ -12,9 +12,10 @@ from scipy.special import j0, j1
 
 from tuner_oracles import DegenerateScan, verify_phase_constant
 
+from rofsim.cli import main
 from rofsim.errors import AttenuatorInfeasible, DelayRangeError
-from rofsim.link import UplinkEvaluator, run_downlink
-from rofsim.scenario import bundled_scenario_dir, load_scenario
+from rofsim.link import SelfInterferencePath, UplinkEvaluator, run_downlink
+from rofsim.scenario import bundled_scenario_dir, load_scenario, save_scenario
 from rofsim.signal_core import TimeGrid
 from rofsim.tuner import (
     _MAX_EVALS,
@@ -103,6 +104,22 @@ class TestAnalyticTau2:
         assert analytic_tau2(self.W_IF, self.W_S, 0.0, horizon=0.2e-9) == pytest.approx(0.1875e-9)
         with pytest.raises(DelayRangeError, match="horizon"):
             analytic_tau2(self.W_IF, self.W_S, 0.0, horizon=0.1e-9)
+
+    def test_delay_beyond_the_horizon_is_rejected_before_the_fold(self, tmp_path, capsys):
+        # the fold steps tau2 down by one IF period per pass: 10 us needs ~8e4
+        # passes, and at 1e30 ns (tau2 ~ 3.9e21 s) tau2 - period == tau2
+        w_if, w_s, horizon = 2 * np.pi * 2.1e9, 2 * np.pi * 8.1e9, 4.096e-6
+        with pytest.raises(DelayRangeError, match="horizon"):
+            analytic_tau2(w_if, w_s, 10e-6, horizon=horizon)
+        with pytest.raises(DelayRangeError, match="horizon"):
+            analytic_tau2(w_if, w_s, 1e30 * 1e-9, horizon=horizon)
+        s = tone_scenario()
+        path = tmp_path / "far.scenario"
+        far = SelfInterferencePath(gain_db=s.si_path.gain_db, delay=1e30 * 1e-9)
+        save_scenario(dataclasses.replace(s, si_path=far, grid=TimeGrid(64e9, 2**12)), path)
+        assert load_scenario(path).si_path.delay == pytest.approx(1e21)  # the loader takes it
+        assert main(["tune", str(path), "--out", str(tmp_path)]) == 3
+        assert "horizon" in capsys.readouterr().err
 
 
 class TestSeedSettings:
