@@ -14,7 +14,6 @@ from .errors import (
     AxisError,
     DelayRangeError,
     FilterSpecError,
-    GainNotAllowed,
     GridError,
     LockError,
     RailConflict,
@@ -47,7 +46,6 @@ from .optics import (
     ModulatorParams,
     OpticalField,
     dd_mzm_ssb,
-    delay_line,
     dp_bpsk_modulate,
     fiber_propagate,
     fiber_transfer,
@@ -102,7 +100,6 @@ __all__ = [
     "FilterSpecError",
     "LockError",
     "RailConflict",
-    "GainNotAllowed",
     "DelayRangeError",
     "AttenuatorInfeasible",
     "SimulationError",
@@ -136,7 +133,6 @@ __all__ = [
     "pbc",
     "fiber_propagate",
     "fiber_transfer",
-    "delay_line",
     "photodetect",
     # link
     "LinkScenario",

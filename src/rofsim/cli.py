@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import RofsimError, ScenarioError, AxisError, TapError, SimulationError
+from .errors import RofsimError, ScenarioError, AxisError, TapError
 from .link import (
     LinkScenario,
     SicSettings,
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except (ScenarioError, AxisError, TapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, RofsimError) as exc:
+    except RofsimError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
 

@@ -33,10 +33,6 @@ class RailConflict(RofsimError):
     """Polarization beam combiner inputs occupy the same rail."""
 
 
-class GainNotAllowed(RofsimError):
-    """Attenuator asked to amplify (power ratio above one)."""
-
-
 class DelayRangeError(RofsimError):
     """Delay too large for the simulated record."""
 

@@ -14,7 +14,6 @@ from .optics import (
     ModulatorParams,
     OpticalField,
     dd_mzm_ssb,
-    delay_line,
     dp_bpsk_modulate,
     fiber_propagate,
     fiber_transfer,
@@ -376,14 +375,6 @@ def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenari
     return dd_mzm_ssb(pbs(ru_field)[1], received, s.mod_uplink)
 
 
-def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
-    """Photocurrent i_X of the reference arm: the X rail of the RU field carried
-    to the CO and delayed by tau2 in the optical delay line (the test oracle
-    of the SIC stage). It never touches the uplink RF."""
-    x_co = fiber_propagate(pbs(ru_field)[0], s.uplink_fiber)
-    return photodetect(delay_line(x_co, tau2), s.responsivity).samples
-
-
 def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
     """The uplink fiber's transfer function; None when it has no length."""
     return fiber_transfer(s.uplink_fiber, s.grid) if s.uplink_fiber.length else None
@@ -468,7 +459,7 @@ class UplinkEvaluator:
     drops the carrier phase of the reference-arm delay, and delaying the
     envelope by tau2 multiplies the bins of its intensity by
     exp(-2j*pi*f*tau2), exactly while the envelope content lies below fs/4.
-    Then rfft(bpd_raw(alpha, tau2)) = alpha*A*exp(-2j*pi*f*tau2) - B: the
+    Then rfft(i_X - i_Y) at (alpha, tau2) = alpha*A*exp(-2j*pi*f*tau2) - B: the
     objective reads its SI-band bins, and the outputs are one irfft of it.
     """
 
@@ -488,12 +479,6 @@ class UplinkEvaluator:
         for a in (self._spec_y, self._spec_x, *self._si_bins):
             a.flags.writeable = False  # a kept stage is shared by every caller
         self._d = output_decimation(self.grid, s.lpf)
-
-    def bpd_raw(self, alpha: float, tau2: float) -> np.ndarray:
-        """Unfiltered balanced-detector output i_X - i_Y, with the reference arm
-        delayed and detected in the time domain."""
-        i_x = reference_current(run_downlink(self.scenario)[1], self.scenario, tau2)
-        return alpha * i_x - sfft.irfft(self._spec_y, self.grid.n_samples, workers=_FFT_WORKERS)
 
     def _reference_bins(self, tau2: float) -> np.ndarray:
         a, _, f = self._si_bins

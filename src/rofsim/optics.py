@@ -112,12 +112,6 @@ class OpticalField:
             return sfft.ifft(spec, workers=_FFT_WORKERS, overwrite_x=True)
         return self._each_lit(step)
 
-    def total_power(self) -> float:
-        """Time-averaged optical power in watts."""
-        return float(
-            np.mean(np.abs(self.env_x) ** 2) + np.mean(np.abs(self.env_y) ** 2)
-        )
-
     def rail(self) -> str:
         """Which rail carries energy: 'x', 'y', 'both' or 'dark'."""
         has_x, has_y = (bool(np.any(rail)) for rail in self._held)
@@ -320,18 +314,6 @@ def fiber_propagate(field: OpticalField, fp: FiberParams) -> OpticalField:
     if fp.length == 0.0:
         return field
     return field.filtered(fiber_transfer(fp, field.grid))
-
-
-def delay_line(field: OpticalField, tau: float) -> OpticalField:
-    """True optical delay: envelope delay plus carrier phase e^{-j w_c tau}."""
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0.0:
-        return field
-    ph = np.exp(-2j * np.pi * field.grid.freqs() * tau) * np.exp(
-        -2j * np.pi * field.carrier_frequency * tau
-    )
-    return field.filtered(ph)
 
 
 def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWaveform:

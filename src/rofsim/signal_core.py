@@ -103,10 +103,6 @@ class SampledWaveform:
             raise ValueError("waveform contains non-finite samples")
         self.samples.flags.writeable = False
 
-    def mean_power(self) -> float:
-        """Mean-square value into a unit load (A^2/2 for a tone of amplitude A)."""
-        return float(np.mean(self.samples**2))
-
     def __add__(self, other: "SampledWaveform") -> "SampledWaveform":
         require_same_grid(self, other)
         return SampledWaveform(self.grid, self.samples + other.samples)

@@ -63,7 +63,9 @@ def analytic_tau2(
     """
     if omega_if <= 0:
         raise ValueError("omega_if must be positive")
-    if tau1 >= horizon:  # the fold below would take about tau2 / period passes
+    if tau1 < 0.0:  # the folds below take about |tau2| / period passes
+        raise DelayRangeError(f"SI delay {tau1:.3g} s must be non-negative")
+    if tau1 >= horizon:
         raise DelayRangeError(
             f"SI delay {tau1:.3g} s is not below the horizon of {horizon:.3g} s"
         )

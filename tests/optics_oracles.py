@@ -1,14 +1,31 @@
-"""Optical elements that the link does not use, kept as test oracles: a
-push-pull DSB modulator (the power-fading control of C6), the small-signal
-Bessel lines of the SSB modulator, an optical attenuator and a balanced
-detector."""
+"""What the link does not run, kept as test oracles: a push-pull DSB modulator
+(the power-fading control of C6), the small-signal Bessel lines of the SSB
+modulator, an optical attenuator, a true optical delay line, a balanced
+detector, the time-domain reference arm of the SIC stage and the power of a
+field or a waveform."""
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.special import j0, j1
 
-from rofsim.errors import GainNotAllowed, GridError
-from rofsim.optics import ModulatorParams, OpticalField, photodetect
-from rofsim.signal_core import SampledWaveform
+from rofsim.errors import GridError, RofsimError
+from rofsim.link import LinkScenario, UplinkEvaluator, run_downlink
+from rofsim.optics import ModulatorParams, OpticalField, fiber_propagate, pbs, photodetect
+from rofsim.signal_core import _FFT_WORKERS, SampledWaveform
+
+
+class GainNotAllowed(RofsimError):
+    """Attenuator asked to amplify (power ratio above one)."""
+
+
+def total_power(field: OpticalField) -> float:
+    """Time-averaged optical power of a field in watts."""
+    return float(np.mean(np.abs(field.env_x) ** 2) + np.mean(np.abs(field.env_y) ** 2))
+
+
+def mean_power(w: SampledWaveform) -> float:
+    """Mean-square value of a waveform into a unit load (A^2/2 for a tone of amplitude A)."""
+    return float(np.mean(w.samples**2))
 
 
 def mzm_dsb(
@@ -56,6 +73,18 @@ def attenuate(field: OpticalField, alpha: float) -> OpticalField:
     )
 
 
+def delay_line(field: OpticalField, tau: float) -> OpticalField:
+    """True optical delay: envelope delay plus carrier phase e^{-j w_c tau}."""
+    if tau < 0.0:
+        raise ValueError("tau must be non-negative")
+    if tau == 0.0:
+        return field
+    ph = np.exp(-2j * np.pi * field.grid.freqs() * tau) * np.exp(
+        -2j * np.pi * field.carrier_frequency * tau
+    )
+    return field.filtered(ph)
+
+
 def balanced_detect(
     plus: OpticalField, minus: OpticalField, responsivity: float = 0.8
 ) -> SampledWaveform:
@@ -66,3 +95,18 @@ def balanced_detect(
         plus.grid,
         photodetect(plus, responsivity).samples - photodetect(minus, responsivity).samples,
     )
+
+
+def reference_current(ru_field: OpticalField, s: LinkScenario, tau2: float) -> np.ndarray:
+    """Photocurrent i_X of the reference arm: the X rail of the RU field carried
+    to the CO and delayed by tau2 in the optical delay line. It never touches
+    the uplink RF."""
+    x_co = fiber_propagate(pbs(ru_field)[0], s.uplink_fiber)
+    return photodetect(delay_line(x_co, tau2), s.responsivity).samples
+
+
+def bpd_raw(ev: UplinkEvaluator, alpha: float, tau2: float) -> np.ndarray:
+    """Unfiltered balanced-detector output i_X - i_Y of the SIC stage `ev`, with
+    the reference arm delayed and detected in the time domain."""
+    i_x = reference_current(run_downlink(ev.scenario)[1], ev.scenario, tau2)
+    return alpha * i_x - sfft.irfft(ev._spec_y, ev.grid.n_samples, workers=_FFT_WORKERS)

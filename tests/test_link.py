@@ -28,7 +28,6 @@ from rofsim.optics import (
     FiberParams,
     OpticalField,
     dd_mzm_ssb,
-    delay_line,
     fiber_propagate,
     pbs,
     photodetect,
@@ -50,7 +49,7 @@ from rofsim.signal_core import (
 )
 from rofsim.tuner import SicSettings, auto_tune, seed_settings
 
-from optics_oracles import attenuate, balanced_detect
+from optics_oracles import attenuate, balanced_detect, bpd_raw, delay_line, mean_power
 
 GRID_TONE = TimeGrid(sample_rate=64e9, n_samples=2**18)
 GRID_QAM = TimeGrid(sample_rate=64e9, n_samples=2**19)
@@ -111,8 +110,8 @@ class TestRunDownlink:
         dark = dataclasses.replace(
             s, if_signal=dataclasses.replace(s.if_signal, amplitude=0.0)
         )
-        p_on = run_downlink(s)[0].mean_power()
-        p_off = run_downlink(dark)[0].mean_power()
+        p_on = mean_power(run_downlink(s)[0])
+        p_off = mean_power(run_downlink(dark)[0])
         assert 10 * np.log10(p_on / max(p_off, 1e-300)) >= 80.0
 
     def test_tune_then_run_computes_downlink_once(self, monkeypatch):
@@ -501,7 +500,7 @@ class TestMakeReceivedSignal:
     def test_gain_scaling(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
         r = make_received_signal(w, SelfInterferencePath(gain_db=-20.0, delay=0.0))
-        assert r.mean_power() == pytest.approx(w.mean_power() / 100.0, rel=1e-9)
+        assert mean_power(r) == pytest.approx(mean_power(w) / 100.0, rel=1e-9)
 
     def test_excessive_delay_rejected(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
@@ -514,7 +513,7 @@ class TestBuildSoi:
         s = tone_scenario(2e9, 5e9)
         s = dataclasses.replace(s, soi=dataclasses.replace(bundled("fig7a", GRID_QAM).soi))
         w = build_soi_waveform(s)
-        assert w.mean_power() == pytest.approx(
+        assert mean_power(w) == pytest.approx(
             dbm_to_amplitude(-22.0) ** 2 / 2, rel=1e-9
         )
         est = welch_psd(w, s.rbw)
@@ -612,7 +611,7 @@ class TestRunFull:
 
 def full_fft_band_power_dbm(ev: UplinkEvaluator, alpha: float, tau2: float) -> float:
     """Reference objective: SI-band power of the full-record FFT of bpd_raw."""
-    x = ev.bpd_raw(alpha, tau2)
+    x = bpd_raw(ev, alpha, tau2)
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size, ev.grid.dt)
     f_lo, f_hi = ev.scenario.si_band()
@@ -645,7 +644,7 @@ class TestClosedFormObjective:
             assert ev.residual_band_power_dbm(alpha, tau2) == pytest.approx(
                 full_fft_band_power_dbm(ev, alpha, tau2), abs=1e-3
             )
-            raw = SampledWaveform(ev.grid, ev.bpd_raw(alpha, tau2))
+            raw = SampledWaveform(ev.grid, bpd_raw(ev, alpha, tau2))
             ref = filter_band(raw, "lowpass", s.lpf).samples[:: output_decimation(s.grid, s.lpf)]
             np.testing.assert_allclose(
                 ev.outputs(alpha, tau2)[0].samples,
@@ -743,7 +742,7 @@ class TestOutputRate:
         ev = uplink_evaluator(s, sic.rf_phase_comp)
         est = {}
         for tag, alpha in (("with", sic.alpha), ("without", 0.0)):
-            raw = SampledWaveform(s.grid, ev.bpd_raw(alpha, sic.tau2))
+            raw = SampledWaveform(s.grid, bpd_raw(ev, alpha, sic.tau2))
             est[tag] = welch_psd(filter_band(raw, "lowpass", s.lpf), s.rbw)
         band = s.si_band()
         assert m.depth_db == pytest.approx(
@@ -813,25 +812,40 @@ class TestReferenceArmOracle:
                 attenuate(delay_line(x_co, tau2), alpha), y_co, s.responsivity
             ).samples
             np.testing.assert_allclose(
-                ev.bpd_raw(alpha, tau2), ref, rtol=0, atol=1e-12 * np.abs(ref).max()
+                bpd_raw(ev, alpha, tau2), ref, rtol=0, atol=1e-12 * np.abs(ref).max()
             )
 
     def test_run_full_never_delays_the_reference(self, monkeypatch):
         # run_full applies tau2 as a spectral phase and detects the reference
-        # rail directly; the optical delay line is only the oracle's
-        taus = []
+        # rail directly; the optical delay line, a filter on the field, is
+        # only the oracle's, and a fibre-free link filters no field
+        filters = []
+        filtered = OpticalField.filtered
 
-        def recording_delay_line(field, tau):
-            taus.append(tau)
-            return delay_line(field, tau)
+        def recording_filtered(field, h):
+            filters.append(h)
+            return filtered(field, h)
 
-        monkeypatch.setattr(rofsim.link, "delay_line", recording_delay_line)
+        monkeypatch.setattr(OpticalField, "filtered", recording_filtered)
         s = bundled("fig7a", GRID_QAM)
         assert s.soi is not None
+        assert s.downlink_fiber.length == s.uplink_fiber.length == 0.0
         sic = seed_settings(s, run_downlink(s)[0])
         assert sic.tau2 > 0.0
         run_full(s, sic)
-        assert taus == []
+        assert filters == []
+
+    def test_package_keeps_no_oracle(self):
+        # the time-domain reference arm and the test-only optics live in
+        # tests/optics_oracles.py
+        moved = ("delay_line", "reference_current", "bpd_raw", "total_power", "mean_power",
+                 "GainNotAllowed")
+        for module in (rofsim, rofsim.link, rofsim.optics, rofsim.errors):
+            assert not [name for name in moved if hasattr(module, name)], module.__name__
+        assert not set(moved) & set(rofsim.__all__)
+        assert not hasattr(UplinkEvaluator, "bpd_raw")
+        assert not hasattr(OpticalField, "total_power")
+        assert not hasattr(SampledWaveform, "mean_power")
 
     def test_full_pass_matches_optics(self):
         # adding the SOI changes only the signal arm, so the full pass is the

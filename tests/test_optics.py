@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import j0, j1
 
-from rofsim.errors import GainNotAllowed, RailConflict
+from rofsim.errors import RailConflict
 from rofsim.optics import (
     FiberParams,
     ModulatorParams,
     OpticalField,
     dd_mzm_ssb,
-    delay_line,
     dp_bpsk_modulate,
     fiber_propagate,
     fiber_transfer,
@@ -24,7 +23,15 @@ from rofsim.optics import (
 from rofsim.optics import _hilbert90, _ssb_transfer
 from rofsim.signal_core import TimeGrid, ToneSpec, make_tone
 
-from optics_oracles import attenuate, balanced_detect, mzm_dsb, ssb_smallsignal_coefficients
+from optics_oracles import (
+    GainNotAllowed,
+    attenuate,
+    balanced_detect,
+    delay_line,
+    mzm_dsb,
+    ssb_smallsignal_coefficients,
+    total_power,
+)
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
 FC = 191.3e12
@@ -54,7 +61,7 @@ class TestLaserCw:
 
     def test_dark_limit(self):
         f = laser_cw(-np.inf, FC, "x", GRID)
-        assert f.total_power() == 0.0
+        assert total_power(f) == 0.0
 
 
 class TestHybridCoupler:
@@ -92,7 +99,7 @@ class TestSsbModulator:
         zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
         out = dd_mzm_ssb(carrier, zero, MOD)
         # (1 + e^{-j pi/2})/2 has magnitude 1/sqrt(2): 3 dB below the carrier
-        assert 10 * np.log10(carrier.total_power() / out.total_power()) == pytest.approx(
+        assert 10 * np.log10(total_power(carrier) / total_power(out)) == pytest.approx(
             3.01, abs=0.01
         )
 
@@ -214,12 +221,12 @@ class TestPolarizationElements:
     def test_polarizer_45_half_power(self):
         f = laser_cw(0.0, FC, "x", GRID)
         g = polarizer(f, np.pi / 4)
-        assert g.total_power() == pytest.approx(f.total_power() / 2, rel=1e-12)
+        assert total_power(g) == pytest.approx(total_power(f) / 2, rel=1e-12)
 
     def test_polarizer_crossed_extinction(self):
         f = laser_cw(0.0, FC, "x", GRID)
         g = polarizer(f, np.pi / 2)
-        assert g.total_power() < 1e-30
+        assert total_power(g) < 1e-30
 
     def test_pbs_pbc_round_trip(self):
         f = self._field()
@@ -227,8 +234,8 @@ class TestPolarizationElements:
         g = pbc(x, y)
         assert np.array_equal(g.env_x, f.env_x)
         assert np.array_equal(g.env_y, f.env_y)
-        assert x.total_power() + y.total_power() == pytest.approx(
-            f.total_power(), rel=1e-12
+        assert total_power(x) + total_power(y) == pytest.approx(
+            total_power(f), rel=1e-12
         )
 
     @settings(deadline=None, max_examples=50)
@@ -244,23 +251,23 @@ class TestPolarizationElements:
             (2, grid.n_samples)
         )
         f = OpticalField(grid, FC, env_x, y_scale * env_y)
-        p = f.total_power()
+        p = total_power(f)
         x, y = pbs(f)
-        assert x.total_power() + y.total_power() == pytest.approx(p, rel=1e-12)
+        assert total_power(x) + total_power(y) == pytest.approx(p, rel=1e-12)
         g = pbc(*pbs(f))
         assert np.array_equal(g.env_x, f.env_x) and np.array_equal(g.env_y, f.env_y)
-        split = polarizer(f, theta).total_power() + polarizer(f, theta + np.pi / 2).total_power()
+        split = total_power(polarizer(f, theta)) + total_power(polarizer(f, theta + np.pi / 2))
         assert split == pytest.approx(p, rel=1e-12)
         single = OpticalField(grid, FC, env_x, np.zeros(grid.n_samples))
-        assert polarizer(single, np.pi / 4).total_power() == pytest.approx(
-            single.total_power() / 2, rel=1e-12
+        assert total_power(polarizer(single, np.pi / 4)) == pytest.approx(
+            total_power(single) / 2, rel=1e-12
         )
 
     def test_pbs_of_single_rail(self):
         f = laser_cw(0.0, FC, "x", GRID)
         x, y = pbs(f)
         assert np.array_equal(x.env_x, f.env_x)
-        assert y.total_power() == 0.0
+        assert total_power(y) == 0.0
 
     def test_pbc_rail_conflict(self):
         f = laser_cw(0.0, FC, "x", GRID)
@@ -360,7 +367,7 @@ class TestAttenuateDelay:
     def test_quarter_power(self):
         f = laser_cw(0.0, FC, "x", GRID)
         g = attenuate(f, 0.25)
-        assert 10 * np.log10(f.total_power() / g.total_power()) == pytest.approx(
+        assert 10 * np.log10(total_power(f) / total_power(g)) == pytest.approx(
             6.02, abs=0.01
         )
 

@@ -32,6 +32,8 @@ from rofsim.signal_core import (
 )
 from rofsim.signal_core import _edge_mask, _welch
 
+from optics_oracles import mean_power
+
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
 GRID_LONG = TimeGrid(sample_rate=64e9, n_samples=2**18)
 
@@ -58,7 +60,7 @@ class TestMakeTone:
         w = make_tone(spec, GRID)
         expected = np.cos(2 * np.pi * 2e9 * GRID.times())
         assert np.allclose(w.samples, expected)
-        assert w.mean_power() == pytest.approx(0.5, rel=1e-9)
+        assert mean_power(w) == pytest.approx(0.5, rel=1e-9)
 
     def test_nyquist_rejected(self):
         with pytest.raises(AliasError):
@@ -89,7 +91,7 @@ class TestMakeQam:
 
     def test_power_normalization(self):
         w = make_qam(self.SPEC, GRID_LONG)
-        p_dbm = 10 * np.log10(w.mean_power() / 50.0 / 1e-3)
+        p_dbm = 10 * np.log10(mean_power(w) / 50.0 / 1e-3)
         assert p_dbm == pytest.approx(0.0, abs=1e-9)
 
     def test_deterministic(self):
@@ -135,7 +137,7 @@ class TestWelchPsd:
         w = SampledWaveform(GRID_LONG, rng.standard_normal(GRID_LONG.n_samples))
         est = welch_psd(w, rbw=10e6)
         total = band_power(est, est.freqs[0], est.freqs[-1])
-        direct = 10 * np.log10(w.mean_power() / 50.0 / 1e-3)
+        direct = 10 * np.log10(mean_power(w) / 50.0 / 1e-3)
         assert total == pytest.approx(direct, abs=0.2)
 
     def test_unachievable_rbw_rejected(self):
@@ -258,18 +260,18 @@ class TestFilterBand:
     def test_lowpass_passes_in_band(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID_LONG)
         y = filter_band(w, "lowpass", 3e9)
-        change = 10 * np.log10(y.mean_power() / w.mean_power())
+        change = 10 * np.log10(mean_power(y) / mean_power(w))
         assert abs(change) < 0.1
 
     def test_lowpass_stopband(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_LONG)
         y = filter_band(w, "lowpass", 3e9)
-        assert 10 * np.log10(w.mean_power() / y.mean_power()) >= 80.0
+        assert 10 * np.log10(mean_power(w) / mean_power(y)) >= 80.0
 
     def test_bandpass_passes_center(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=7.1e9), GRID_LONG)
         y = filter_band(w, "bandpass", 6.45e9, 8.55e9)
-        change = 10 * np.log10(y.mean_power() / w.mean_power())
+        change = 10 * np.log10(mean_power(y) / mean_power(w))
         assert abs(change) < 0.1
 
 
@@ -278,7 +280,7 @@ class TestDemodulateEvm:
 
     def test_interferer_20db_below(self):
         w = make_qam(self.SPEC, GRID_LONG)
-        rms = np.sqrt(w.mean_power())
+        rms = np.sqrt(mean_power(w))
         tone = make_tone(
             ToneSpec(amplitude=np.sqrt(2) * rms / 10.0, frequency=2.004e9), GRID_LONG
         )
@@ -321,7 +323,7 @@ class TestDelayAndPhase:
     def test_phase_shift_preserves_real_power(self):
         w = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), GRID)
         y = phase_shift(w, 1.234)
-        assert y.mean_power() == pytest.approx(w.mean_power(), rel=1e-9)
+        assert mean_power(y) == pytest.approx(mean_power(w), rel=1e-9)
 
 
 def complex_filter_reference(x: np.ndarray, grid: TimeGrid, kind: str, *edges) -> np.ndarray:

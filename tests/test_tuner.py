@@ -105,6 +105,14 @@ class TestAnalyticTau2:
         with pytest.raises(DelayRangeError, match="horizon"):
             analytic_tau2(self.W_IF, self.W_S, 0.0, horizon=0.1e-9)
 
+    def test_negative_delay_is_rejected_before_the_fold(self):
+        # a non-negative SI delay, as SelfInterferencePath requires; the upward
+        # fold would take one pass per IF period, and at -1e30 ns never end
+        w_if, w_s = 2 * np.pi * 2.1e9, 2 * np.pi * 8.1e9
+        for tau1 in (-1e-12, -1e30 * 1e-9):
+            with pytest.raises(DelayRangeError, match="non-negative"):
+                analytic_tau2(w_if, w_s, tau1, horizon=4.096e-6)
+
     def test_delay_beyond_the_horizon_is_rejected_before_the_fold(self, tmp_path, capsys):
         # the fold steps tau2 down by one IF period per pass: 10 us needs ~8e4
         # passes, and at 1e30 ns (tau2 ~ 3.9e21 s) tau2 - period == tau2
