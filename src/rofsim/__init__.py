@@ -75,7 +75,6 @@ from .tuner import (
     analytic_tau2,
     auto_tune,
     refine,
-    refine_alpha,
     seed_settings,
 )
 from .scenario import (
@@ -152,7 +151,6 @@ __all__ = [
     "analytic_tau2",
     "seed_settings",
     "refine",
-    "refine_alpha",
     "auto_tune",
     # scenario io
     "load_scenario",

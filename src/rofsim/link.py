@@ -187,8 +187,8 @@ class SicSettings:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.tau2 < 0.0:
-            raise ValueError("tau2 must be non-negative")
+        if not 0.0 <= self.tau2 < np.inf:
+            raise ValueError("tau2 must be a finite, non-negative delay in seconds")
 
 
 @dataclass
@@ -218,17 +218,17 @@ def _if_drive(s: LinkScenario) -> SampledWaveform:
 
 def _modulator_key(s: LinkScenario) -> tuple:
     """The fields the modulator output reads: the laser, the two drives and
-    their modulators."""
+    their modulators, and whether the link carries spectra, which sets the
+    domain the output is held in."""
     return (s.grid, s.laser_power_dbm, s.carrier_frequency, s.if_signal, s.lo_signal,
-            s.mod_if, s.mod_lo)
+            s.mod_if, s.mod_lo, _carries_spectra(s))
 
 
 def _downlink_key(s: LinkScenario) -> tuple:
     """The fields the downlink reads: the modulator's plus the EDFA, the
-    downlink fiber, the BPF and the photodiode, and whether the link carries
-    spectra, which sets the domain of the RU field's X rail."""
+    downlink fiber, the BPF and the photodiode."""
     return _modulator_key(s) + (s.edfa_gain_db, s.edfa_position, s.downlink_fiber, s.bpf,
-                                s.responsivity, _carries_spectra(s))
+                                s.responsivity)
 
 
 def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
@@ -239,7 +239,9 @@ def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
 
 
 # Latest (key, output) of each kept stage, in chain order: modulator output,
-# downlink, SI-only SIC stage.
+# downlink, SI-only SIC stage. Each output is a function of its key alone, so
+# a kept output is bit for bit the one a cold run builds; `_kept_stage` is the
+# slots' one writer.
 _kept: list = [None, None, None]
 
 
@@ -261,20 +263,14 @@ def _carries_spectra(s: LinkScenario) -> bool:
 
 
 def _modulate(s: LinkScenario) -> OpticalField:
-    """Output of the dual-polarization modulator driven by the IF and LO."""
+    """Output of the dual-polarization modulator driven by the IF and LO, held
+    in the domain the link of `s` carries."""
     if_drive = _if_drive(s)
     lo_drive = make_tone(s.lo_signal, s.grid)
     laser = laser_cw(s.laser_power_dbm, s.carrier_frequency, "x", s.grid)
-    return dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
-
-
-def _modulator_output(s: LinkScenario) -> OpticalField:
-    """The kept modulator output, held in the domain the link of `s` carries.
-    A kept output held in the other domain is converted in its place (two
-    transforms) instead of being modulated again."""
-    out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s)).held_as((_carries_spectra(s),) * 2)
-    _kept[0] = (_kept[0][0], out)
-    return out
+    out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
+    del if_drive, lo_drive, laser  # freed before the rails are transformed
+    return out.held_as((_carries_spectra(s),) * 2)
 
 
 def downlink_taps(s: LinkScenario) -> dict:
@@ -287,7 +283,7 @@ def downlink_taps(s: LinkScenario) -> dict:
     transforms two rails: the polarizer output, for the photodiode, and the
     RU Y rail, for the uplink modulator. The RU X rail stays in its domain.
     """
-    dp_out = _modulator_output(s)
+    dp_out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
     edfa = (10.0 ** (s.edfa_gain_db / 20.0),)
     co, ru = (edfa, ()) if s.edfa_position == "co" else ((), edfa)
     # EDFA at the CO, fiber, EDFA at the RU and the 3-dB optical splitter,

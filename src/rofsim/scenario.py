@@ -33,7 +33,7 @@ _HEAD = (
     _Row("laser.frequency_thz", ("carrier_frequency",), "positive", exp=12),
     _Row("if_signal.kind", (), "word"),
 )
-# one sub-table per kind of IF drive; a document may hold the keys of either
+# one sub-table per kind of IF drive; a document holds the keys of its kind only
 _IF_SIGNAL = {
     "tone": (ToneSpec, (
         _Row("if_signal.frequency_ghz", ("if_signal.frequency",), "positive", exp=9),
@@ -149,6 +149,10 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
     kind = str(doc["if_signal"]["kind"])
     if kind not in _IF_SIGNAL:
         raise ScenarioError("key 'if_signal.kind' must be 'tone' or 'qam'")
+    read = {row.key for row in _TABLES[kind]}
+    for sub in doc["if_signal"]:
+        if f"if_signal.{sub}" not in read:
+            raise ScenarioError(f"key 'if_signal.{sub}' is not read by a {kind} IF signal")
     fields: dict = {}
     try:
         for row in _TABLES[kind]:

@@ -239,37 +239,24 @@ def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
 
     For each delay the least-squares attenuation is exact, so one bounded
     Brent search over one IF period either side of the seed finds (alpha,
-    tau2). Objective is the residual SI band power; the report never degrades
-    below the seed depth.
+    tau2). A seed with an RF phase shifter (wideband mode) keeps its tau2,
+    pinned to the phase-matching formula, and only alpha is refined.
+    Objective is the residual SI band power; the report never degrades below
+    the seed depth.
     """
     ev = uplink_evaluator(s, seed.rf_phase_comp)
-    period = 1.0 / s.f_if
-    tau2 = _brent_tau2(
-        lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
-        max(0.0, seed.tau2 - period),
-        seed.tau2 + period,
-    )
+    tau2 = seed.tau2
+    if seed.rf_phase_comp is None:
+        period = 1.0 / s.f_if
+        tau2 = _brent_tau2(
+            lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
+            max(0.0, seed.tau2 - period),
+            seed.tau2 + period,
+        )
     return _report(ev, seed, ev.optimal_alpha(tau2), tau2)
 
 
-def refine_alpha(s: LinkScenario, settings: SicSettings) -> TuneReport:
-    """Attenuator-only refinement with the delay line held fixed.
-
-    Useful in wideband mode, where tau2 is pinned to the phase-matching
-    formula and only the reference-arm attenuation is free; the optimum is the
-    closed-form least-squares attenuation at that delay.
-    """
-    ev = uplink_evaluator(s, settings.rf_phase_comp)
-    return _report(ev, settings, ev.optimal_alpha(settings.tau2), settings.tau2)
-
-
 def auto_tune(s: LinkScenario, wideband: bool = False) -> TuneReport:
-    """Analytic seed followed by refinement.
-
-    Wideband mode keeps tau2 pinned to the phase-matching formula (the RF
-    phase shifter carries the constant) and refines the attenuation only.
-    """
-    seed = seed_settings(s, run_downlink(s)[0], wideband=wideband)
-    if wideband:
-        return refine_alpha(s, seed)
-    return refine(s, seed)
+    """Analytic seed followed by refinement; in wideband mode the RF phase
+    shifter carries the phase constant and tau2 stays pinned."""
+    return refine(s, seed_settings(s, run_downlink(s)[0], wideband=wideband))

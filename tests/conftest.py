@@ -11,9 +11,9 @@ CRITERION_LINES: list[str] = []
 @pytest.fixture(autouse=True)
 def no_kept_stages():
     """Empty every kept stage slot, so modulator, downlink and evaluator build
-    counts, and the domain (samples or spectra) the kept modulator output is
-    held in, do not depend on which test ran before. The slots are the link's
-    only kept state."""
+    counts do not depend on which test ran before. A kept output, and the
+    domain (samples or spectra) it is held in, is a function of its key alone,
+    so no output does. The slots are the link's only kept state."""
     rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
 
 

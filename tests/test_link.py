@@ -135,6 +135,20 @@ class TestRunDownlink:
             ru.env_x[0] = 1.0
 
 
+GRID_HISTORY = TimeGrid(sample_rate=64e9, n_samples=2**17)
+
+
+def tune_and_run(s: LinkScenario) -> tuple:
+    """The `auto_tune` report's repr, and the bytes of every `run_full`
+    output and the repr of its metrics at the tuned settings."""
+    report = auto_tune(s)
+    r = run_full(s, report.refined)
+    arrays = (r.bpd_out_with_sic.samples, r.bpd_out_without_sic.samples,
+              r.spectrum_with_sic.freqs, r.spectrum_with_sic.psd,
+              r.spectrum_without_sic.freqs, r.spectrum_without_sic.psd)
+    return repr(report), [a.tobytes() for a in arrays], repr(r.metrics)
+
+
 class TestKeptStage:
     """The SI-only SIC stage is kept with the downlink of the latest scenario."""
 
@@ -210,20 +224,28 @@ class TestKeptStage:
         assert uplink_evaluator(soi_only) is uplink_evaluator(other)
         assert len(builds) == 2
 
-    def test_fibre_run_converts_the_kept_modulator_output(self, monkeypatch):
-        # a link with a fibre holds the modulator output as spectra; a
-        # fibre-free run on the same modulator converts it back to samples
-        s = tone_scenario()
-        rf = run_downlink(s)[0].samples
-        assert rofsim.link._kept[0][1].spectral == (False, False)
-        fibre = dataclasses.replace(s, uplink_fiber=FiberParams(length=4.1))
-        assert run_downlink(fibre)[1].spectral == (True, False)
-        assert rofsim.link._kept[0][1].spectral == (True, True)
-        monkeypatch.setattr(rofsim.link, "_modulate", None)  # a second modulation fails
-        again = run_downlink(s)
-        assert rofsim.link._kept[0][1].spectral == (False, False)
-        assert again[1].spectral == (False, False)
-        np.testing.assert_allclose(again[0].samples, rf, rtol=0, atol=1e-12 * np.abs(rf).max())
+    @pytest.mark.parametrize(
+        "first, second", [("fibre", "b2b"), ("uplink_only", "b2b"), ("b2b", "fibre")]
+    )
+    def test_run_after_another_is_the_cold_run(self, first, second, monkeypatch):
+        # fig8c's drives with both fibres, the uplink fibre alone and back to
+        # back: each pair flips the domain the modulator output is held in;
+        # 32 MBaud fits 65 symbols in the record
+        s = load_scenario(bundled_scenario_dir() / "fig8c.scenario")
+        fibre = dataclasses.replace(s, grid=GRID_HISTORY,
+                                    if_signal=dataclasses.replace(s.if_signal, symbol_rate=32e6))
+        no_down = dataclasses.replace(fibre, downlink_fiber=FiberParams(length=0.0))
+        links = {"fibre": fibre, "uplink_only": no_down,
+                 "b2b": dataclasses.replace(no_down, uplink_fiber=FiberParams(length=0.0))}
+        cold = tune_and_run(links[second])
+        rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
+        tune_and_run(links[first])
+        calls = []
+        modulate = rofsim.link._modulate
+        monkeypatch.setattr(rofsim.link, "_modulate",
+                            lambda link: calls.append(link) or modulate(link))
+        assert tune_and_run(links[second]) == cold
+        assert len(calls) == 1
 
     def test_kept_spectra_are_read_only(self):
         ev = uplink_evaluator(tone_scenario())
@@ -428,7 +450,7 @@ def time_domain_chain(s: LinkScenario, received: SampledWaveform) -> list:
     """rf, the RU Y rail, i_X at zero delay and i_Y of `received`, with every
     optical element of the link applied to samples (fiber_propagate,
     polarizer, pbs, photodetect)."""
-    field = rofsim.link._modulate(s)
+    field = rofsim.link._modulate(s).held_as((False, False))
     gain = 10.0 ** (s.edfa_gain_db / 20.0)
 
     def amplified(f):

@@ -1,6 +1,7 @@
 """Scenario file round-trips and command-line interface behavior."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,19 @@ class TestScenarioFiles:
         bad.write_text(yaml.safe_dump(doc))
         with pytest.raises(ScenarioError, match="chirp"):
             load_scenario(bad)
+
+    @pytest.mark.parametrize(
+        "leaf, value",
+        [("rolloff", -1), ("symbol_rate_mbaud", 10.0), ("data_seed", 3)],
+    )
+    def test_qam_key_of_a_tone_drive_rejected_by_name(self, tmp_path, small_scenario, leaf, value):
+        doc = yaml.safe_load(small_scenario.read_text())
+        doc["if_signal"][leaf] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ScenarioError, match=f"if_signal.{leaf}"):
+            load_scenario(bad)
+        assert main(["tune", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_negative_frequency_rejected(self, tmp_path, small_scenario):
         doc = yaml.safe_load(small_scenario.read_text())
@@ -344,6 +358,17 @@ class TestCliSimulate:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("tau2_ns", ["nan", "inf"])
+    def test_non_finite_delay_exit_2(self, tmp_path, small_scenario, capsys, monkeypatch, tau2_ns):
+        monkeypatch.setattr(rofsim.link, "downlink_taps", None)  # rejected before the downlink
+        argv = ["simulate", str(small_scenario), "--out", str(tmp_path),
+                "--alpha", "0.1", "--tau2-ns", tau2_ns]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        assert "tau2" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scenario"), "--out", str(tmp_path)]) == 2

@@ -27,7 +27,6 @@ from rofsim.tuner import (
     analytic_tau2,
     auto_tune,
     refine,
-    refine_alpha,
     seed_settings,
 )
 
@@ -200,7 +199,8 @@ class TestRefineAlpha:
         s = tone_scenario()
         rf, ru = run_downlink(s)
         seed = seed_settings(s, rf, wideband=True)
-        rep = refine_alpha(s, seed)
+        rep = refine(s, seed)
+        assert rep.refined.tau2 == seed.tau2  # the RF phase shifter pins tau2
         assert rep.depth_refined_db >= rep.depth_seed_db - 0.1
 
 
