@@ -85,7 +85,8 @@ def cmd_simulate(args) -> int:
     if args.auto_tune:
         sic = auto_tune(s, wideband=args.wideband).refined
     else:
-        sic = SicSettings(alpha=args.alpha, tau2=args.tau2_ns * 1e-9, rf_phase_comp=None)
+        alpha, tau2_ns = (0.0 if v is None else v for v in (args.alpha, args.tau2_ns))
+        sic = SicSettings(alpha=alpha, tau2=tau2_ns * 1e-9)
     result = run_full(s, sic)
     row = _metrics_row(s, result.metrics, sic)
     (out / f"{s.name}_metrics.csv").write_text(f"# {_METRIC_COLS}\n{row}\n")
@@ -221,9 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the full link once")
     common(p_sim)
     p_sim.add_argument("--auto-tune", action="store_true", help="tune SIC settings first")
-    p_sim.add_argument("--wideband", action="store_true", help="tune in wideband mode")
-    p_sim.add_argument("--alpha", type=float, default=0.0, help="manual attenuation")
-    p_sim.add_argument("--tau2-ns", type=float, default=0.0, help="manual delay, ns")
+    p_sim.add_argument("--wideband", action="store_true",
+                       help="tune in wideband mode (with --auto-tune)")
+    p_sim.add_argument("--alpha", type=float, default=None,
+                       help="manual attenuation (default 0; not with --auto-tune)")
+    p_sim.add_argument("--tau2-ns", type=float, default=None,
+                       help="manual delay, ns (default 0; not with --auto-tune)")
     p_sim.add_argument(
         "--assert-depth",
         type=float,
@@ -255,9 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_simulate_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject the `simulate` flags a run would ignore: the manual settings
+    with --auto-tune, which tunes them, and --wideband without it."""
+    if args.auto_tune:
+        for flag, value in (("--alpha", args.alpha), ("--tau2-ns", args.tau2_ns)):
+            if value is not None:
+                parser.error(f"simulate: {flag} sets a manual value that --auto-tune would ignore")
+    elif args.wideband:
+        parser.error("simulate: --wideband selects a tuning mode and needs --auto-tune")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate":
+        _check_simulate_flags(parser, args)
     handlers = {
         "simulate": cmd_simulate,
         "tune": cmd_tune,

@@ -135,14 +135,13 @@ class LinkScenario:
             raise ValueError("edfa_position must be 'co' or 'ru'")
         if not self.mod_if.v_pi == self.mod_lo.v_pi == self.mod_uplink.v_pi:
             raise ValueError("the three modulators must share one v_pi")
-        qam = {"if_signal": self.if_signal} if isinstance(self.if_signal, QamSignalSpec) else {}
-        if self.soi is not None and self.soi.kind == "qam":
-            qam["soi"] = _soi_qam(self, self.f_if)  # checks the roll-off
-        for key, spec in qam.items():
-            try:
-                qam_samples_per_symbol(spec, self.grid)
-            except ValueError as exc:
-                raise ValueError(f"{key}.symbol_rate_mbaud: {exc}") from None
+        # a QAM SOI's spec checks its roll-off
+        for key, spec in (("if_signal", self.if_signal), ("soi", _soi_signal(self, self.f_if))):
+            if isinstance(spec, QamSignalSpec):
+                try:
+                    qam_samples_per_symbol(spec, self.grid)
+                except ValueError as exc:
+                    raise ValueError(f"{key}.symbol_rate_mbaud: {exc}") from None
         if max(self.si_band()[1], self.soi_band()[1]) > self.lpf:
             raise ValueError(
                 "filters.lpf_cutoff_ghz: the SI and SOI bands must lie below the lowpass edge"
@@ -162,20 +161,17 @@ class LinkScenario:
     def f_s(self) -> float:
         return self.f_if + self.f_lo
 
-    def si_band(self) -> tuple[float, float]:
-        """Measurement band for SI power at the down-converted IF."""
-        if isinstance(self.if_signal, QamSignalSpec):
-            hw = self.if_signal.occupied_halfwidth
-        else:
-            hw = 3.0 * self.rbw
+    def _band(self, spec: ToneSpec | QamSignalSpec | None) -> tuple[float, float]:
+        """Band around the down-converted IF: a QAM signal's occupied band, else 3 RBW."""
+        hw = spec.occupied_halfwidth if isinstance(spec, QamSignalSpec) else 3.0 * self.rbw
         return (self.f_if - hw, self.f_if + hw)
 
+    def si_band(self) -> tuple[float, float]:
+        """Measurement band for SI power at the down-converted IF."""
+        return self._band(self.if_signal)
+
     def soi_band(self) -> tuple[float, float]:
-        if self.soi is not None and self.soi.kind == "qam":
-            hw = _soi_qam(self, self.f_if).occupied_halfwidth
-        else:
-            hw = 3.0 * self.rbw
-        return (self.f_if - hw, self.f_if + hw)
+        return self._band(_soi_signal(self, self.f_if))
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,9 @@ class LinkResult:
     metrics: LinkMetrics
 
 
-def _if_drive(s: LinkScenario) -> SampledWaveform:
-    if isinstance(s.if_signal, ToneSpec):
-        return make_tone(s.if_signal, s.grid)
-    return make_qam(s.if_signal, s.grid)
+def _drive(spec: ToneSpec | QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
+    """The waveform of a tone or QAM drive spec on `grid`."""
+    return make_tone(spec, grid) if isinstance(spec, ToneSpec) else make_qam(spec, grid)
 
 
 def _modulator_key(s: LinkScenario) -> tuple:
@@ -265,8 +260,8 @@ def _carries_spectra(s: LinkScenario) -> bool:
 def _modulate(s: LinkScenario) -> OpticalField:
     """Output of the dual-polarization modulator driven by the IF and LO, held
     in the domain the link of `s` carries."""
-    if_drive = _if_drive(s)
-    lo_drive = make_tone(s.lo_signal, s.grid)
+    if_drive = _drive(s.if_signal, s.grid)
+    lo_drive = _drive(s.lo_signal, s.grid)
     laser = laser_cw(s.laser_power_dbm, s.carrier_frequency, "x", s.grid)
     out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
     del if_drive, lo_drive, laser  # freed before the rails are transformed
@@ -324,28 +319,21 @@ def uplink_evaluator(s: LinkScenario, rf_phase_comp: float | None = None) -> Upl
                        lambda: UplinkEvaluator(s, rf_phase_comp))
 
 
-def _soi_qam(s: LinkScenario, center: float) -> QamSignalSpec:
-    """16-QAM spec of the SOI, centred at `center`."""
-    return QamSignalSpec(
-        symbol_rate=s.soi.symbol_rate,
-        center_frequency=center,
-        power_dbm=s.soi.power_dbm,
-        rolloff=s.soi.rolloff,
-        seed=s.soi.seed,
-    )
+def _soi_signal(s: LinkScenario, center: float) -> ToneSpec | QamSignalSpec | None:
+    """The SOI as a tone or 16-QAM spec centred at `center`; None without an SOI."""
+    if s.soi is None:
+        return None
+    if s.soi.kind == "tone":
+        return ToneSpec(amplitude=dbm_to_amplitude(s.soi.power_dbm), frequency=center)
+    return QamSignalSpec(symbol_rate=s.soi.symbol_rate, center_frequency=center,
+                         power_dbm=s.soi.power_dbm, rolloff=s.soi.rolloff, seed=s.soi.seed)
 
 
 def build_soi_waveform(s: LinkScenario) -> SampledWaveform | None:
     """SOI realized at the air-interface frequency f_s."""
     if s.soi is None:
         return None
-    if s.soi.kind == "tone":
-        w = make_tone(
-            ToneSpec(amplitude=dbm_to_amplitude(s.soi.power_dbm), frequency=s.f_s),
-            s.grid,
-        )
-    else:
-        w = make_qam(_soi_qam(s, s.f_s), s.grid)
+    w = _drive(_soi_signal(s, s.f_s), s.grid)
     if s.soi.arrival_delay:
         w = fractional_delay(w, s.soi.arrival_delay)
     return w
@@ -545,8 +533,9 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
         del h_up  # freed before the EVM, which sets the peak of run_full
         soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
-        if s.soi.kind == "qam":
-            evm = demodulate_evm(_lowpassed(soi_spec, s.grid, s.lpf, 1), _soi_qam(s, s.f_if))
+        soi_if = _soi_signal(s, s.f_if)
+        if isinstance(soi_if, QamSignalSpec):
+            evm = demodulate_evm(_lowpassed(soi_spec, s.grid, s.lpf, 1), soi_if)
 
     return LinkResult(
         bpd_out_with_sic=with_out,

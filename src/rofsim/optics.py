@@ -240,23 +240,21 @@ def dp_bpsk_modulate(
     p_if: ModulatorParams,
     p_lo: ModulatorParams,
 ) -> OpticalField:
-    """3-dB split into two SSB modulators, recombined on orthogonal rails.
+    """3-dB split into two SSB modulators (`dd_mzm_ssb`), recombined on
+    orthogonal rails by `pbc`.
 
     X rail carries the IF modulation (lower sideband), Y rail the LO
     modulation (upper sideband).
     """
-    if carrier.grid != if_drive.grid or carrier.grid != lo_drive.grid:
-        raise GridError("drive grids differ from the carrier grid")
     rail = carrier.rail()
     if rail == "both":
         raise ValueError("dp_bpsk_modulate carrier must occupy a single rail")
     env = carrier.env_x if rail in ("x", "dark") else carrier.env_y
     c = env / np.sqrt(2.0)
-    mx = _ssb_transfer(if_drive.samples, p_if)
-    np.multiply(c, mx, out=mx)
-    my = _ssb_transfer(lo_drive.samples, p_lo)
-    np.multiply(c, my, out=my)
-    return OpticalField(carrier.grid, carrier.carrier_frequency, mx, my)
+    zero = dark_rail(carrier.grid.n_samples)
+    x = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, c, zero), if_drive, p_if)
+    y = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, zero, c), lo_drive, p_lo)
+    return pbc(x, y)
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:

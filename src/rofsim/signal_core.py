@@ -150,6 +150,11 @@ class QamSignalSpec:
     def occupied_halfwidth(self) -> float:
         return 0.5 * (1.0 + self.rolloff) * self.symbol_rate
 
+    @property
+    def amplitude(self) -> float:
+        """Peak amplitude of the sine of the same power, in volts."""
+        return dbm_to_amplitude(self.power_dbm)
+
 
 @dataclass
 class SpectrumEstimate:

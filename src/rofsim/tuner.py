@@ -12,7 +12,7 @@ from scipy.special import j0, j1
 
 from .errors import AttenuatorInfeasible, DelayRangeError
 from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink, uplink_evaluator
-from .signal_core import QamSignalSpec, SampledWaveform, ToneSpec, dbm_to_amplitude
+from .signal_core import SampledWaveform
 
 # Aggregate phase constant of the cancellation condition: the TODL delay must
 # satisfy w_if*tau2 = w_s*tau1 + PHASE_CONSTANT (mod 2*pi).
@@ -90,22 +90,14 @@ def _effective_amplitude(w: SampledWaveform) -> float:
     return float(np.sqrt(2.0 * np.mean(np.abs(w.samples) ** 2)))
 
 
-def _drive_amplitude(sig) -> float:
-    if isinstance(sig, ToneSpec):
-        return sig.amplitude
-    if isinstance(sig, QamSignalSpec):
-        return dbm_to_amplitude(sig.power_dbm)
-    raise TypeError(f"unsupported drive spec {type(sig)!r}")
-
-
 def seed_settings(
     s: LinkScenario,
     rf: SampledWaveform,
     wideband: bool = False,
 ) -> SicSettings:
     """Analytic SIC seed from the scenario drives and the simulated SI level."""
-    m1 = np.pi * _drive_amplitude(s.if_signal) / s.mod_if.v_pi
-    m2 = np.pi * _drive_amplitude(s.lo_signal) / s.mod_lo.v_pi
+    m1 = np.pi * s.if_signal.amplitude / s.mod_if.v_pi
+    m2 = np.pi * s.lo_signal.amplitude / s.mod_lo.v_pi
     m3 = np.pi * _effective_amplitude(rf) * s.si_path.amplitude_gain / s.mod_uplink.v_pi
     alpha = analytic_alpha(m1, m2, m3)
     w_if = 2.0 * np.pi * s.f_if

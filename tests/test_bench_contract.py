@@ -117,10 +117,11 @@ def test_held_fiber_sweep_reuses_each_stage(tmp_path, fig8c_file):
     assert tracer.calls["fft.complex"] == 2 + 2 + 3 * 5
     # the link chains the optics elements: per point one downlink fiber (0 km
     # included), one polarizer and three photodiodes (the downlink's and the
-    # two SIC arms'), and the RU's beam splitter once per SIC arm
+    # two SIC arms'), and the RU's beam splitter once per SIC arm; the one
+    # modulation adds the CO modulator's polarization beam combiner
     assert tracer.calls["optics.fiber_propagate"] == 3
     assert tracer.calls["optics.polarizer"] == 3
-    assert tracer.calls["optics.pbs_pbc"] == 3 * 2
+    assert tracer.calls["optics.pbs_pbc"] == 1 + 3 * 2
     assert tracer.calls["optics.photodetect"] == 3 * 3
     csv = "fig8c_sweep_downlink_fiber_length_km.csv"
     serial = (tmp_path / "j1" / csv).read_bytes()

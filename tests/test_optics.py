@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import j0, j1
 
-from rofsim.errors import RailConflict
+from rofsim.errors import GridError, RailConflict
 from rofsim.optics import (
     FiberParams,
     ModulatorParams,
@@ -200,6 +200,30 @@ class TestDpBpskModulator:
         px = np.mean(np.abs(out.env_x) ** 2)
         py = np.mean(np.abs(out.env_y) ** 2)
         assert px == pytest.approx(py, rel=1e-12)
+
+    @pytest.mark.parametrize("off_grid", ["if", "lo"])
+    def test_drive_on_another_grid(self, off_grid):
+        carrier = laser_cw(10.0, FC, "x", GRID)
+        other = TimeGrid(sample_rate=GRID.sample_rate, n_samples=GRID.n_samples // 2)
+        drives = {"if": drive_for_m(0.3, 2e9), "lo": drive_for_m(0.4, 5e9)}
+        drives[off_grid] = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), other)
+        with pytest.raises(GridError):
+            dp_bpsk_modulate(carrier, drives["if"], drives["lo"], self.P_IF, self.P_LO)
+
+    def test_carrier_on_both_rails(self):
+        x, y = laser_cw(10.0, FC, "x", GRID), laser_cw(10.0, FC, "y", GRID)
+        both = OpticalField(GRID, FC, x.env_x, y.env_y)
+        with pytest.raises(ValueError):
+            dp_bpsk_modulate(
+                both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO
+            )
+
+    def test_y_rail_carrier_equals_x_rail_carrier(self):
+        drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO)
+        from_x = dp_bpsk_modulate(laser_cw(10.0, FC, "x", GRID), *drives)
+        from_y = dp_bpsk_modulate(laser_cw(10.0, FC, "y", GRID), *drives)
+        assert np.array_equal(from_y.env_x, from_x.env_x)
+        assert np.array_equal(from_y.env_y, from_x.env_y)
 
 
 class TestPolarizationElements:

@@ -332,6 +332,24 @@ class TestCliSimulate:
             main(["simulate", str(small_scenario), "--out", str(tmp_path), "--jobs", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--wideband"], "--wideband"),
+        (["--wideband", "--alpha", "0.1"], "--wideband"),
+        (["--auto-tune", "--alpha", "0.1"], "--alpha"),
+        (["--auto-tune", "--tau2-ns", "0.2"], "--tau2-ns"),
+        (["--auto-tune", "--wideband", "--alpha", "0"], "--alpha"),
+    ], ids=["wideband", "wideband-manual", "tuned-alpha", "tuned-tau2", "tuned-wideband-alpha"])
+    def test_ignored_flag_rejected(self, tmp_path, small_scenario, capsys, monkeypatch,
+                                   flags, named):
+        def no_downlink(*args, **kwargs):
+            raise AssertionError("the downlink ran")
+
+        monkeypatch.setattr(rofsim.link, "run_downlink", no_downlink)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(small_scenario), "--out", str(tmp_path), *flags])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_seed_override_recorded(self, tmp_path, small_scenario):
         out = tmp_path / "out"
         main(["simulate", str(small_scenario), "--out", str(out), "--seed", "42"])
