@@ -37,11 +37,13 @@ class OpticalField:
 
     Each rail is held in one domain: as samples, or as its spectrum (the
     unnormalised `scipy.fft.fft`, on `grid.freqs()`) where the link carries it
-    through linear elements only. `env_x`/`env_y` give a rail's samples and
-    `spectrum_x`/`spectrum_y` its spectrum; a rail held in the other domain is
-    transformed on demand and the result is not kept. Rails are read-only.
-    The linear steps `scaled` and `filtered` act on each rail in the domain it
-    is held in; `held_as` converts.
+    through linear elements only, and a dark rail is held as None, so which
+    rails are lit is set where the field is built. `env_x`/`env_y` give a
+    rail's samples and `spectrum_x`/`spectrum_y` its spectrum (`dark_rail(n)`
+    for a dark one); a rail held in the other domain is transformed on demand
+    and the result is not kept. Rails are read-only. The linear steps `scaled`
+    and `filtered` act on each lit rail in the domain it is held in;
+    `held_as` converts.
     """
 
     def __init__(self, grid: TimeGrid, carrier_frequency: float, env_x, env_y,
@@ -49,46 +51,47 @@ class OpticalField:
         self.grid = grid
         self.carrier_frequency = carrier_frequency
         self.spectral = tuple(spectral)
-        self._held = (_read_only(env_x), _read_only(env_y))
-        if any(rail.shape != (grid.n_samples,) for rail in self._held):
+        self._held = tuple(None if r is None else _read_only(r) for r in (env_x, env_y))
+        if any(r is not None and r.shape != (grid.n_samples,) for r in self._held):
             raise ValueError("envelope length must match grid")
 
-    def _samples(self, i: int) -> np.ndarray:
-        if not self.spectral[i]:
-            return self._held[i]
-        return _read_only(sfft.ifft(self._held[i], workers=_FFT_WORKERS))
-
-    def _spectrum(self, i: int) -> np.ndarray:
-        if self.spectral[i]:
-            return self._held[i]
-        return _read_only(sfft.fft(self._held[i], workers=_FFT_WORKERS))
+    def _rail_as(self, i: int, spectral: bool) -> np.ndarray:
+        """Rail i as its spectrum or as samples; a dark rail as `dark_rail(n)`."""
+        rail = self._held[i]
+        if rail is None:
+            return dark_rail(self.grid.n_samples)
+        if spectral == self.spectral[i]:
+            return rail
+        transform = sfft.fft if spectral else sfft.ifft
+        return _read_only(transform(rail, workers=_FFT_WORKERS))
 
     @property
     def env_x(self) -> np.ndarray:
-        return self._samples(0)
+        return self._rail_as(0, False)
 
     @property
     def env_y(self) -> np.ndarray:
-        return self._samples(1)
+        return self._rail_as(1, False)
 
     @property
     def spectrum_x(self) -> np.ndarray:
-        return self._spectrum(0)
+        return self._rail_as(0, True)
 
     @property
     def spectrum_y(self) -> np.ndarray:
-        return self._spectrum(1)
+        return self._rail_as(1, True)
 
     def held_as(self, spectral: tuple[bool, bool]) -> OpticalField:
         """The field with its rails held in the given domains (itself if they are)."""
         if tuple(spectral) == self.spectral:
             return self
-        rails = [self._spectrum(i) if sp else self._samples(i) for i, sp in enumerate(spectral)]
+        rails = [None if r is None else self._rail_as(i, sp)
+                 for i, (r, sp) in enumerate(zip(self._held, spectral))]
         return OpticalField(self.grid, self.carrier_frequency, *rails, spectral=spectral)
 
     def _each_lit(self, step) -> OpticalField:
         """step(rail, spectral) on each lit rail, in its held domain; a dark rail stays dark."""
-        rails = [step(r, sp) if np.any(r) else r for r, sp in zip(self._held, self.spectral)]
+        rails = [None if r is None else step(r, sp) for r, sp in zip(self._held, self.spectral)]
         return OpticalField(self.grid, self.carrier_frequency, *rails, spectral=self.spectral)
 
     def scaled(self, *factors: float) -> OpticalField:
@@ -113,15 +116,9 @@ class OpticalField:
         return self._each_lit(step)
 
     def rail(self) -> str:
-        """Which rail carries energy: 'x', 'y', 'both' or 'dark'."""
-        has_x, has_y = (bool(np.any(rail)) for rail in self._held)
-        if has_x and has_y:
-            return "both"
-        if has_x:
-            return "x"
-        if has_y:
-            return "y"
-        return "dark"
+        """Which rail is lit: 'x', 'y', 'both' or 'dark'."""
+        lit = tuple(rail is not None for rail in self._held)
+        return {(True, True): "both", (True, False): "x", (False, True): "y"}.get(lit, "dark")
 
 
 @dataclass(frozen=True)
@@ -161,16 +158,15 @@ def laser_cw(
 ) -> OpticalField:
     """CW field of constant envelope sqrt(P) in the selected rail, zero phase.
 
-    power_dbm = -inf yields an all-zero (dark) field; NaN and +inf are not
-    powers and give a non-finite envelope.
+    power_dbm = -inf yields a lit rail of zeros (the other rail is dark); NaN
+    and +inf are not powers and give a non-finite envelope.
     """
     amp = np.sqrt(dbm_to_watts(power_dbm))
     env = np.full(grid.n_samples, amp, dtype=np.complex128)
-    zero = dark_rail(grid.n_samples)
     if polarization == "x":
-        return OpticalField(grid, carrier_frequency, env, zero)
+        return OpticalField(grid, carrier_frequency, env, None)
     if polarization == "y":
-        return OpticalField(grid, carrier_frequency, zero, env)
+        return OpticalField(grid, carrier_frequency, None, env)
     raise ValueError("polarization must be 'x' or 'y'")
 
 
@@ -211,6 +207,15 @@ def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
     return np.multiply(out, mag, out=out)
 
 
+def _single_rail(carrier: OpticalField, element: str) -> int:
+    """Index of the rail a modulator's carrier occupies: the lit one, X when
+    both are dark; a carrier lit on both rails is rejected."""
+    rail = carrier.rail()
+    if rail == "both":
+        raise ValueError(f"{element} carrier must occupy a single rail")
+    return 1 if rail == "y" else 0
+
+
 def dd_mzm_ssb(
     carrier: OpticalField, drive: SampledWaveform, params: ModulatorParams
 ) -> OpticalField:
@@ -222,15 +227,11 @@ def dd_mzm_ssb(
     """
     if carrier.grid != drive.grid:
         raise GridError("carrier and drive grids differ")
-    rail = carrier.rail()
-    if rail == "both":
-        raise ValueError("dd_mzm_ssb carrier must occupy a single rail")
+    i = _single_rail(carrier, "dd_mzm_ssb")
     m = _ssb_transfer(drive.samples, params)
-    if rail in ("x", "dark"):
-        return OpticalField(carrier.grid, carrier.carrier_frequency,
-                            np.multiply(carrier.env_x, m, out=m), carrier.env_y)
-    return OpticalField(carrier.grid, carrier.carrier_frequency,
-                        carrier.env_x, np.multiply(carrier.env_y, m, out=m))
+    rails = list(carrier._held)
+    rails[i] = np.multiply(carrier._rail_as(i, False), m, out=m)
+    return OpticalField(carrier.grid, carrier.carrier_frequency, *rails)
 
 
 def dp_bpsk_modulate(
@@ -246,35 +247,28 @@ def dp_bpsk_modulate(
     X rail carries the IF modulation (lower sideband), Y rail the LO
     modulation (upper sideband).
     """
-    rail = carrier.rail()
-    if rail == "both":
-        raise ValueError("dp_bpsk_modulate carrier must occupy a single rail")
-    env = carrier.env_x if rail in ("x", "dark") else carrier.env_y
-    c = env / np.sqrt(2.0)
-    zero = dark_rail(carrier.grid.n_samples)
-    x = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, c, zero), if_drive, p_if)
-    y = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, zero, c), lo_drive, p_lo)
+    c = carrier._rail_as(_single_rail(carrier, "dp_bpsk_modulate"), False) / np.sqrt(2.0)
+    x = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, c, None), if_drive, p_if)
+    y = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, None, c), lo_drive, p_lo)
     return pbc(x, y)
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:
     """Project onto a linear polarizer axis; output on the X rail, in the
     domain the input's X rail is held in."""
-    x, y = field.held_as((field.spectral[0],) * 2)._held
-    out = np.cos(angle) * x
-    out += np.sin(angle) * y
-    return OpticalField(field.grid, field.carrier_frequency, out,
-                        dark_rail(field.grid.n_samples), spectral=(field.spectral[0], False))
+    sp = field.spectral[0]
+    out = np.cos(angle) * field._rail_as(0, sp)
+    out += np.sin(angle) * field._rail_as(1, sp)
+    return OpticalField(field.grid, field.carrier_frequency, out, None, spectral=(sp, False))
 
 
 def pbs(field: OpticalField) -> tuple[OpticalField, OpticalField]:
     """Split rails losslessly into two single-rail fields; each rail stays in
     the domain it is held in."""
-    zero = dark_rail(field.grid.n_samples)
     (x, y), (sx, sy) = field._held, field.spectral
     return (
-        OpticalField(field.grid, field.carrier_frequency, x, zero, spectral=(sx, False)),
-        OpticalField(field.grid, field.carrier_frequency, zero, y, spectral=(False, sy)),
+        OpticalField(field.grid, field.carrier_frequency, x, None, spectral=(sx, False)),
+        OpticalField(field.grid, field.carrier_frequency, None, y, spectral=(False, sy)),
     )
 
 
@@ -282,7 +276,7 @@ def pbc(x: OpticalField, y: OpticalField) -> OpticalField:
     """Merge two complementary single-rail fields; inverse of pbs."""
     if x.grid != y.grid:
         raise GridError("pbc inputs do not share a grid")
-    if x.rail() in ("y", "both") or y.rail() in ("x", "both"):
+    if x._held[1] is not None or y._held[0] is not None:
         raise RailConflict("pbc inputs must occupy complementary rails")
     return OpticalField(x.grid, x.carrier_frequency, x._held[0], y._held[1],
                         spectral=(x.spectral[0], y.spectral[1]))
@@ -320,8 +314,9 @@ def photodetect(field: OpticalField, responsivity: float = 0.8) -> SampledWavefo
     A dark rail adds nothing and is skipped, as in `OpticalField.filtered`.
     """
     intensity = None  # starts at the first lit rail's square (0 + a == a), not at zeros
-    for env in (field.env_x, field.env_y):
-        if np.any(env):
+    for i, rail in enumerate(field._held):
+        if rail is not None:
+            env = field._rail_as(i, False)
             square = env.real**2
             intensity = square if intensity is None else np.add(intensity, square, out=intensity)
             intensity += env.imag**2

@@ -87,7 +87,7 @@ def analytic_tau2(
 
 def _effective_amplitude(w: SampledWaveform) -> float:
     """Peak-equivalent tone amplitude: sqrt(2) * rms."""
-    return float(np.sqrt(2.0 * np.mean(np.abs(w.samples) ** 2)))
+    return float(np.sqrt(2.0 * np.mean(w.samples ** 2)))
 
 
 def seed_settings(

@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and `optics`
+never scans samples to learn which rail is lit.
 
 No linter is part of the test toolchain, so this is its unused-import check:
 each module but `__init__.py` (whose imports are the public API) is parsed
 with `ast`, and a name that an import binds but no expression reads fails.
+A dark optical rail is None in `OpticalField`, so a call to `np.any` in
+`optics.py` fails too.
 """
 
 import ast
@@ -12,7 +15,8 @@ import pytest
 
 import rofsim
 
-MODULES = sorted(p for p in Path(rofsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(rofsim.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +38,22 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def any_calls(source: str) -> list[int]:
+    """Lines that call `np.any` or `numpy.any`."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "any" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+
+
+def test_finds_an_any_call():
+    source = "import numpy\nimport numpy as np\nnp.any(x)\nif numpy.any(y): any(z)\nx.any()\n"
+    assert any_calls(source) == [3, 4]
+
+
+def test_optics_never_scans_for_darkness():
+    assert any_calls((PACKAGE / "optics.py").read_text()) == []

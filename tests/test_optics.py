@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.special import j0, j1
 
@@ -60,8 +61,69 @@ class TestLaserCw:
         assert np.allclose(np.abs(f.env_y), 0.0316228, atol=1e-6)
 
     def test_dark_limit(self):
+        # -inf dBm is a lit rail of zeros, not a dark rail
         f = laser_cw(-np.inf, FC, "x", GRID)
         assert total_power(f) == 0.0
+        assert f.rail() == "x"
+        assert np.array_equal(photodetect(f).samples, np.zeros(GRID.n_samples))
+
+
+class TestDarkRails:
+    """A dark rail is None in the field: it reads as zeros, and no step
+    transforms it."""
+
+    @pytest.mark.parametrize("spectral", [(False, False), (True, True)])
+    def test_dark_rail_reads_as_zero_stride_zeros(self, spectral):
+        f = OpticalField(GRID, FC, np.ones(GRID.n_samples), None, spectral=spectral)
+        assert f.rail() == "x"
+        for rail in (f.env_y, f.spectrum_y):
+            assert rail.shape == (GRID.n_samples,) and rail.strides == (0,)
+            assert not rail.flags.writeable and not np.any(rail)
+
+    @pytest.mark.parametrize("lit", [(True, False), (False, True), (True, True)])
+    def test_only_lit_rails_are_transformed(self, lit, monkeypatch):
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(transform.__name__)
+                return transform(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        env = np.ones(GRID.n_samples)
+        f = OpticalField(GRID, FC, *(env if on else None for on in lit))
+        spectra = f.held_as((True, True))
+        assert calls == ["fft"] * sum(lit)
+        assert spectra.rail() == f.rail()
+        calls.clear()
+        f.filtered(np.ones(GRID.n_samples))
+        assert calls == ["fft", "ifft"] * sum(lit)
+
+
+class TestSingleRailRules:
+    @pytest.mark.parametrize("element", ["dd_mzm_ssb", "dp_bpsk_modulate"])
+    def test_modulators_reject_a_two_rail_carrier(self, element):
+        both = pbc(laser_cw(0.0, FC, "x", GRID), laser_cw(0.0, FC, "y", GRID))
+        drive = drive_for_m(0.3, 2e9)
+        modulate = {
+            "dd_mzm_ssb": lambda: dd_mzm_ssb(both, drive, MOD),
+            "dp_bpsk_modulate": lambda: dp_bpsk_modulate(both, drive, drive, MOD, MOD),
+        }[element]
+        with pytest.raises(ValueError, match=f"^{element} carrier must occupy a single rail$"):
+            modulate()
+
+    @pytest.mark.parametrize("x_in, y_in", [
+        pytest.param("both", "y", id="x-input-spare-lit-both"),
+        pytest.param("y", "y", id="x-input-on-y"),
+        pytest.param("x", "both", id="y-input-spare-lit-both"),
+    ])
+    def test_pbc_rejects_a_lit_spare_rail(self, x_in, y_in):
+        fields = {p: laser_cw(0.0, FC, p, GRID) for p in ("x", "y")}
+        fields["both"] = pbc(fields["x"], fields["y"])
+        with pytest.raises(RailConflict):
+            pbc(fields[x_in], fields[y_in])
 
 
 class TestHybridCoupler:
@@ -337,7 +399,7 @@ class TestFiber:
     def test_spectral_rails_read_as_samples(self):
         f = self._modulated()
         spectrum_x = f.spectrum_x
-        held = OpticalField(GRID, FC, spectrum_x, f.spectrum_y, spectral=(True, True))
+        held = OpticalField(GRID, FC, spectrum_x, None, spectral=(True, True))
         assert held.rail() == f.rail() == "x"
         assert held.spectrum_x is spectrum_x
         np.testing.assert_allclose(held.env_x, f.env_x, rtol=0, atol=1e-15)
