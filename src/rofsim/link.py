@@ -29,7 +29,6 @@ from .signal_core import (
     TimeGrid,
     ToneSpec,
     band_power,
-    cancellation_depth,
     dbm_to_amplitude,
     dbm_to_watts,
     demodulate_evm,
@@ -92,7 +91,6 @@ class LinkScenario:
     description: str = ""  # a line of text for the reader; no stage reads it
     seed: int = 1
     laser_power_dbm: float = 10.0
-    carrier_frequency: float = 191.3e12
     if_signal: ToneSpec | QamSignalSpec = dc_field(
         default_factory=lambda: ToneSpec(amplitude=0.631, frequency=2e9)
     )
@@ -111,7 +109,6 @@ class LinkScenario:
     downlink_fiber: FiberParams = dc_field(default_factory=lambda: FiberParams(length=0.0))
     uplink_fiber: FiberParams = dc_field(default_factory=lambda: FiberParams(length=0.0))
     edfa_gain_db: float = 20.0
-    edfa_position: str = "ru"  # co | ru
     si_path: SelfInterferencePath = dc_field(default_factory=SelfInterferencePath)
     soi: SoiSpec | None = None
     bpf: tuple[float, float] = (6.45e9, 8.55e9)
@@ -131,8 +128,6 @@ class LinkScenario:
                 raise ValueError(f"frequency {f:.3g} Hz outside (0, Nyquist)")
         if not self.bpf[0] < self.f_s < self.bpf[1]:
             raise ValueError("f_if + f_lo must fall inside the BPF passband")
-        if self.edfa_position not in ("co", "ru"):
-            raise ValueError("edfa_position must be 'co' or 'ru'")
         if not self.mod_if.v_pi == self.mod_lo.v_pi == self.mod_uplink.v_pi:
             raise ValueError("the three modulators must share one v_pi")
         # a QAM SOI's spec checks its roll-off
@@ -215,15 +210,14 @@ def _modulator_key(s: LinkScenario) -> tuple:
     """The fields the modulator output reads: the laser, the two drives and
     their modulators, and whether the link carries spectra, which sets the
     domain the output is held in."""
-    return (s.grid, s.laser_power_dbm, s.carrier_frequency, s.if_signal, s.lo_signal,
-            s.mod_if, s.mod_lo, _carries_spectra(s))
+    return (s.grid, s.laser_power_dbm, s.if_signal, s.lo_signal, s.mod_if, s.mod_lo,
+            _carries_spectra(s))
 
 
 def _downlink_key(s: LinkScenario) -> tuple:
     """The fields the downlink reads: the modulator's plus the EDFA, the
     downlink fiber, the BPF and the photodiode."""
-    return _modulator_key(s) + (s.edfa_gain_db, s.edfa_position, s.downlink_fiber, s.bpf,
-                                s.responsivity)
+    return _modulator_key(s) + (s.edfa_gain_db, s.downlink_fiber, s.bpf, s.responsivity)
 
 
 def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
@@ -262,7 +256,7 @@ def _modulate(s: LinkScenario) -> OpticalField:
     in the domain the link of `s` carries."""
     if_drive = _drive(s.if_signal, s.grid)
     lo_drive = _drive(s.lo_signal, s.grid)
-    laser = laser_cw(s.laser_power_dbm, s.carrier_frequency, "x", s.grid)
+    laser = laser_cw(s.laser_power_dbm, "x", s.grid)
     out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
     del if_drive, lo_drive, laser  # freed before the rails are transformed
     return out.held_as((_carries_spectra(s),) * 2)
@@ -273,17 +267,16 @@ def downlink_taps(s: LinkScenario) -> dict:
     modulator output is kept, so a scenario that changes only later fields
     reuses it.
 
-    The EDFA, the fiber, the splitter and the polarizer act on the rails in
+    The fiber, the EDFA, the splitter and the polarizer act on the rails in
     the domain the modulator output is held in. Held as spectra, the chain
     transforms two rails: the polarizer output, for the photodiode, and the
     RU Y rail, for the uplink modulator. The RU X rail stays in its domain.
     """
     dp_out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
-    edfa = (10.0 ** (s.edfa_gain_db / 20.0),)
-    co, ru = (edfa, ()) if s.edfa_position == "co" else ((), edfa)
-    # EDFA at the CO, fiber, EDFA at the RU and the 3-dB optical splitter,
-    # whose two outputs carry the same read-only field
-    split = fiber_propagate(dp_out.scaled(*co), s.downlink_fiber).scaled(*ru, 1.0 / np.sqrt(2.0))
+    edfa = 10.0 ** (s.edfa_gain_db / 20.0)
+    # fiber, EDFA at the RU and the 3-dB optical splitter, whose two outputs
+    # carry the same read-only field
+    split = fiber_propagate(dp_out, s.downlink_fiber).scaled(edfa, 1.0 / np.sqrt(2.0))
     ru_field = split.held_as((split.spectral[0], False))
     pol_out = polarizer(split, np.pi / 4.0).held_as((False, False))
     del split  # a spectrum Y rail is freed before the photodiode runs
@@ -512,7 +505,7 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
     band = s.si_band()
     residual = band_power(spec_with, *band)
-    depth = cancellation_depth(spec_without, spec_with, band)
+    depth = band_power(spec_without, *band) - residual
 
     soi_power = None
     evm = None

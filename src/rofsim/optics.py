@@ -46,10 +46,8 @@ class OpticalField:
     `held_as` converts.
     """
 
-    def __init__(self, grid: TimeGrid, carrier_frequency: float, env_x, env_y,
-                 spectral: tuple[bool, bool] = (False, False)):
+    def __init__(self, grid: TimeGrid, env_x, env_y, spectral: tuple[bool, bool] = (False, False)):
         self.grid = grid
-        self.carrier_frequency = carrier_frequency
         self.spectral = tuple(spectral)
         self._held = tuple(None if r is None else _read_only(r) for r in (env_x, env_y))
         if any(r is not None and r.shape != (grid.n_samples,) for r in self._held):
@@ -87,12 +85,12 @@ class OpticalField:
             return self
         rails = [None if r is None else self._rail_as(i, sp)
                  for i, (r, sp) in enumerate(zip(self._held, spectral))]
-        return OpticalField(self.grid, self.carrier_frequency, *rails, spectral=spectral)
+        return OpticalField(self.grid, *rails, spectral=spectral)
 
     def _each_lit(self, step) -> OpticalField:
         """step(rail, spectral) on each lit rail, in its held domain; a dark rail stays dark."""
         rails = [None if r is None else step(r, sp) for r, sp in zip(self._held, self.spectral)]
-        return OpticalField(self.grid, self.carrier_frequency, *rails, spectral=self.spectral)
+        return OpticalField(self.grid, *rails, spectral=self.spectral)
 
     def scaled(self, *factors: float) -> OpticalField:
         """Scalar gain: each lit rail times every factor in turn (k * rail), into
@@ -153,9 +151,7 @@ class FiberParams:
         return -d_si * lam**2 / (2.0 * np.pi * C_LIGHT)
 
 
-def laser_cw(
-    power_dbm: float, carrier_frequency: float, polarization: str, grid: TimeGrid
-) -> OpticalField:
+def laser_cw(power_dbm: float, polarization: str, grid: TimeGrid) -> OpticalField:
     """CW field of constant envelope sqrt(P) in the selected rail, zero phase.
 
     power_dbm = -inf yields a lit rail of zeros (the other rail is dark); NaN
@@ -164,9 +160,9 @@ def laser_cw(
     amp = np.sqrt(dbm_to_watts(power_dbm))
     env = np.full(grid.n_samples, amp, dtype=np.complex128)
     if polarization == "x":
-        return OpticalField(grid, carrier_frequency, env, None)
+        return OpticalField(grid, env, None)
     if polarization == "y":
-        return OpticalField(grid, carrier_frequency, None, env)
+        return OpticalField(grid, None, env)
     raise ValueError("polarization must be 'x' or 'y'")
 
 
@@ -231,7 +227,7 @@ def dd_mzm_ssb(
     m = _ssb_transfer(drive.samples, params)
     rails = list(carrier._held)
     rails[i] = np.multiply(carrier._rail_as(i, False), m, out=m)
-    return OpticalField(carrier.grid, carrier.carrier_frequency, *rails)
+    return OpticalField(carrier.grid, *rails)
 
 
 def dp_bpsk_modulate(
@@ -248,8 +244,8 @@ def dp_bpsk_modulate(
     modulation (upper sideband).
     """
     c = carrier._rail_as(_single_rail(carrier, "dp_bpsk_modulate"), False) / np.sqrt(2.0)
-    x = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, c, None), if_drive, p_if)
-    y = dd_mzm_ssb(OpticalField(carrier.grid, carrier.carrier_frequency, None, c), lo_drive, p_lo)
+    x = dd_mzm_ssb(OpticalField(carrier.grid, c, None), if_drive, p_if)
+    y = dd_mzm_ssb(OpticalField(carrier.grid, None, c), lo_drive, p_lo)
     return pbc(x, y)
 
 
@@ -259,7 +255,7 @@ def polarizer(field: OpticalField, angle: float) -> OpticalField:
     sp = field.spectral[0]
     out = np.cos(angle) * field._rail_as(0, sp)
     out += np.sin(angle) * field._rail_as(1, sp)
-    return OpticalField(field.grid, field.carrier_frequency, out, None, spectral=(sp, False))
+    return OpticalField(field.grid, out, None, spectral=(sp, False))
 
 
 def pbs(field: OpticalField) -> tuple[OpticalField, OpticalField]:
@@ -267,8 +263,8 @@ def pbs(field: OpticalField) -> tuple[OpticalField, OpticalField]:
     the domain it is held in."""
     (x, y), (sx, sy) = field._held, field.spectral
     return (
-        OpticalField(field.grid, field.carrier_frequency, x, None, spectral=(sx, False)),
-        OpticalField(field.grid, field.carrier_frequency, None, y, spectral=(False, sy)),
+        OpticalField(field.grid, x, None, spectral=(sx, False)),
+        OpticalField(field.grid, None, y, spectral=(False, sy)),
     )
 
 
@@ -278,8 +274,7 @@ def pbc(x: OpticalField, y: OpticalField) -> OpticalField:
         raise GridError("pbc inputs do not share a grid")
     if x._held[1] is not None or y._held[0] is not None:
         raise RailConflict("pbc inputs must occupy complementary rails")
-    return OpticalField(x.grid, x.carrier_frequency, x._held[0], y._held[1],
-                        spectral=(x.spectral[0], y.spectral[1]))
+    return OpticalField(x.grid, x._held[0], y._held[1], spectral=(x.spectral[0], y.spectral[1]))
 
 
 def fiber_transfer(fp: FiberParams, grid: TimeGrid) -> np.ndarray:

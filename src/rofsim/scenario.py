@@ -30,7 +30,6 @@ _HEAD = (
     _Row("description", ("description",), "word", ""),
     _Row("seed", ("seed",), "integer"),
     _Row("laser.power_dbm", ("laser_power_dbm",), "number"),
-    _Row("laser.frequency_thz", ("carrier_frequency",), "positive", exp=12),
     _Row("if_signal.kind", (), "word"),
 )
 # one sub-table per kind of IF drive; a document holds the keys of its kind only
@@ -61,7 +60,6 @@ _TAIL = (
     _Row("uplink_fiber.dispersion_ps_nm_km", ("uplink_fiber.dispersion",), "number", 17.0),
     _Row("uplink_fiber.attenuation_db_km", ("uplink_fiber.attenuation",), "number", 0.2),
     _Row("edfa.gain_db", ("edfa_gain_db",), "number"),
-    _Row("edfa.position", ("edfa_position",), "word"),
     _Row("si_path.gain_db", ("si_path.gain_db",), "off"),
     _Row("si_path.delay_ns", ("si_path.delay",), "non-negative", exp=-9),
     _Row("filters.bpf_low_ghz", ("bpf.0",), "positive", exp=9),
@@ -176,7 +174,7 @@ def scenario_to_dict(s: LinkScenario) -> dict:
     """Inverse of dict_to_scenario; every LinkScenario has a document.
 
     Keys without a unit scale hold the exact float, so they load back exactly.
-    Keys with one (THz, GHz, MBaud, ns, MHz) are rounded to 10 decimals and
+    Keys with one (GHz, MBaud, ns, MHz) are rounded to 10 decimals and
     tone amplitudes are written as dBm: exact for a scenario read from a file,
     a neighbouring float for an arbitrary value set in code.
     """

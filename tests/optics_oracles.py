@@ -39,12 +39,7 @@ def mzm_dsb(
         raise GridError("carrier and drive grids differ")
     phi = np.pi * drive.samples / (2.0 * params.v_pi)
     m = np.cos(phi - np.pi / 4.0)
-    return OpticalField(
-        carrier.grid,
-        carrier.carrier_frequency,
-        carrier.env_x * m,
-        carrier.env_y * m,
-    )
+    return carrier.held_as((False, False))._each_lit(lambda env, _: env * m)
 
 
 def ssb_smallsignal_coefficients(m: float) -> dict:
@@ -68,19 +63,19 @@ def attenuate(field: OpticalField, alpha: float) -> OpticalField:
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
     s = np.sqrt(alpha)
-    return OpticalField(
-        field.grid, field.carrier_frequency, s * field.env_x, s * field.env_y
-    )
+    return field.scaled(s)
 
 
-def delay_line(field: OpticalField, tau: float) -> OpticalField:
-    """True optical delay: envelope delay plus carrier phase e^{-j w_c tau}."""
+def delay_line(field: OpticalField, tau: float, carrier_frequency: float = 0.0) -> OpticalField:
+    """True optical delay: envelope delay plus carrier phase e^{-j w_c tau} at
+    w_c = 2*pi*carrier_frequency. The default 0 delays the envelope alone,
+    which is all that square-law detection sees."""
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     if tau == 0.0:
         return field
     ph = np.exp(-2j * np.pi * field.grid.freqs() * tau) * np.exp(
-        -2j * np.pi * field.carrier_frequency * tau
+        -2j * np.pi * carrier_frequency * tau
     )
     return field.filtered(ph)
 

@@ -1,9 +1,10 @@
-"""Every module of the package uses each name it imports, and `optics`
-never scans samples to learn which rail is lit.
+"""Every module of the package and of the tests uses each name it imports,
+and `optics` never scans samples to learn which rail is lit.
 
 No linter is part of the test toolchain, so this is its unused-import check:
-each module but `__init__.py` (whose imports are the public API) is parsed
-with `ast`, and a name that an import binds but no expression reads fails.
+each module but the package's `__init__.py` (whose imports are the public
+API) is parsed with `ast`, and a name that an import binds but no expression
+reads fails.
 A dark optical rail is None in `OpticalField`, so a call to `np.any` in
 `optics.py` fails too.
 """
@@ -16,7 +17,8 @@ import pytest
 import rofsim
 
 PACKAGE = Path(rofsim.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = {p.stem: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+MODULES.update((f"tests.{p.stem}", p) for p in sorted(Path(__file__).parent.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +37,7 @@ def test_finds_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau as t\nprint(pi)\n") == ["os", "t"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES.values(), ids=MODULES.keys())
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -35,7 +35,7 @@ from optics_oracles import (
 )
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
-FC = 191.3e12
+FC = 191.3e12  # a C-band carrier, Hz: the delay line's carrier phase reads it
 MOD = ModulatorParams(v_pi=3.5, sideband="lower")
 
 
@@ -52,17 +52,17 @@ def drive_for_m(m: float, f: float, v_pi: float = 3.5):
 
 class TestLaserCw:
     def test_ten_dbm_x_rail(self):
-        f = laser_cw(10.0, FC, "x", GRID)
+        f = laser_cw(10.0, "x", GRID)
         assert np.allclose(np.abs(f.env_x), np.sqrt(0.01))
         assert np.all(f.env_y == 0)
 
     def test_zero_dbm_amplitude(self):
-        f = laser_cw(0.0, FC, "y", GRID)
+        f = laser_cw(0.0, "y", GRID)
         assert np.allclose(np.abs(f.env_y), 0.0316228, atol=1e-6)
 
     def test_dark_limit(self):
         # -inf dBm is a lit rail of zeros, not a dark rail
-        f = laser_cw(-np.inf, FC, "x", GRID)
+        f = laser_cw(-np.inf, "x", GRID)
         assert total_power(f) == 0.0
         assert f.rail() == "x"
         assert np.array_equal(photodetect(f).samples, np.zeros(GRID.n_samples))
@@ -74,7 +74,7 @@ class TestDarkRails:
 
     @pytest.mark.parametrize("spectral", [(False, False), (True, True)])
     def test_dark_rail_reads_as_zero_stride_zeros(self, spectral):
-        f = OpticalField(GRID, FC, np.ones(GRID.n_samples), None, spectral=spectral)
+        f = OpticalField(GRID, np.ones(GRID.n_samples), None, spectral=spectral)
         assert f.rail() == "x"
         for rail in (f.env_y, f.spectrum_y):
             assert rail.shape == (GRID.n_samples,) and rail.strides == (0,)
@@ -93,7 +93,7 @@ class TestDarkRails:
         for name in ("fft", "ifft"):
             monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
         env = np.ones(GRID.n_samples)
-        f = OpticalField(GRID, FC, *(env if on else None for on in lit))
+        f = OpticalField(GRID, *(env if on else None for on in lit))
         spectra = f.held_as((True, True))
         assert calls == ["fft"] * sum(lit)
         assert spectra.rail() == f.rail()
@@ -105,7 +105,7 @@ class TestDarkRails:
 class TestSingleRailRules:
     @pytest.mark.parametrize("element", ["dd_mzm_ssb", "dp_bpsk_modulate"])
     def test_modulators_reject_a_two_rail_carrier(self, element):
-        both = pbc(laser_cw(0.0, FC, "x", GRID), laser_cw(0.0, FC, "y", GRID))
+        both = pbc(laser_cw(0.0, "x", GRID), laser_cw(0.0, "y", GRID))
         drive = drive_for_m(0.3, 2e9)
         modulate = {
             "dd_mzm_ssb": lambda: dd_mzm_ssb(both, drive, MOD),
@@ -120,7 +120,7 @@ class TestSingleRailRules:
         pytest.param("x", "both", id="y-input-spare-lit-both"),
     ])
     def test_pbc_rejects_a_lit_spare_rail(self, x_in, y_in):
-        fields = {p: laser_cw(0.0, FC, p, GRID) for p in ("x", "y")}
+        fields = {p: laser_cw(0.0, p, GRID) for p in ("x", "y")}
         fields["both"] = pbc(fields["x"], fields["y"])
         with pytest.raises(RailConflict):
             pbc(fields[x_in], fields[y_in])
@@ -157,7 +157,7 @@ class TestHybridCoupler:
 
 class TestSsbModulator:
     def test_zero_drive_carrier_only(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
         out = dd_mzm_ssb(carrier, zero, MOD)
         # (1 + e^{-j pi/2})/2 has magnitude 1/sqrt(2): 3 dB below the carrier
@@ -166,7 +166,7 @@ class TestSsbModulator:
         )
 
     def test_carrier_sideband_ratio_m02(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         out = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
         c = line(out.env_x, GRID, 0.0)
         s = line(out.env_x, GRID, -2e9)
@@ -176,14 +176,14 @@ class TestSsbModulator:
         assert expected == pytest.approx(16.9, abs=0.1)
 
     def test_unwanted_sideband_suppression(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         out = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
         wanted = line(out.env_x, GRID, -2e9)
         unwanted = line(out.env_x, GRID, 2e9)
         assert 20 * np.log10(abs(wanted) / max(abs(unwanted), 1e-300)) >= 60.0
 
     def test_upper_sideband_selection(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         upper = ModulatorParams(v_pi=3.5, sideband="upper")
         out = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), upper)
         assert abs(line(out.env_x, GRID, 2e9)) > 100 * abs(line(out.env_x, GRID, -2e9))
@@ -191,7 +191,7 @@ class TestSsbModulator:
     @settings(deadline=None, max_examples=15)
     @given(m=st.floats(0.02, 0.3), f=st.sampled_from([1e9, 2e9, 5e9, 6e9]))
     def test_smallsignal_oracle_within_2_percent(self, m, f):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         out = dd_mzm_ssb(carrier, drive_for_m(m, f), MOD)
         a0 = np.abs(carrier.env_x[0])
         coeffs = ssb_smallsignal_coefficients(m)
@@ -239,7 +239,7 @@ class TestDpBpskModulator:
     P_LO = ModulatorParams(v_pi=3.5, sideband="upper")
 
     def test_rail_line_layout(self):
-        carrier = laser_cw(10.0, FC, "x", GRID)
+        carrier = laser_cw(10.0, "x", GRID)
         out = dp_bpsk_modulate(
             carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO
         )
@@ -256,7 +256,7 @@ class TestDpBpskModulator:
                 assert abs(line(env, GRID, f_r)) < 1e-6 * main
 
     def test_zero_drives_equal_cw_rails(self):
-        carrier = laser_cw(10.0, FC, "x", GRID)
+        carrier = laser_cw(10.0, "x", GRID)
         zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
         out = dp_bpsk_modulate(carrier, zero, zero, self.P_IF, self.P_LO)
         px = np.mean(np.abs(out.env_x) ** 2)
@@ -265,7 +265,7 @@ class TestDpBpskModulator:
 
     @pytest.mark.parametrize("off_grid", ["if", "lo"])
     def test_drive_on_another_grid(self, off_grid):
-        carrier = laser_cw(10.0, FC, "x", GRID)
+        carrier = laser_cw(10.0, "x", GRID)
         other = TimeGrid(sample_rate=GRID.sample_rate, n_samples=GRID.n_samples // 2)
         drives = {"if": drive_for_m(0.3, 2e9), "lo": drive_for_m(0.4, 5e9)}
         drives[off_grid] = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), other)
@@ -273,8 +273,8 @@ class TestDpBpskModulator:
             dp_bpsk_modulate(carrier, drives["if"], drives["lo"], self.P_IF, self.P_LO)
 
     def test_carrier_on_both_rails(self):
-        x, y = laser_cw(10.0, FC, "x", GRID), laser_cw(10.0, FC, "y", GRID)
-        both = OpticalField(GRID, FC, x.env_x, y.env_y)
+        x, y = laser_cw(10.0, "x", GRID), laser_cw(10.0, "y", GRID)
+        both = OpticalField(GRID, x.env_x, y.env_y)
         with pytest.raises(ValueError):
             dp_bpsk_modulate(
                 both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO
@@ -282,15 +282,15 @@ class TestDpBpskModulator:
 
     def test_y_rail_carrier_equals_x_rail_carrier(self):
         drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO)
-        from_x = dp_bpsk_modulate(laser_cw(10.0, FC, "x", GRID), *drives)
-        from_y = dp_bpsk_modulate(laser_cw(10.0, FC, "y", GRID), *drives)
+        from_x = dp_bpsk_modulate(laser_cw(10.0, "x", GRID), *drives)
+        from_y = dp_bpsk_modulate(laser_cw(10.0, "y", GRID), *drives)
         assert np.array_equal(from_y.env_x, from_x.env_x)
         assert np.array_equal(from_y.env_y, from_x.env_y)
 
 
 class TestPolarizationElements:
     def _field(self):
-        carrier = laser_cw(10.0, FC, "x", GRID)
+        carrier = laser_cw(10.0, "x", GRID)
         return dp_bpsk_modulate(
             carrier,
             drive_for_m(0.3, 2e9),
@@ -300,17 +300,17 @@ class TestPolarizationElements:
         )
 
     def test_polarizer_aligned(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         g = polarizer(f, 0.0)
         assert np.allclose(g.env_x, f.env_x)
 
     def test_polarizer_45_half_power(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         g = polarizer(f, np.pi / 4)
         assert total_power(g) == pytest.approx(total_power(f) / 2, rel=1e-12)
 
     def test_polarizer_crossed_extinction(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         g = polarizer(f, np.pi / 2)
         assert total_power(g) < 1e-30
 
@@ -336,7 +336,7 @@ class TestPolarizationElements:
         env_x, env_y = rng.standard_normal((2, grid.n_samples)) + 1j * rng.standard_normal(
             (2, grid.n_samples)
         )
-        f = OpticalField(grid, FC, env_x, y_scale * env_y)
+        f = OpticalField(grid, env_x, y_scale * env_y)
         p = total_power(f)
         x, y = pbs(f)
         assert total_power(x) + total_power(y) == pytest.approx(p, rel=1e-12)
@@ -344,26 +344,26 @@ class TestPolarizationElements:
         assert np.array_equal(g.env_x, f.env_x) and np.array_equal(g.env_y, f.env_y)
         split = total_power(polarizer(f, theta)) + total_power(polarizer(f, theta + np.pi / 2))
         assert split == pytest.approx(p, rel=1e-12)
-        single = OpticalField(grid, FC, env_x, np.zeros(grid.n_samples))
+        single = OpticalField(grid, env_x, np.zeros(grid.n_samples))
         assert total_power(polarizer(single, np.pi / 4)) == pytest.approx(
             total_power(single) / 2, rel=1e-12
         )
 
     def test_pbs_of_single_rail(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         x, y = pbs(f)
         assert np.array_equal(x.env_x, f.env_x)
         assert total_power(y) == 0.0
 
     def test_pbc_rail_conflict(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         with pytest.raises(RailConflict):
             pbc(f, f)
 
 
 class TestFiber:
     def test_zero_length_identity(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         g = fiber_propagate(f, FiberParams(length=0.0))
         assert np.array_equal(g.env_x, f.env_x)
         assert g is f
@@ -373,7 +373,7 @@ class TestFiber:
         assert fp.beta2 * 1e27 == pytest.approx(-22.15, abs=0.1)  # ps^2/km
 
     def test_sideband_phase_4p1_km(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         out = dd_mzm_ssb(carrier, drive_for_m(0.2, 8e9), ModulatorParams(v_pi=3.5, sideband="upper"))
         fp = FiberParams(length=4.1, attenuation=0.0)
         prop = fiber_propagate(out, fp)
@@ -399,7 +399,7 @@ class TestFiber:
     def test_spectral_rails_read_as_samples(self):
         f = self._modulated()
         spectrum_x = f.spectrum_x
-        held = OpticalField(GRID, FC, spectrum_x, None, spectral=(True, True))
+        held = OpticalField(GRID, spectrum_x, None, spectral=(True, True))
         assert held.rail() == f.rail() == "x"
         assert held.spectrum_x is spectrum_x
         np.testing.assert_allclose(held.env_x, f.env_x, rtol=0, atol=1e-15)
@@ -414,7 +414,7 @@ class TestFiber:
         assert np.allclose(a.env_x, b.env_x, atol=1e-15)
 
     def _modulated(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         return dd_mzm_ssb(carrier, drive_for_m(0.3, 8e9), ModulatorParams(v_pi=3.5, sideband="upper"))
 
     def _rf_power_at(self, field, f_rf):
@@ -422,7 +422,7 @@ class TestFiber:
         return abs(line(i.samples, GRID, f_rf))
 
     def test_ssb_immune_dsb_fades(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         f_rf = 12e9
         drive = drive_for_m(0.3, f_rf)
         ssb = dd_mzm_ssb(carrier, drive, ModulatorParams(v_pi=3.5, sideband="upper"))
@@ -446,37 +446,37 @@ class TestFiber:
 
 class TestAttenuateDelay:
     def test_identity_settings(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         g = delay_line(attenuate(f, 1.0), 0.0)
         assert np.allclose(g.env_x, f.env_x, atol=1e-12)
 
     def test_quarter_power(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         g = attenuate(f, 0.25)
         assert 10 * np.log10(total_power(f) / total_power(g)) == pytest.approx(
             6.02, abs=0.01
         )
 
     def test_gain_rejected(self):
-        f = laser_cw(0.0, FC, "x", GRID)
+        f = laser_cw(0.0, "x", GRID)
         with pytest.raises(GainNotAllowed):
             attenuate(f, 1.5)
 
     def test_full_carrier_period_delay(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         f = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
-        g = delay_line(f, 1.0 / FC)
+        g = delay_line(f, 1.0 / FC, FC)
         assert np.allclose(g.env_x, f.env_x, atol=1e-6)
 
     def test_delay_keeps_dark_rail_dark(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         f = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
         g = delay_line(f, 0.37e-9)
         assert not np.any(g.env_y)
         assert np.any(g.env_x)
 
     def test_zero_delay_is_an_exact_copy(self):
-        carrier = laser_cw(0.0, FC, "x", GRID)
+        carrier = laser_cw(0.0, "x", GRID)
         f = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), MOD)
         g = delay_line(f, 0.0)
         assert np.array_equal(g.env_x, f.env_x)
@@ -486,12 +486,12 @@ class TestAttenuateDelay:
 
 class TestDetectors:
     def test_cw_dc_current(self):
-        f = laser_cw(10.0, FC, "x", GRID)
+        f = laser_cw(10.0, "x", GRID)
         i = photodetect(f, responsivity=0.8)
         assert np.allclose(i.samples, 0.8 * 0.01)
 
     def test_polarized_dp_bpsk_rf_line(self):
-        carrier = laser_cw(10.0, FC, "x", GRID)
+        carrier = laser_cw(10.0, "x", GRID)
         out = dp_bpsk_modulate(
             carrier,
             drive_for_m(0.3, 2e9),
@@ -503,7 +503,7 @@ class TestDetectors:
         assert abs(line(i.samples, GRID, 7e9)) > 10 * abs(line(i.samples, GRID, 3e9))
 
     def test_rf_amplitude_tracks_bessel_product(self):
-        carrier = laser_cw(10.0, FC, "x", GRID)
+        carrier = laser_cw(10.0, "x", GRID)
         amps = []
         ms = [0.05, 0.1, 0.2]
         for m in ms:
@@ -521,12 +521,12 @@ class TestDetectors:
         assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=0.01)
 
     def test_balanced_common_mode_rejection(self):
-        f = laser_cw(10.0, FC, "x", GRID)
+        f = laser_cw(10.0, "x", GRID)
         out = balanced_detect(f, f)
         assert np.all(out.samples == 0)
 
     def test_balanced_one_dark(self):
-        f = laser_cw(10.0, FC, "x", GRID)
-        dark = laser_cw(-np.inf, FC, "x", GRID)
+        f = laser_cw(10.0, "x", GRID)
+        dark = laser_cw(-np.inf, "x", GRID)
         out = balanced_detect(f, dark)
         assert np.allclose(out.samples, photodetect(f).samples)

@@ -237,6 +237,9 @@ class TestScenarioFiles:
             ("seed", 3.7, "'seed' must be an integer"),
             ("soi.data_seed", True, "'soi.data_seed' must be an integer"),
             ("grid.n_samples", float("nan"), "'grid.n_samples' must be an integer"),
+            # keys of older files, which no computed value read: rejected by name
+            ("laser.frequency_thz", 191.3, "unknown key 'laser.frequency_thz'"),
+            ("edfa.position", "ru", "unknown key 'edfa.position'"),
         ],
     )
     def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
@@ -494,6 +497,7 @@ class TestCliSweep:
             ("laser", "1,2"),  # a section, not a key
             ("soi.power_dbm", "-30"),  # the scenario has no SOI
             ("grid.n_samples", "262144.5"),  # not an integer
+            ("laser.frequency_thz", "191.3,193.4"),  # a removed key
         ],
     )
     def test_unknown_axis_exit_2(self, tmp_path, small_scenario, capsys, axis, values):

@@ -1,13 +1,14 @@
 """Tuner checks that the package does not use, kept as test oracles: the
 empirical phase constant of the cancellation condition, located by a coarse
-delay scan and a bounded Brent search (C8)."""
+delay scan and SciPy's bounded Brent search (C8)."""
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from rofsim.errors import RofsimError
 from rofsim.link import LinkScenario, run_downlink, uplink_evaluator
 from rofsim.signal_core import ToneSpec
-from rofsim.tuner import _brent_tau2, seed_settings
+from rofsim.tuner import seed_settings
 
 _N_SCAN = 96  # delays in the coarse scan of verify_phase_constant
 
@@ -36,11 +37,12 @@ def verify_phase_constant(s: LinkScenario) -> float:
     if objs.max() - objs.min() < 1.0:
         raise DegenerateScan("residual power flat over the delay scan")
     k = int(np.argmin(objs))
-    tau_star = _brent_tau2(
+    tau_star = minimize_scalar(
         lambda t: ev.residual_band_power_dbm(seed.alpha, max(t, 0.0)),
-        taus[k] - period / _N_SCAN,
-        taus[k] + period / _N_SCAN,
-    )
+        bounds=(taus[k] - period / _N_SCAN, taus[k] + period / _N_SCAN),
+        method="bounded",
+        options={"xatol": 1e-15},
+    ).x
     w_if = 2.0 * np.pi * s.f_if
     w_s = 2.0 * np.pi * s.f_s
     return _wrap_phase(w_if * max(tau_star, 0.0) - w_s * s.si_path.delay)
