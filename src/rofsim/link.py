@@ -97,15 +97,7 @@ class LinkScenario:
     lo_signal: ToneSpec = dc_field(
         default_factory=lambda: ToneSpec(amplitude=2.318, frequency=6e9)
     )
-    mod_if: ModulatorParams = dc_field(
-        default_factory=lambda: ModulatorParams(v_pi=3.5, sideband="lower")
-    )
-    mod_lo: ModulatorParams = dc_field(
-        default_factory=lambda: ModulatorParams(v_pi=3.5, sideband="upper")
-    )
-    mod_uplink: ModulatorParams = dc_field(
-        default_factory=lambda: ModulatorParams(v_pi=3.5, sideband="lower")
-    )
+    v_pi: float = 3.5  # volts, shared by the CO and RU modulators
     downlink_fiber: FiberParams = dc_field(default_factory=lambda: FiberParams(length=0.0))
     uplink_fiber: FiberParams = dc_field(default_factory=lambda: FiberParams(length=0.0))
     edfa_gain_db: float = 20.0
@@ -122,14 +114,19 @@ class LinkScenario:
             raise ValueError(
                 "laser.power_dbm: laser power must be a finite, non-zero number of watts"
             )
+        if not 0.0 < self.v_pi < np.inf:
+            raise ValueError("modulators.v_pi_volts: v_pi must be a finite, positive voltage")
         nyq = self.grid.nyquist
-        for f in (self.f_if, self.f_lo, self.f_s, self.lpf, *self.bpf):
+        for key, f in (("if_signal.frequency_ghz", self.f_if), ("lo.frequency_ghz", self.f_lo),
+                       ("filters.lpf_cutoff_ghz", self.lpf), ("filters.bpf_low_ghz", self.bpf[0]),
+                       ("filters.bpf_high_ghz", self.bpf[1])):
             if not 0 < f < nyq:
-                raise ValueError(f"frequency {f:.3g} Hz outside (0, Nyquist)")
-        if not self.bpf[0] < self.f_s < self.bpf[1]:
-            raise ValueError("f_if + f_lo must fall inside the BPF passband")
-        if not self.mod_if.v_pi == self.mod_lo.v_pi == self.mod_uplink.v_pi:
-            raise ValueError("the three modulators must share one v_pi")
+                raise ValueError(f"{key}: frequency {f:.3g} Hz outside (0, Nyquist)")
+        if not self.bpf[0] < self.f_s < self.bpf[1]:  # so f_s lies below Nyquist too
+            raise ValueError(
+                f"if_signal.frequency_ghz + lo.frequency_ghz: f_if + f_lo = {self.f_s:.3g} Hz must"
+                f" fall inside the BPF passband (filters.bpf_low_ghz, filters.bpf_high_ghz)"
+            )
         # a QAM SOI's spec checks its roll-off
         for key, spec in (("if_signal", self.if_signal), ("soi", _soi_signal(self, self.f_if))):
             if isinstance(spec, QamSignalSpec):
@@ -207,11 +204,10 @@ def _drive(spec: ToneSpec | QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
 
 
 def _modulator_key(s: LinkScenario) -> tuple:
-    """The fields the modulator output reads: the laser, the two drives and
-    their modulators, and whether the link carries spectra, which sets the
-    domain the output is held in."""
-    return (s.grid, s.laser_power_dbm, s.if_signal, s.lo_signal, s.mod_if, s.mod_lo,
-            _carries_spectra(s))
+    """The fields the modulator output reads: the laser, the two drives, v_pi,
+    and whether the link carries spectra, which sets the domain the output is
+    held in."""
+    return (s.grid, s.laser_power_dbm, s.if_signal, s.lo_signal, s.v_pi, _carries_spectra(s))
 
 
 def _downlink_key(s: LinkScenario) -> tuple:
@@ -222,9 +218,8 @@ def _downlink_key(s: LinkScenario) -> tuple:
 
 def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
     """The fields the SI-only SIC stage reads: the downlink's plus the SI path,
-    the uplink, the SI band, the lowpass and the RF phase shifter."""
-    return _downlink_key(s) + (s.si_path, s.mod_uplink, s.uplink_fiber, s.rbw, s.lpf,
-                               rf_phase_comp)
+    the uplink fiber, the SI band, the lowpass and the RF phase shifter."""
+    return _downlink_key(s) + (s.si_path, s.uplink_fiber, s.rbw, s.lpf, rf_phase_comp)
 
 
 # Latest (key, output) of each kept stage, in chain order: modulator output,
@@ -257,7 +252,7 @@ def _modulate(s: LinkScenario) -> OpticalField:
     if_drive = _drive(s.if_signal, s.grid)
     lo_drive = _drive(s.lo_signal, s.grid)
     laser = laser_cw(s.laser_power_dbm, "x", s.grid)
-    out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.mod_if, s.mod_lo)
+    out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.v_pi)
     del if_drive, lo_drive, laser  # freed before the rails are transformed
     return out.held_as((_carries_spectra(s),) * 2)
 
@@ -347,9 +342,10 @@ def make_received_signal(
 
 
 def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenario) -> OpticalField:
-    """RU re-modulation: the received RF drives the SSB modulator on the Y
-    output of the RU's beam splitter; the output's X rail is dark."""
-    return dd_mzm_ssb(pbs(ru_field)[1], received, s.mod_uplink)
+    """RU re-modulation: the received RF drives the SSB modulator (lower
+    sideband) on the Y output of the RU's beam splitter; the output's X rail
+    is dark."""
+    return dd_mzm_ssb(pbs(ru_field)[1], received, ModulatorParams(s.v_pi, "lower"))
 
 
 def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:

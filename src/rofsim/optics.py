@@ -234,18 +234,17 @@ def dp_bpsk_modulate(
     carrier: OpticalField,
     if_drive: SampledWaveform,
     lo_drive: SampledWaveform,
-    p_if: ModulatorParams,
-    p_lo: ModulatorParams,
+    v_pi: float,
 ) -> OpticalField:
-    """3-dB split into two SSB modulators (`dd_mzm_ssb`), recombined on
-    orthogonal rails by `pbc`.
+    """3-dB split into two SSB modulators (`dd_mzm_ssb`) of one `v_pi`,
+    recombined on orthogonal rails by `pbc`.
 
     X rail carries the IF modulation (lower sideband), Y rail the LO
     modulation (upper sideband).
     """
     c = carrier._rail_as(_single_rail(carrier, "dp_bpsk_modulate"), False) / np.sqrt(2.0)
-    x = dd_mzm_ssb(OpticalField(carrier.grid, c, None), if_drive, p_if)
-    y = dd_mzm_ssb(OpticalField(carrier.grid, None, c), lo_drive, p_lo)
+    x = dd_mzm_ssb(OpticalField(carrier.grid, c, None), if_drive, ModulatorParams(v_pi, "lower"))
+    y = dd_mzm_ssb(OpticalField(carrier.grid, None, c), lo_drive, ModulatorParams(v_pi, "upper"))
     return pbc(x, y)
 
 

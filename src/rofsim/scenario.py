@@ -13,7 +13,7 @@ import yaml
 
 from .errors import AxisError, ScenarioError
 from .link import LinkScenario, SelfInterferencePath, SoiSpec
-from .optics import FiberParams, ModulatorParams
+from .optics import FiberParams
 from .signal_core import QamSignalSpec, TimeGrid, ToneSpec, dbm_to_amplitude, watts_to_dbm, R_REF
 
 
@@ -49,10 +49,7 @@ _IF_SIGNAL = {
 _TAIL = (
     _Row("lo.frequency_ghz", ("lo_signal.frequency",), "positive", exp=9),
     _Row("lo.power_dbm", ("lo_signal.amplitude",), "tone"),
-    _Row("modulators.v_pi_volts", ("mod_if.v_pi", "mod_lo.v_pi", "mod_uplink.v_pi"), "positive"),
-    _Row("modulators.if_sideband", ("mod_if.sideband",), "word"),
-    _Row("modulators.lo_sideband", ("mod_lo.sideband",), "word"),
-    _Row("modulators.uplink_sideband", ("mod_uplink.sideband",), "word"),
+    _Row("modulators.v_pi_volts", ("v_pi",), "positive"),
     _Row("downlink_fiber.length_km", ("downlink_fiber.length",), "number"),
     _Row("downlink_fiber.dispersion_ps_nm_km", ("downlink_fiber.dispersion",), "number", 17.0),
     _Row("downlink_fiber.attenuation_db_km", ("downlink_fiber.attenuation",), "number", 0.2),
@@ -80,7 +77,6 @@ _TABLES = {kind: _HEAD + rows + _TAIL for kind, (_, rows) in _IF_SIGNAL.items()}
 
 _PARTS = {  # LinkScenario fields that several keys fill, and what builds them from their parts
     "lo_signal": ToneSpec, "si_path": SelfInterferencePath, "soi": SoiSpec, "grid": TimeGrid,
-    **dict.fromkeys(("mod_if", "mod_lo", "mod_uplink"), ModulatorParams),
     **dict.fromkeys(("downlink_fiber", "uplink_fiber"), FiberParams),
     "bpf": lambda **edge: (edge["0"], edge["1"]),
 }

@@ -96,9 +96,9 @@ def seed_settings(
     wideband: bool = False,
 ) -> SicSettings:
     """Analytic SIC seed from the scenario drives and the simulated SI level."""
-    m1 = np.pi * s.if_signal.amplitude / s.mod_if.v_pi
-    m2 = np.pi * s.lo_signal.amplitude / s.mod_lo.v_pi
-    m3 = np.pi * _effective_amplitude(rf) * s.si_path.amplitude_gain / s.mod_uplink.v_pi
+    m1 = np.pi * s.if_signal.amplitude / s.v_pi
+    m2 = np.pi * s.lo_signal.amplitude / s.v_pi
+    m3 = np.pi * _effective_amplitude(rf) * s.si_path.amplitude_gain / s.v_pi
     alpha = analytic_alpha(m1, m2, m3)
     w_if = 2.0 * np.pi * s.f_if
     w_s = 2.0 * np.pi * s.f_s

@@ -109,7 +109,7 @@ class TestSingleRailRules:
         drive = drive_for_m(0.3, 2e9)
         modulate = {
             "dd_mzm_ssb": lambda: dd_mzm_ssb(both, drive, MOD),
-            "dp_bpsk_modulate": lambda: dp_bpsk_modulate(both, drive, drive, MOD, MOD),
+            "dp_bpsk_modulate": lambda: dp_bpsk_modulate(both, drive, drive, 3.5),
         }[element]
         with pytest.raises(ValueError, match=f"^{element} carrier must occupy a single rail$"):
             modulate()
@@ -235,14 +235,9 @@ class TestSmallSignalCoefficients:
 
 
 class TestDpBpskModulator:
-    P_IF = ModulatorParams(v_pi=3.5, sideband="lower")
-    P_LO = ModulatorParams(v_pi=3.5, sideband="upper")
-
     def test_rail_line_layout(self):
         carrier = laser_cw(10.0, "x", GRID)
-        out = dp_bpsk_modulate(
-            carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO
-        )
+        out = dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
         # each rail carries its own drive on the selected side only, with no
         # cross-talk from the other rail's drive
         for env, keep, reject in (
@@ -258,7 +253,7 @@ class TestDpBpskModulator:
     def test_zero_drives_equal_cw_rails(self):
         carrier = laser_cw(10.0, "x", GRID)
         zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
-        out = dp_bpsk_modulate(carrier, zero, zero, self.P_IF, self.P_LO)
+        out = dp_bpsk_modulate(carrier, zero, zero, 3.5)
         px = np.mean(np.abs(out.env_x) ** 2)
         py = np.mean(np.abs(out.env_y) ** 2)
         assert px == pytest.approx(py, rel=1e-12)
@@ -270,18 +265,16 @@ class TestDpBpskModulator:
         drives = {"if": drive_for_m(0.3, 2e9), "lo": drive_for_m(0.4, 5e9)}
         drives[off_grid] = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), other)
         with pytest.raises(GridError):
-            dp_bpsk_modulate(carrier, drives["if"], drives["lo"], self.P_IF, self.P_LO)
+            dp_bpsk_modulate(carrier, drives["if"], drives["lo"], 3.5)
 
     def test_carrier_on_both_rails(self):
         x, y = laser_cw(10.0, "x", GRID), laser_cw(10.0, "y", GRID)
         both = OpticalField(GRID, x.env_x, y.env_y)
         with pytest.raises(ValueError):
-            dp_bpsk_modulate(
-                both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO
-            )
+            dp_bpsk_modulate(both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
 
     def test_y_rail_carrier_equals_x_rail_carrier(self):
-        drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), self.P_IF, self.P_LO)
+        drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
         from_x = dp_bpsk_modulate(laser_cw(10.0, "x", GRID), *drives)
         from_y = dp_bpsk_modulate(laser_cw(10.0, "y", GRID), *drives)
         assert np.array_equal(from_y.env_x, from_x.env_x)
@@ -291,13 +284,7 @@ class TestDpBpskModulator:
 class TestPolarizationElements:
     def _field(self):
         carrier = laser_cw(10.0, "x", GRID)
-        return dp_bpsk_modulate(
-            carrier,
-            drive_for_m(0.3, 2e9),
-            drive_for_m(0.4, 6e9),
-            ModulatorParams(v_pi=3.5, sideband="lower"),
-            ModulatorParams(v_pi=3.5, sideband="upper"),
-        )
+        return dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 6e9), 3.5)
 
     def test_polarizer_aligned(self):
         f = laser_cw(0.0, "x", GRID)
@@ -492,13 +479,7 @@ class TestDetectors:
 
     def test_polarized_dp_bpsk_rf_line(self):
         carrier = laser_cw(10.0, "x", GRID)
-        out = dp_bpsk_modulate(
-            carrier,
-            drive_for_m(0.3, 2e9),
-            drive_for_m(0.4, 5e9),
-            ModulatorParams(v_pi=3.5, sideband="lower"),
-            ModulatorParams(v_pi=3.5, sideband="upper"),
-        )
+        out = dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
         i = photodetect(polarizer(out, np.pi / 4))
         assert abs(line(i.samples, GRID, 7e9)) > 10 * abs(line(i.samples, GRID, 3e9))
 
@@ -507,13 +488,7 @@ class TestDetectors:
         amps = []
         ms = [0.05, 0.1, 0.2]
         for m in ms:
-            out = dp_bpsk_modulate(
-                carrier,
-                drive_for_m(m, 2e9),
-                drive_for_m(m, 5e9),
-                ModulatorParams(v_pi=3.5, sideband="lower"),
-                ModulatorParams(v_pi=3.5, sideband="upper"),
-            )
+            out = dp_bpsk_modulate(carrier, drive_for_m(m, 2e9), drive_for_m(m, 5e9), 3.5)
             i = photodetect(polarizer(out, np.pi / 4))
             amps.append(abs(line(i.samples, GRID, 7e9)))
         preds = [j1(m) ** 2 for m in ms]

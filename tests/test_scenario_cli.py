@@ -75,23 +75,22 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "field, value, lost",
         [
-            ("mod_lo", {"v_pi": 4.0}, "v_pi"),
-            ("if_signal", {"amplitude": 0.0}, None),
+            ("v_pi", float("inf"), "modulators.v_pi_volts"),
+            ("if_signal", ToneSpec(amplitude=0.0, frequency=2e9), None),
         ],
         ids=["v_pi", "zero_amplitude"],
     )
     def test_save_writes_the_scenario_or_names_what_it_cannot(self, tmp_path, field, value, lost):
         # a scenario a file cannot hold cannot be built, so save writes any scenario
         s = load_scenario(bundled_scenario_dir() / "fig6a.scenario")
-        changed = dataclasses.replace(getattr(s, field), **value)
         path = tmp_path / "s.scenario"
         if lost is None:
-            s = dataclasses.replace(s, **{field: changed})
+            s = dataclasses.replace(s, **{field: value})
             save_scenario(s, path)
             assert load_scenario(path) == s
         else:
             with pytest.raises(ValueError, match=lost):
-                dataclasses.replace(s, **{field: changed})
+                dataclasses.replace(s, **{field: value})
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -123,9 +122,7 @@ class TestScenarioFiles:
             if_signal=dataclasses.replace(
                 base.if_signal, power_dbm=if_power, rolloff=if_rolloff, seed=seeds[1]
             ),
-            mod_if=dataclasses.replace(base.mod_if, v_pi=v_pi),
-            mod_lo=dataclasses.replace(base.mod_lo, v_pi=v_pi),
-            mod_uplink=dataclasses.replace(base.mod_uplink, v_pi=v_pi),
+            v_pi=v_pi,
             downlink_fiber=fibers[0],
             uplink_fiber=fibers[1],
             edfa_gain_db=edfa,
@@ -206,11 +203,16 @@ class TestScenarioFiles:
         "key, value, message",
         [
             # rules the scenario checks when it is built
-            ("modulators.if_sideband", "middle", "sideband"),
             ("soi.kind", "ofdm", "soi kind"),
             ("downlink_fiber.length_km", -1.0, "length"),
             ("grid.n_samples", 1, "n_samples"),
             ("filters.lpf_cutoff_ghz", 2.0, "filters.lpf_cutoff_ghz"),
+            # frequencies above Nyquist (32 GHz), and a sum f_if + f_lo outside the BPF
+            ("if_signal.frequency_ghz", 40.0, "if_signal.frequency_ghz: .*Nyquist"),
+            ("lo.frequency_ghz", 40.0, "lo.frequency_ghz: .*Nyquist"),
+            ("filters.lpf_cutoff_ghz", 40.0, "filters.lpf_cutoff_ghz: .*Nyquist"),
+            ("filters.bpf_high_ghz", 40.0, "filters.bpf_high_ghz: .*Nyquist"),
+            ("lo.frequency_ghz", 1.0, "lo.frequency_ghz.*passband"),
             ("soi.rolloff", 2.0, "rolloff"),
             # values that are not numbers
             ("laser.power_dbm", None, "laser.power_dbm"),
@@ -237,9 +239,13 @@ class TestScenarioFiles:
             ("seed", 3.7, "'seed' must be an integer"),
             ("soi.data_seed", True, "'soi.data_seed' must be an integer"),
             ("grid.n_samples", float("nan"), "'grid.n_samples' must be an integer"),
-            # keys of older files, which no computed value read: rejected by name
+            # keys of older files, which no computed value read or which the fixed
+            # sideband layout replaced: rejected by name
             ("laser.frequency_thz", 191.3, "unknown key 'laser.frequency_thz'"),
             ("edfa.position", "ru", "unknown key 'edfa.position'"),
+            ("modulators.if_sideband", "middle", "unknown key 'modulators.if_sideband'"),
+            ("modulators.lo_sideband", "upper", "unknown key 'modulators.lo_sideband'"),
+            ("modulators.uplink_sideband", "lower", "unknown key 'modulators.uplink_sideband'"),
         ],
     )
     def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
@@ -493,7 +499,8 @@ class TestCliSweep:
         "axis, values",
         [
             ("si_path.bogus", "1,2"),
-            ("modulators.if_sideband", "1,2"),  # a word, not a number
+            ("modulators.if_sideband", "1,2"),  # a removed key
+            ("modulators.uplink_sideband", "1,2"),  # a removed key
             ("laser", "1,2"),  # a section, not a key
             ("soi.power_dbm", "-30"),  # the scenario has no SOI
             ("grid.n_samples", "262144.5"),  # not an integer
