@@ -519,12 +519,14 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
         # SOI-only pass: measured on the signal arm alone, otherwise the
         # reference arm's downlink copy would masquerade as SOI power.
         soi_spec = -_signal_spectrum(soi_wave, s, h_up)
-        del h_up  # freed before the EVM, which sets the peak of run_full
+        del h_up, soi_wave  # freed before the EVM, which sets the peak of run_full
         soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         soi_if = _soi_signal(s, s.f_if)
         if isinstance(soi_if, QamSignalSpec):
-            evm = demodulate_evm(_lowpassed(soi_spec, s.grid, s.lpf, 1), soi_if)
+            soi_full_rate = _lowpassed(soi_spec, s.grid, s.lpf, 1)
+            del soi_spec
+            evm = demodulate_evm(soi_full_rate, soi_if)
 
     return LinkResult(
         bpd_out_with_sic=with_out,

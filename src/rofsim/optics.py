@@ -125,8 +125,8 @@ class ModulatorParams:
     sideband: str = "lower"
 
     def __post_init__(self):
-        if self.v_pi <= 0:
-            raise ValueError("v_pi must be positive")
+        if not 0.0 < self.v_pi < np.inf:  # NaN fails too
+            raise ValueError("v_pi must be a finite, positive voltage")
         if self.sideband not in ("upper", "lower"):
             raise ValueError("sideband must be 'upper' or 'lower'")
 

@@ -212,35 +212,71 @@ def qam_samples_per_symbol(spec: QamSignalSpec, grid: TimeGrid) -> int:
     return sps
 
 
-def _qam_impulses(spec: QamSignalSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """Symbol impulse train on the grid, its symbol values, and samples per symbol."""
+def _chirp_z(x: np.ndarray, n: int, step: int, p0: int, q0: int, n_out: int) -> np.ndarray:
+    """y[q] = sum_p x[p] * exp(-2j*pi*step*(p0 + p)*(q0 + q)/n) for q < n_out:
+    n_out bins of a length-n DFT of samples `step` apart, by Bluestein's
+    algorithm, in O((x.size + n_out) log) time.
+
+    2*(p0 + p)*(q0 + q) = 2*p0*(q0 + q) + 2*q0*p + p^2 + q^2 - (q - p)^2 turns the
+    sum into a convolution with a chirp. Every phase is an integer number of
+    2n-ths of a turn, reduced exactly mod 2n before it becomes an angle.
+    """
+    two_n = 2 * n
+
+    def turns(k: np.ndarray) -> np.ndarray:  # exp(-1j*pi*step*k/n) for integers k
+        return np.exp(-1j * np.pi / n * (step * (k % two_n) % two_n))
+
+    p = np.arange(x.size, dtype=np.int64)
+    q = np.arange(n_out, dtype=np.int64)
+    lags = np.arange(1 - x.size, n_out, dtype=np.int64)
+    n_fft = sfft.next_fast_len(lags.size)
+    pre = sfft.fft(x * turns(2 * q0 * p + p * p), n_fft, workers=_FFT_WORKERS)
+    pre *= sfft.fft(np.conj(turns(lags * lags)), n_fft, workers=_FFT_WORKERS)
+    conv = sfft.ifft(pre, workers=_FFT_WORKERS, overwrite_x=True)[x.size - 1 : lags.size]
+    return conv * turns(2 * p0 * (q0 + q) + q * q)
+
+
+def _qam_support(
+    spec: QamSignalSpec, grid: TimeGrid
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    """The spec's symbols, samples per symbol sps, and its band: the signed
+    FFT bins the RRC response covers, the spectrum of the symbol impulse train
+    (symbol k at sample k*sps) on them, and the response.
+
+    The bin frequencies are formed as `grid.freqs()` forms them, so the
+    response is bit for bit its value on the full axis; it is zero off the band.
+    """
+    n = grid.n_samples
     sps = qam_samples_per_symbol(spec, grid)
-    n_sym = grid.n_samples // sps
-    symbols = _qam16_symbols(n_sym, spec.seed)
-    impulses = np.zeros(grid.n_samples, dtype=np.complex128)
-    impulses[: n_sym * sps : sps] = symbols
-    return impulses, symbols, sps
-
-
-def _qam_baseband(spec: QamSignalSpec, grid: TimeGrid) -> np.ndarray:
-    """Complex RRC-shaped baseband of the spec's symbol stream."""
-    impulses, _, _ = _qam_impulses(spec, grid)
-    h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
-    return sfft.ifft(sfft.fft(impulses, workers=_FFT_WORKERS) * h, workers=_FFT_WORKERS)
+    symbols = _qam16_symbols(n // sps, spec.seed)
+    df = 1.0 / (n * grid.dt)
+    m = int(spec.occupied_halfwidth / df) + 1
+    bins = np.arange(max(-m, -(n // 2)), min(m, (n - 1) // 2) + 1)
+    h = _rrc_response(bins * df, spec.symbol_rate, spec.rolloff)
+    spectrum = _chirp_z(symbols, n, sps, 0, bins[0], bins.size)
+    return symbols, sps, bins, spectrum, h
 
 
 def make_qam(spec: QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
     """RRC-shaped 16-QAM passband waveform normalized to the requested power.
 
+    The complex baseband is one inverse FFT of the RRC-shaped symbol spectrum,
+    which is filled only on the bins of its band; the carrier is mixed in place.
     Deterministic for a fixed seed: the same spec always yields bit-identical
     samples.
     """
     edge = spec.center_frequency + spec.occupied_halfwidth
     if edge >= grid.nyquist or spec.center_frequency - spec.occupied_halfwidth <= 0:
         raise AliasError("QAM band does not fit inside the Nyquist interval")
-    baseband = _qam_baseband(spec, grid)
-    t = grid.times()
-    passband = (baseband * np.exp(2j * np.pi * spec.center_frequency * t)).real
+    _, _, bins, spectrum, h = _qam_support(spec, grid)
+    baseband = np.zeros(grid.n_samples, dtype=np.complex128)
+    baseband[bins] = spectrum * h  # negative bins wrap
+    baseband = sfft.ifft(baseband, workers=_FFT_WORKERS, overwrite_x=True)
+    carrier = np.multiply(2j * np.pi * spec.center_frequency, grid.times())
+    np.exp(carrier, out=carrier)
+    baseband *= carrier
+    del carrier
+    passband = baseband.real  # a view; SampledWaveform stores a contiguous copy
     target = dbm_to_watts(spec.power_dbm) * R_REF  # mean square volts
     passband *= np.sqrt(target / np.mean(passband**2))
     return SampledWaveform(grid, passband)
@@ -388,37 +424,35 @@ def demodulate_evm(w: SampledWaveform, spec: QamSignalSpec) -> float:
 
     Data-aided: the reference symbols are regenerated from the spec seed, and
     symbol timing is recovered by correlating against the known baseband, whose
-    matched-filtered spectrum is the impulse-train spectrum times h^2.
+    matched-filtered spectrum is the impulse-train spectrum times h^2. Both
+    spectra are nonzero only on the RRC band, so the correlation is one
+    inverse FFT of its bins, and the matched-filter output is evaluated at the
+    symbol instants alone, by a chirp-z transform of the same bins.
     """
     grid = w.grid
-    # Every record is filtered, mixed and conjugated in place and freed once
-    # used, so no more than three complex records are alive at once.
-    impulses, symbols, sps = _qam_impulses(spec, grid)
-    h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
-    ref_spec = sfft.fft(impulses, workers=_FFT_WORKERS)
-    del impulses
-    ref_spec *= h**2
+    n = grid.n_samples
+    symbols, sps, bins, spectrum, h = _qam_support(spec, grid)
     z = np.multiply(-2j * np.pi * spec.center_frequency, grid.times())
     np.exp(z, out=z)
     np.multiply(w.samples, z, out=z)
-    zf_spec = sfft.fft(z, workers=_FFT_WORKERS)
+    zf = sfft.fft(z, workers=_FFT_WORKERS, overwrite_x=True)[bins] * h  # matched filter
     del z
-    zf_spec *= h
-    del h
-    zf = sfft.ifft(zf_spec, workers=_FFT_WORKERS)
-    np.conj(ref_spec, out=ref_spec)
-    np.multiply(zf_spec, ref_spec, out=ref_spec)  # zf_spec * conj(ref_spec)
-    del zf_spec
-    xc = sfft.ifft(ref_spec, workers=_FFT_WORKERS)
-    del ref_spec
+    xc = np.zeros(n, dtype=np.complex128)
+    xc[bins] = zf * np.conj(spectrum * h**2)
+    xc = sfft.ifft(xc, workers=_FFT_WORKERS, overwrite_x=True)
     mag = np.abs(xc)
     lag = int(np.argmax(mag))
-    if np.abs(xc[lag]) < 5.0 * np.sqrt(np.mean(mag**2)):
+    if mag[lag] < 5.0 * np.sqrt(np.mean(mag**2)):
         raise LockError("no correlation peak; carrier or seed mismatch")
+    del xc, mag
+    # the output at sample lag + k*sps, for the symbols k clear of the guards:
+    # the inverse DFT of the band, advanced by the lag, is the conjugate of a
+    # chirp-z transform of its conjugate
     n_sym = symbols.size
-    idx = np.arange(_EVM_GUARD_SYMBOLS, n_sym - _EVM_GUARD_SYMBOLS)
-    rx = zf[(idx * sps + lag) % grid.n_samples]  # symbols of zf advanced by the lag
-    ref = symbols[idx]
+    zf *= np.exp(2j * np.pi / n * (bins * lag % n))
+    rx = np.conj(_chirp_z(np.conj(zf), n, sps, bins[0], _EVM_GUARD_SYMBOLS,
+                          n_sym - 2 * _EVM_GUARD_SYMBOLS)) / n
+    ref = symbols[_EVM_GUARD_SYMBOLS : n_sym - _EVM_GUARD_SYMBOLS]
     gain = np.vdot(ref, rx) / np.vdot(ref, ref)
     if abs(gain) == 0.0:
         raise LockError("zero equalizer gain")

@@ -74,6 +74,10 @@ def test_traced_simulate_reaches_every_stage(tmp_path):
     # SI-only SIC stage once
     assert tracer.calls["link.downlink"] == 1
     assert tracer.calls["link.evaluator_build"] == 1
+    # full-rate: the QAM IF drive 1, the QAM SOI 1, the EVM's mix and lag search
+    # 2; each chirp-z on the RRC band makes 3 short transforms: the drive's,
+    # the SOI's, and the EVM's reference spectrum and symbol instants
+    assert tracer.calls["fft.complex"] == (1 + 1 + 2) + 3 * 4
 
 
 def traced_main(argv):
@@ -112,9 +116,10 @@ def test_held_fiber_sweep_reuses_each_stage(tmp_path, fig8c_file):
     assert tracer.calls["optics.dp_bpsk_modulate"] == 1
     assert tracer.calls["link.downlink"] == 3
     assert tracer.calls["link.evaluator_build"] == 3
-    # the QAM drive's pair, the kept modulator spectra, then per point the
-    # polarizer output, the RU Y rail, the reference arm and the signal arm's pair
-    assert tracer.calls["fft.complex"] == 2 + 2 + 3 * 5
+    # the QAM drive's one full-rate transform and the three short ones of its
+    # chirp-z, the kept modulator spectra, then per point the polarizer
+    # output, the RU Y rail, the reference arm and the signal arm's pair
+    assert tracer.calls["fft.complex"] == 1 + 3 + 2 + 3 * 5
     # the link chains the optics elements: per point one downlink fiber (0 km
     # included), one polarizer and three photodiodes (the downlink's and the
     # two SIC arms'), and the RU's beam splitter once per SIC arm; the one

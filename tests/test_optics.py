@@ -188,6 +188,12 @@ class TestSsbModulator:
         out = dd_mzm_ssb(carrier, drive_for_m(0.2, 2e9), upper)
         assert abs(line(out.env_x, GRID, 2e9)) > 100 * abs(line(out.env_x, GRID, -2e9))
 
+    @pytest.mark.parametrize("v_pi", [0.0, -3.5, np.inf, np.nan])
+    def test_v_pi_must_be_finite_and_positive(self, v_pi):
+        # pi / v_pi would modulate with a phase of 0 (inf) or NaN
+        with pytest.raises(ValueError, match="^v_pi must be a finite, positive voltage$"):
+            ModulatorParams(v_pi=v_pi)
+
     @settings(deadline=None, max_examples=15)
     @given(m=st.floats(0.02, 0.3), f=st.sampled_from([1e9, 2e9, 5e9, 6e9]))
     def test_smallsignal_oracle_within_2_percent(self, m, f):

@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.signal
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -30,9 +32,10 @@ from rofsim.signal_core import (
     welch_psd,
     welch_segment,
 )
-from rofsim.signal_core import _edge_mask, _welch
+from rofsim.signal_core import _chirp_z, _edge_mask, _qam_support, _rrc_response, _welch
 
 from optics_oracles import mean_power
+from qam_oracles import dense_demodulate_evm, dense_make_qam, qam_impulses
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)
 GRID_LONG = TimeGrid(sample_rate=64e9, n_samples=2**18)
@@ -298,6 +301,89 @@ class TestDemodulateEvm:
         w = SampledWaveform(GRID_LONG, rng.standard_normal(GRID_LONG.n_samples))
         with pytest.raises(LockError):
             demodulate_evm(w, self.SPEC)
+
+
+@st.composite
+def qam_cases(draw):
+    """A grid of 2^16-2^20 samples and a 16-QAM spec on it whose symbol rate
+    divides 64 GS/s: from 16384 samples per symbol (3.9 MBaud) up to 44
+    (1.45 GBaud), with at least 64 symbols; the band fits below Nyquist."""
+    grid = TimeGrid(sample_rate=64e9, n_samples=2 ** draw(st.integers(16, 20)))
+    sps = draw(st.integers(44, min(16384, grid.n_samples // 64)))
+    rolloff = draw(st.floats(0.0, 1.0, exclude_min=True))
+    hw = 0.5 * (1.0 + rolloff) * grid.sample_rate / sps
+    center = hw + draw(st.floats(0.01, 0.99)) * (grid.nyquist - 2.0 * hw)
+    spec = QamSignalSpec(symbol_rate=grid.sample_rate / sps, center_frequency=center,
+                         power_dbm=draw(st.floats(-30.0, 10.0)), rolloff=rolloff,
+                         seed=draw(st.integers(0, 2**31)))
+    return spec, grid
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that `tracemalloc` traces during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestQamSupport:
+    """make_qam and demodulate_evm work on the bins of the RRC band, against the
+    dense oracle that filters the whole impulse train."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(n=st.integers(2, 300), step=st.integers(1, 50), p0=st.integers(-300, 300),
+           q0=st.integers(-300, 300), n_in=st.integers(1, 300), n_out=st.integers(1, 300),
+           seed=st.integers(0, 2**31))
+    def test_chirp_z_is_the_dft(self, n, step, p0, q0, n_in, n_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+        p = p0 + np.arange(x.size)
+        q = q0 + np.arange(n_out)
+        direct = np.exp(-2j * np.pi * (step * np.outer(q, p) % n) / n) @ x
+        np.testing.assert_allclose(_chirp_z(x, n, step, p0, q0, n_out), direct,
+                                   rtol=0, atol=1e-12 * np.abs(x).sum())
+
+    @settings(deadline=None, max_examples=12)
+    @given(case=qam_cases())
+    def test_support_spectrum_is_the_dense_fft(self, case):
+        spec, grid = case
+        _, _, bins, spectrum, h = _qam_support(spec, grid)
+        dense = sfft.fft(qam_impulses(spec, grid)[0])
+        h_dense = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
+        assert np.array_equal(h, h_dense[bins])
+        assert np.count_nonzero(h) == np.count_nonzero(h_dense)  # no bin of the band is lost
+        assert np.max(np.abs(spectrum - dense[bins])) <= 1e-13 * np.max(np.abs(dense))
+
+    @settings(deadline=None, max_examples=12)
+    @given(case=qam_cases())
+    def test_make_qam_is_the_dense_synthesis(self, case):
+        spec, grid = case
+        dense = dense_make_qam(spec, grid).samples
+        err = np.max(np.abs(make_qam(spec, grid).samples - dense))
+        assert err <= 1e-12 * np.max(np.abs(dense))
+
+    @settings(deadline=None, max_examples=12)
+    @given(case=qam_cases(), delay=st.floats(0.0, 62.5e-12))
+    def test_evm_is_the_dense_evm(self, case, delay):
+        spec, grid = case
+        w = fractional_delay(make_qam(spec, grid), delay)  # as an SOI arrives
+        assert demodulate_evm(w, spec) == pytest.approx(dense_demodulate_evm(w, spec),
+                                                        rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("sps", [6400, 44])
+    def test_peak_memory_at_full_rate(self, sps):
+        # 2^20 samples; a complex record is 16 MiB. make_qam holds at most three,
+        # demodulate_evm less, and the highest accepted symbol rate (44 samples
+        # per symbol, 23831 symbols) does not fall back to a quadratic DFT
+        grid = TimeGrid(sample_rate=64e9, n_samples=2**20)
+        spec = QamSignalSpec(symbol_rate=grid.sample_rate / sps, center_frequency=8e9,
+                             rolloff=0.35, seed=1)
+        assert traced_peak(make_qam, spec, grid) <= 48 * 2**20
+        w = make_qam(spec, grid)
+        assert traced_peak(demodulate_evm, w, spec) <= 40 * 2**20
 
 
 class TestDelayAndPhase:
