@@ -54,6 +54,7 @@ from .optics import (
     pbs,
     photodetect,
     polarizer,
+    split_branch,
 )
 from .link import (
     LinkMetrics,
@@ -126,6 +127,7 @@ __all__ = [
     "FiberParams",
     "laser_cw",
     "dd_mzm_ssb",
+    "split_branch",
     "dp_bpsk_modulate",
     "polarizer",
     "pbs",

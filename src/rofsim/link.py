@@ -21,6 +21,7 @@ from .optics import (
     pbs,
     photodetect,
     polarizer,
+    split_branch,
 )
 from .signal_core import (
     QamSignalSpec,
@@ -134,6 +135,12 @@ class LinkScenario:
                     qam_samples_per_symbol(spec, self.grid)
                 except ValueError as exc:
                     raise ValueError(f"{key}.symbol_rate_mbaud: {exc}") from None
+        horizon = self.grid.duration / 4.0  # the delays of the SIC stage and the tuner
+        if not self.si_path.delay < horizon:
+            raise ValueError(
+                f"si_path.delay_ns: SI delay {self.si_path.delay:.3g} s must lie below a quarter"
+                f" of the record, {horizon:.3g} s"
+            )
         if max(self.si_band()[1], self.soi_band()[1]) > self.lpf:
             raise ValueError(
                 "filters.lpf_cutoff_ghz: the SI and SOI bands must lie below the lowpass edge"
@@ -203,11 +210,15 @@ def _drive(spec: ToneSpec | QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
     return make_tone(spec, grid) if isinstance(spec, ToneSpec) else make_qam(spec, grid)
 
 
+def _lo_key(s: LinkScenario) -> tuple:
+    """The fields the LO branch reads: the laser, the LO drive, v_pi, and
+    whether the link carries spectra, which sets the domain it is held in."""
+    return (s.grid, s.laser_power_dbm, s.lo_signal, s.v_pi, _carries_spectra(s))
+
+
 def _modulator_key(s: LinkScenario) -> tuple:
-    """The fields the modulator output reads: the laser, the two drives, v_pi,
-    and whether the link carries spectra, which sets the domain the output is
-    held in."""
-    return (s.grid, s.laser_power_dbm, s.if_signal, s.lo_signal, s.v_pi, _carries_spectra(s))
+    """The fields the modulator output reads: the LO branch's plus the IF drive."""
+    return _lo_key(s) + (s.if_signal,)
 
 
 def _downlink_key(s: LinkScenario) -> tuple:
@@ -222,11 +233,12 @@ def _evaluator_key(s: LinkScenario, rf_phase_comp: float | None) -> tuple:
     return _downlink_key(s) + (s.si_path, s.uplink_fiber, s.rbw, s.lpf, rf_phase_comp)
 
 
-# Latest (key, output) of each kept stage, in chain order: modulator output,
-# downlink, SI-only SIC stage. Each output is a function of its key alone, so
-# a kept output is bit for bit the one a cold run builds; `_kept_stage` is the
-# slots' one writer.
-_kept: list = [None, None, None]
+# Latest (key, output) of each kept stage, in chain order: the CO modulator's
+# LO branch, the modulator output, the downlink and the SI-only SIC stage.
+# Each output is a function of its key alone, so a kept output is bit for bit
+# the one a cold run builds; `_kept_stage` is the slots' one writer.
+_LO_BRANCH, _MODULATOR, _DOWNLINK, _EVALUATOR = range(4)
+_kept: list = [None] * 4
 
 
 def _kept_stage(i: int, key: tuple, build):
@@ -246,14 +258,24 @@ def _carries_spectra(s: LinkScenario) -> bool:
     return bool(s.downlink_fiber.length or s.uplink_fiber.length)
 
 
-def _modulate(s: LinkScenario) -> OpticalField:
-    """Output of the dual-polarization modulator driven by the IF and LO, held
-    in the domain the link of `s` carries."""
-    if_drive = _drive(s.if_signal, s.grid)
-    lo_drive = _drive(s.lo_signal, s.grid)
+def _lo_branch(s: LinkScenario) -> OpticalField:
+    """The CO modulator's LO branch: the Y half of the laser's 3-dB split,
+    modulated by the LO, held in the domain the link of `s` carries."""
     laser = laser_cw(s.laser_power_dbm, "x", s.grid)
-    out = dp_bpsk_modulate(laser, if_drive, lo_drive, s.v_pi)
-    del if_drive, lo_drive, laser  # freed before the rails are transformed
+    branch = split_branch(laser, _drive(s.lo_signal, s.grid), s.v_pi, "y")
+    del laser  # freed before the rail is transformed
+    return branch.held_as((False, _carries_spectra(s)))
+
+
+def _modulate(s: LinkScenario) -> OpticalField:
+    """Output of the dual-polarization modulator driven by the IF and the kept
+    LO branch, held in the domain the link of `s` carries. Its Y rail is the
+    kept LO branch's rail, shared, not copied."""
+    lo_branch = _kept_stage(_LO_BRANCH, _lo_key(s), lambda: _lo_branch(s))
+    if_drive = _drive(s.if_signal, s.grid)
+    laser = laser_cw(s.laser_power_dbm, "x", s.grid)
+    out = dp_bpsk_modulate(laser, if_drive, lo_branch, s.v_pi)
+    del if_drive, laser  # freed before the X rail is transformed
     return out.held_as((_carries_spectra(s),) * 2)
 
 
@@ -267,7 +289,7 @@ def downlink_taps(s: LinkScenario) -> dict:
     transforms two rails: the polarizer output, for the photodiode, and the
     RU Y rail, for the uplink modulator. The RU X rail stays in its domain.
     """
-    dp_out = _kept_stage(0, _modulator_key(s), lambda: _modulate(s))
+    dp_out = _kept_stage(_MODULATOR, _modulator_key(s), lambda: _modulate(s))
     edfa = 10.0 ** (s.edfa_gain_db / 20.0)
     # fiber, EDFA at the RU and the 3-dB optical splitter, whose two outputs
     # carry the same read-only field
@@ -296,14 +318,14 @@ def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
         taps = downlink_taps(s)
         return taps["rf"], taps["ru_field"]
 
-    return _kept_stage(1, _downlink_key(s), build)
+    return _kept_stage(_DOWNLINK, _downlink_key(s), build)
 
 
 def uplink_evaluator(s: LinkScenario, rf_phase_comp: float | None = None) -> UplinkEvaluator:
     """The SI-only SIC stage of `s`, kept for the latest fields it reads, so
     tuning and then running the same link builds it once. Its `scenario` may
     differ from `s` in fields the stage does not read (`name`, `seed`, `soi`)."""
-    return _kept_stage(2, _evaluator_key(s, rf_phase_comp),
+    return _kept_stage(_EVALUATOR, _evaluator_key(s, rf_phase_comp),
                        lambda: UplinkEvaluator(s, rf_phase_comp))
 
 

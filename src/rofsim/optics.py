@@ -230,22 +230,39 @@ def dd_mzm_ssb(
     return OpticalField(carrier.grid, *rails)
 
 
+# the CO modulator's fixed sideband layout: the IF on X as the lower
+# sideband, the LO on Y as the upper one
+_CO_SIDEBANDS = {"x": "lower", "y": "upper"}
+
+
+def split_branch(
+    carrier: OpticalField, drive: SampledWaveform, v_pi: float, rail: str
+) -> OpticalField:
+    """One branch of the CO modulator: the 3-dB split of the single-rail
+    `carrier`, placed on `rail` ('x' or 'y') and modulated by `dd_mzm_ssb`
+    with that rail's fixed sideband (lower on X, upper on Y). The other rail
+    is dark."""
+    if rail not in _CO_SIDEBANDS:
+        raise ValueError("rail must be 'x' or 'y'")
+    c = carrier._rail_as(_single_rail(carrier, "dp_bpsk_modulate"), False) / np.sqrt(2.0)
+    half = OpticalField(carrier.grid, *((c, None) if rail == "x" else (None, c)))
+    return dd_mzm_ssb(half, drive, ModulatorParams(v_pi, _CO_SIDEBANDS[rail]))
+
+
 def dp_bpsk_modulate(
     carrier: OpticalField,
     if_drive: SampledWaveform,
-    lo_drive: SampledWaveform,
+    lo_branch: OpticalField,
     v_pi: float,
 ) -> OpticalField:
-    """3-dB split into two SSB modulators (`dd_mzm_ssb`) of one `v_pi`,
-    recombined on orthogonal rails by `pbc`.
+    """The CO modulator: the IF branch, `split_branch(carrier, if_drive, v_pi,
+    "x")`, recombined by `pbc` with the built LO branch, which is
+    `split_branch(carrier, lo_drive, v_pi, "y")` held in either domain.
 
     X rail carries the IF modulation (lower sideband), Y rail the LO
-    modulation (upper sideband).
+    modulation (upper sideband); the output's Y rail is the LO branch's rail.
     """
-    c = carrier._rail_as(_single_rail(carrier, "dp_bpsk_modulate"), False) / np.sqrt(2.0)
-    x = dd_mzm_ssb(OpticalField(carrier.grid, c, None), if_drive, ModulatorParams(v_pi, "lower"))
-    y = dd_mzm_ssb(OpticalField(carrier.grid, None, c), lo_drive, ModulatorParams(v_pi, "upper"))
-    return pbc(x, y)
+    return pbc(split_branch(carrier, if_drive, v_pi, "x"), lo_branch)
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:

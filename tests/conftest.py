@@ -1,5 +1,6 @@
 """Shared pytest plumbing: surface the acceptance criterion verdicts, and
-start every test without a kept modulator output, downlink or SIC stage."""
+start every test without a kept LO branch, modulator output, downlink or SIC
+stage."""
 
 import pytest
 
@@ -10,10 +11,11 @@ CRITERION_LINES: list[str] = []
 
 @pytest.fixture(autouse=True)
 def no_kept_stages():
-    """Empty every kept stage slot, so modulator, downlink and evaluator build
-    counts do not depend on which test ran before. A kept output, and the
-    domain (samples or spectra) it is held in, is a function of its key alone,
-    so no output does. The slots are the link's only kept state."""
+    """Empty every kept stage slot, so LO-branch, modulator, downlink and
+    evaluator build counts do not depend on which test ran before. A kept
+    output, and the domain (samples or spectra) it is held in, is a function
+    of its key alone, so no output does. The slots are the link's only kept
+    state; the modulator output's Y rail is the kept LO branch's rail."""
     rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
 
 

@@ -17,7 +17,7 @@ import rofsim.link
 from rofsim.link import SoiSpec
 from rofsim.scenario import bundled_scenario_dir, load_scenario, save_scenario
 from rofsim.signal_core import TimeGrid
-from rofsim.tuner import TuneReport
+from rofsim.tuner import TuneReport, auto_tune
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -78,6 +78,30 @@ def test_traced_simulate_reaches_every_stage(tmp_path):
     # 2; each chirp-z on the RRC band makes 3 short transforms: the drive's,
     # the SOI's, and the EVM's reference spectrum and symbol instants
     assert tracer.calls["fft.complex"] == (1 + 1 + 2) + 3 * 4
+
+
+def test_tuning_links_that_share_the_lo_modulates_it_once(monkeypatch):
+    # the `tune` workload's pair: fig7c and wideband differ in their IF drive
+    # and SIC fields, and share the laser, the LO, v_pi and the domain, so the
+    # LO branch is built once: one tone drive (both IFs are QAM) and five SSB
+    # modulations, the LO's, each link's IF and each SIC stage's re-modulation
+    grid = TimeGrid(sample_rate=64e9, n_samples=2**19)
+    links = [(dataclasses.replace(load_scenario(bundled_scenario_dir() / f"{name}.scenario"),
+                                  grid=grid), wideband)
+             for name, wideband in (("fig7c", False), ("wideband", True))]
+    tones = []
+    make_tone = rofsim.link.make_tone
+    monkeypatch.setattr(rofsim.link, "make_tone", lambda *a: tones.append(a) or make_tone(*a))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for s, wideband in links:
+            auto_tune(s, wideband=wideband)
+    finally:
+        tracer.restore()
+    assert len(tones) == 1
+    assert tracer.calls["optics.dd_mzm_ssb"] == 5
+    assert tracer.calls["optics.dp_bpsk_modulate"] == 2
 
 
 def traced_main(argv):

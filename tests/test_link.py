@@ -34,7 +34,7 @@ from rofsim.optics import (
     photodetect,
     polarizer,
 )
-from rofsim.scenario import bundled_scenario_dir, load_scenario
+from rofsim.scenario import bundled_scenario_dir, load_scenario, set_axis
 from rofsim.signal_core import (
     _SKIRT_FRACTION,
     SampledWaveform,
@@ -255,6 +255,52 @@ class TestKeptStage:
             ev._si_bins[0][0] = 1.0
 
 
+class TestLoBranch:
+    """The CO modulator's LO branch is a kept stage of its own: links that
+    share the laser, the LO, v_pi and the domain modulate only their IF."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Per LO-branch build, whether the rail of an earlier branch was still
+        alive, in the kept slot or in a modulator output that shares it."""
+        calls, rails = [], []
+        build = rofsim.link._lo_branch
+
+        def recording(s):
+            calls.append(any(r() is not None for r in rails))
+            branch = build(s)
+            rails.append(weakref.ref(branch._held[1]))
+            return branch
+
+        monkeypatch.setattr(rofsim.link, "_lo_branch", recording)
+        return calls
+
+    def test_links_that_differ_in_their_if_share_it(self, builds):
+        s = tone_scenario()
+        other = set_axis(s, "if_signal.power_dbm", -3.0)
+        first = rofsim.link.downlink_taps(s)["dp_bpsk_out"]
+        second = rofsim.link.downlink_taps(other)["dp_bpsk_out"]
+        assert not bit_identical(field_arrays(first), field_arrays(second))
+        assert builds == [False]
+        # the output's Y rail is the kept branch's rail, shared, not copied
+        branch = rofsim.link._kept[rofsim.link._LO_BRANCH][1]
+        assert second._held[1] is branch._held[1]
+
+    @pytest.mark.parametrize("axis, value", [
+        pytest.param("lo.power_dbm", 4.0, id="lo-power"),
+        pytest.param("downlink_fiber.length_km", 4.1, id="fibre-flips-the-domain"),
+    ])
+    def test_a_changed_lo_key_rebuilds_it(self, builds, axis, value):
+        s = tone_scenario()
+        other = set_axis(s, axis, value)
+        run_downlink(s)
+        run_downlink(other)
+        assert builds == [False, False]  # the old rail is freed before the new one is built
+        branch = rofsim.link._kept[rofsim.link._LO_BRANCH][1]
+        assert branch.spectral == (False, rofsim.link._carries_spectra(other))
+        assert bit_identical(field_arrays(branch), lo_branch_stage(other))
+
+
 class TestMemory:
     """Dark rails hold no samples, each fibre is evaluated once, and a cold
     tune and run stays within a traced memory budget."""
@@ -385,6 +431,10 @@ def field_arrays(field) -> list:
     return [field.env_x, field.env_y]
 
 
+def lo_branch_stage(s):
+    return field_arrays(rofsim.link._lo_branch(s))
+
+
 def modulator_stage(s):
     return field_arrays(rofsim.link._modulate(s))
 
@@ -404,6 +454,7 @@ def evaluator_stage(s):
 
 
 STAGES = {
+    "lo_branch": (rofsim.link._lo_key, lo_branch_stage),
     "modulator": (rofsim.link._modulator_key, modulator_stage),
     "downlink": (rofsim.link._downlink_key, downlink_stage),
     "evaluator": (lambda s: rofsim.link._evaluator_key(s, None), evaluator_stage),

@@ -20,6 +20,7 @@ from rofsim.optics import (
     pbs,
     photodetect,
     polarizer,
+    split_branch,
 )
 from rofsim.optics import _hilbert90, _ssb_transfer
 from rofsim.signal_core import TimeGrid, ToneSpec, make_tone
@@ -48,6 +49,11 @@ def line(env: np.ndarray, grid: TimeGrid, f_offset: float) -> complex:
 
 def drive_for_m(m: float, f: float, v_pi: float = 3.5):
     return make_tone(ToneSpec(amplitude=m * v_pi / np.pi, frequency=f), GRID)
+
+
+def co_modulate(carrier, if_drive, lo_drive, v_pi: float = 3.5):
+    """`dp_bpsk_modulate` of `carrier` with the LO branch built from `lo_drive`."""
+    return dp_bpsk_modulate(carrier, if_drive, split_branch(carrier, lo_drive, v_pi, "y"), v_pi)
 
 
 class TestLaserCw:
@@ -107,9 +113,10 @@ class TestSingleRailRules:
     def test_modulators_reject_a_two_rail_carrier(self, element):
         both = pbc(laser_cw(0.0, "x", GRID), laser_cw(0.0, "y", GRID))
         drive = drive_for_m(0.3, 2e9)
+        lo_branch = split_branch(laser_cw(0.0, "x", GRID), drive, 3.5, "y")
         modulate = {
             "dd_mzm_ssb": lambda: dd_mzm_ssb(both, drive, MOD),
-            "dp_bpsk_modulate": lambda: dp_bpsk_modulate(both, drive, drive, 3.5),
+            "dp_bpsk_modulate": lambda: dp_bpsk_modulate(both, drive, lo_branch, 3.5),
         }[element]
         with pytest.raises(ValueError, match=f"^{element} carrier must occupy a single rail$"):
             modulate()
@@ -243,7 +250,7 @@ class TestSmallSignalCoefficients:
 class TestDpBpskModulator:
     def test_rail_line_layout(self):
         carrier = laser_cw(10.0, "x", GRID)
-        out = dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
+        out = co_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
         # each rail carries its own drive on the selected side only, with no
         # cross-talk from the other rail's drive
         for env, keep, reject in (
@@ -259,7 +266,7 @@ class TestDpBpskModulator:
     def test_zero_drives_equal_cw_rails(self):
         carrier = laser_cw(10.0, "x", GRID)
         zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
-        out = dp_bpsk_modulate(carrier, zero, zero, 3.5)
+        out = co_modulate(carrier, zero, zero)
         px = np.mean(np.abs(out.env_x) ** 2)
         py = np.mean(np.abs(out.env_y) ** 2)
         assert px == pytest.approx(py, rel=1e-12)
@@ -270,27 +277,52 @@ class TestDpBpskModulator:
         other = TimeGrid(sample_rate=GRID.sample_rate, n_samples=GRID.n_samples // 2)
         drives = {"if": drive_for_m(0.3, 2e9), "lo": drive_for_m(0.4, 5e9)}
         drives[off_grid] = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), other)
+        # the LO branch is built on its drive's grid, so `pbc` sees the mismatch
+        lo_branch = split_branch(laser_cw(10.0, "x", drives["lo"].grid), drives["lo"], 3.5, "y")
         with pytest.raises(GridError):
-            dp_bpsk_modulate(carrier, drives["if"], drives["lo"], 3.5)
+            dp_bpsk_modulate(carrier, drives["if"], lo_branch, 3.5)
 
     def test_carrier_on_both_rails(self):
         x, y = laser_cw(10.0, "x", GRID), laser_cw(10.0, "y", GRID)
         both = OpticalField(GRID, x.env_x, y.env_y)
         with pytest.raises(ValueError):
-            dp_bpsk_modulate(both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
+            co_modulate(both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
 
     def test_y_rail_carrier_equals_x_rail_carrier(self):
-        drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
-        from_x = dp_bpsk_modulate(laser_cw(10.0, "x", GRID), *drives)
-        from_y = dp_bpsk_modulate(laser_cw(10.0, "y", GRID), *drives)
+        drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
+        from_x = co_modulate(laser_cw(10.0, "x", GRID), *drives)
+        from_y = co_modulate(laser_cw(10.0, "y", GRID), *drives)
         assert np.array_equal(from_y.env_x, from_x.env_x)
         assert np.array_equal(from_y.env_y, from_x.env_y)
+
+
+class TestSplitBranch:
+    """`dp_bpsk_modulate` recombines a built LO branch as is; the rail layout of
+    both branches is `TestDpBpskModulator.test_rail_line_layout`."""
+
+    def test_unknown_rail(self):
+        with pytest.raises(ValueError, match="rail must be 'x' or 'y'"):
+            split_branch(laser_cw(10.0, "x", GRID), drive_for_m(0.3, 2e9), 3.5, "z")
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_output_y_rail_is_the_lo_branch_rail(self, spectral):
+        carrier = laser_cw(10.0, "x", GRID)
+        lo = split_branch(carrier, drive_for_m(0.4, 5e9), 3.5, "y").held_as((False, spectral))
+        out = dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), lo, 3.5)
+        assert out.spectral == (False, spectral)
+        assert out._held[1] is lo._held[1]  # shared, not copied
+
+    def test_lo_branch_on_the_x_rail_is_rejected(self):
+        carrier = laser_cw(10.0, "x", GRID)
+        wrong = split_branch(carrier, drive_for_m(0.4, 5e9), 3.5, "x")
+        with pytest.raises(RailConflict):
+            dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), wrong, 3.5)
 
 
 class TestPolarizationElements:
     def _field(self):
         carrier = laser_cw(10.0, "x", GRID)
-        return dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 6e9), 3.5)
+        return co_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 6e9))
 
     def test_polarizer_aligned(self):
         f = laser_cw(0.0, "x", GRID)
@@ -485,7 +517,7 @@ class TestDetectors:
 
     def test_polarized_dp_bpsk_rf_line(self):
         carrier = laser_cw(10.0, "x", GRID)
-        out = dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9), 3.5)
+        out = co_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
         i = photodetect(polarizer(out, np.pi / 4))
         assert abs(line(i.samples, GRID, 7e9)) > 10 * abs(line(i.samples, GRID, 3e9))
 
@@ -494,7 +526,7 @@ class TestDetectors:
         amps = []
         ms = [0.05, 0.1, 0.2]
         for m in ms:
-            out = dp_bpsk_modulate(carrier, drive_for_m(m, 2e9), drive_for_m(m, 5e9), 3.5)
+            out = co_modulate(carrier, drive_for_m(m, 2e9), drive_for_m(m, 5e9))
             i = photodetect(polarizer(out, np.pi / 4))
             amps.append(abs(line(i.samples, GRID, 7e9)))
         preds = [j1(m) ** 2 for m in ms]

@@ -23,7 +23,7 @@ from rofsim.errors import (
     SimulationError,
     TapError,
 )
-from rofsim.link import SoiSpec, run_full
+from rofsim.link import SelfInterferencePath, SoiSpec, run_full
 from rofsim.optics import FiberParams
 from rofsim.scenario import (
     bundled_scenario_dir,
@@ -214,6 +214,9 @@ class TestScenarioFiles:
             ("filters.bpf_high_ghz", 40.0, "filters.bpf_high_ghz: .*Nyquist"),
             ("lo.frequency_ghz", 1.0, "lo.frequency_ghz.*passband"),
             ("soi.rolloff", 2.0, "rolloff"),
+            # an SI delay the SIC stage and the tuner cannot reach: a quarter
+            # of the 2^18-sample record is 1.024 us
+            ("si_path.delay_ns", 5000.0, "si_path.delay_ns: .*quarter of the record"),
             # values that are not numbers
             ("laser.power_dbm", None, "laser.power_dbm"),
             ("si_path.gain_db", [1, 2], "si_path.gain_db"),
@@ -547,7 +550,7 @@ class TestCliSpectrum:
         path = tmp_path / "fig7a.scenario"
         save_scenario(s, path)
         est = run_full(s, SicSettings()).spectrum_without_sic
-        rofsim.link._kept[2] = None  # so building the SI-only stage is seen
+        rofsim.link._kept[rofsim.link._EVALUATOR] = None  # so building the SI-only stage is seen
         arm = rofsim.link._arm_spectrum
 
         def refuse(*args, **kwargs):
@@ -610,9 +613,11 @@ def test_error_exit_code(monkeypatch, capsys, error, code):
 
 def test_tune_with_no_delay_below_the_horizon_exits_3(tmp_path, capsys):
     # fig6a needs tau2 = 0.1875 ns (mod 0.5 ns); on 32 samples at 64 GS/s the
-    # tuner's horizon, a quarter of the record, is 0.125 ns
+    # tuner's horizon, a quarter of the record, is 0.125 ns, and its 1 ns SI
+    # delay fails the load, so the SI path is at 0 ns, which needs the same tau2
     s = load_scenario(bundled_scenario_dir() / "fig6a.scenario")
     path = tmp_path / "short.scenario"
-    save_scenario(dataclasses.replace(s, grid=TimeGrid(sample_rate=64e9, n_samples=32)), path)
+    save_scenario(dataclasses.replace(s, grid=TimeGrid(sample_rate=64e9, n_samples=32),
+                                      si_path=SelfInterferencePath(s.si_path.gain_db, 0.0)), path)
     assert main(["tune", str(path), "--out", str(tmp_path)]) == 3
     assert "horizon" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import j0, j1
@@ -13,8 +14,8 @@ from scipy.special import j0, j1
 from tuner_oracles import DegenerateScan, verify_phase_constant
 
 from rofsim.cli import main
-from rofsim.errors import AttenuatorInfeasible, DelayRangeError
-from rofsim.link import SelfInterferencePath, UplinkEvaluator, run_downlink
+from rofsim.errors import AttenuatorInfeasible, DelayRangeError, ScenarioError
+from rofsim.link import UplinkEvaluator, run_downlink
 from rofsim.scenario import bundled_scenario_dir, load_scenario, save_scenario
 from rofsim.signal_core import TimeGrid
 from rofsim.tuner import (
@@ -120,13 +121,16 @@ class TestAnalyticTau2:
             analytic_tau2(w_if, w_s, 10e-6, horizon=horizon)
         with pytest.raises(DelayRangeError, match="horizon"):
             analytic_tau2(w_if, w_s, 1e30 * 1e-9, horizon=horizon)
-        s = tone_scenario()
+        # a scenario file with such a delay fails at load, naming the key
         path = tmp_path / "far.scenario"
-        far = SelfInterferencePath(gain_db=s.si_path.gain_db, delay=1e30 * 1e-9)
-        save_scenario(dataclasses.replace(s, si_path=far, grid=TimeGrid(64e9, 2**12)), path)
-        assert load_scenario(path).si_path.delay == pytest.approx(1e21)  # the loader takes it
-        assert main(["tune", str(path), "--out", str(tmp_path)]) == 3
-        assert "horizon" in capsys.readouterr().err
+        save_scenario(dataclasses.replace(tone_scenario(), grid=TimeGrid(64e9, 2**12)), path)
+        doc = yaml.safe_load(path.read_text())
+        doc["si_path"]["delay_ns"] = 1e30
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ScenarioError, match="si_path.delay_ns: .*quarter of the record"):
+            load_scenario(path)
+        assert main(["tune", str(path), "--out", str(tmp_path)]) == 2
+        assert "si_path.delay_ns" in capsys.readouterr().err
 
 
 class TestSeedSettings:
