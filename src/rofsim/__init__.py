@@ -62,7 +62,6 @@ from .link import (
     LinkScenario,
     SelfInterferencePath,
     SicSettings,
-    SoiSpec,
     build_soi_waveform,
     downlink_taps,
     make_received_signal,
@@ -138,7 +137,6 @@ __all__ = [
     # link
     "LinkScenario",
     "SelfInterferencePath",
-    "SoiSpec",
     "LinkMetrics",
     "LinkResult",
     "downlink_taps",

@@ -3,7 +3,7 @@ uplink transport and balanced detection at the CO."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -17,7 +17,6 @@ from .optics import (
     dp_bpsk_modulate,
     fiber_propagate,
     fiber_transfer,
-    laser_cw,
     pbs,
     photodetect,
     polarizer,
@@ -30,13 +29,10 @@ from .signal_core import (
     TimeGrid,
     ToneSpec,
     band_power,
-    dbm_to_amplitude,
     dbm_to_watts,
     demodulate_evm,
     filter_band,
     fractional_delay,
-    make_qam,
-    make_tone,
     phase_shift,
     qam_samples_per_symbol,
     welch_psd,
@@ -67,24 +63,6 @@ class SelfInterferencePath:
 
 
 @dataclass(frozen=True)
-class SoiSpec:
-    """Uplink signal of interest, radiated at the same frequency as the SI."""
-
-    kind: str = "tone"  # tone | qam
-    power_dbm: float = -22.0
-    arrival_delay: float = 0.0
-    symbol_rate: float = 10e6
-    rolloff: float = 0.35
-    seed: int = 7
-
-    def __post_init__(self):
-        if self.kind not in ("tone", "qam"):
-            raise ValueError("soi kind must be 'tone' or 'qam'")
-        if not dbm_to_watts(self.power_dbm) < np.inf:
-            raise ValueError("soi.power_dbm: SOI power must be a finite number of watts")
-
-
-@dataclass(frozen=True)
 class LinkScenario:
     """Full parameter set of one experiment."""
 
@@ -103,7 +81,10 @@ class LinkScenario:
     uplink_fiber: FiberParams = dc_field(default_factory=lambda: FiberParams(length=0.0))
     edfa_gain_db: float = 20.0
     si_path: SelfInterferencePath = dc_field(default_factory=SelfInterferencePath)
-    soi: SoiSpec | None = None
+    # the uplink signal of interest, radiated at the SI's RF frequency: built
+    # with any frequency, it is held at f_s
+    soi: ToneSpec | QamSignalSpec | None = None
+    soi_delay: float = 0.0  # seconds, the SOI's arrival delay
     bpf: tuple[float, float] = (6.45e9, 8.55e9)
     lpf: float = 3e9
     grid: TimeGrid = dc_field(default_factory=lambda: DEFAULT_GRID)
@@ -111,6 +92,8 @@ class LinkScenario:
     rbw: float = 1e6
 
     def __post_init__(self):
+        if self.soi is not None:
+            object.__setattr__(self, "soi", replace(self.soi, frequency=self.f_s))
         if not 0.0 < dbm_to_watts(self.laser_power_dbm) < np.inf:
             raise ValueError(
                 "laser.power_dbm: laser power must be a finite, non-zero number of watts"
@@ -128,8 +111,7 @@ class LinkScenario:
                 f"if_signal.frequency_ghz + lo.frequency_ghz: f_if + f_lo = {self.f_s:.3g} Hz must"
                 f" fall inside the BPF passband (filters.bpf_low_ghz, filters.bpf_high_ghz)"
             )
-        # a QAM SOI's spec checks its roll-off
-        for key, spec in (("if_signal", self.if_signal), ("soi", _soi_signal(self, self.f_if))):
+        for key, spec in (("if_signal", self.if_signal), ("soi", self.soi)):
             if isinstance(spec, QamSignalSpec):
                 try:
                     qam_samples_per_symbol(spec, self.grid)
@@ -141,16 +123,14 @@ class LinkScenario:
                 f"si_path.delay_ns: SI delay {self.si_path.delay:.3g} s must lie below a quarter"
                 f" of the record, {horizon:.3g} s"
             )
-        if max(self.si_band()[1], self.soi_band()[1]) > self.lpf:
+        if max(self.si_band()[1], self.soi_band()[1] if self.soi is not None else 0.0) > self.lpf:
             raise ValueError(
                 "filters.lpf_cutoff_ghz: the SI and SOI bands must lie below the lowpass edge"
             )
 
     @property
     def f_if(self) -> float:
-        if isinstance(self.if_signal, ToneSpec):
-            return self.if_signal.frequency
-        return self.if_signal.center_frequency
+        return self.if_signal.frequency
 
     @property
     def f_lo(self) -> float:
@@ -160,9 +140,9 @@ class LinkScenario:
     def f_s(self) -> float:
         return self.f_if + self.f_lo
 
-    def _band(self, spec: ToneSpec | QamSignalSpec | None) -> tuple[float, float]:
-        """Band around the down-converted IF: a QAM signal's occupied band, else 3 RBW."""
-        hw = spec.occupied_halfwidth if isinstance(spec, QamSignalSpec) else 3.0 * self.rbw
+    def _band(self, spec: ToneSpec | QamSignalSpec) -> tuple[float, float]:
+        """The band `spec` is measured in, around the down-converted IF."""
+        hw = spec.band_halfwidth(self.rbw)
         return (self.f_if - hw, self.f_if + hw)
 
     def si_band(self) -> tuple[float, float]:
@@ -170,7 +150,7 @@ class LinkScenario:
         return self._band(self.if_signal)
 
     def soi_band(self) -> tuple[float, float]:
-        return self._band(_soi_signal(self, self.f_if))
+        return self._band(self.soi)
 
 
 @dataclass(frozen=True)
@@ -203,11 +183,6 @@ class LinkResult:
     spectrum_with_sic: SpectrumEstimate
     spectrum_without_sic: SpectrumEstimate
     metrics: LinkMetrics
-
-
-def _drive(spec: ToneSpec | QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
-    """The waveform of a tone or QAM drive spec on `grid`."""
-    return make_tone(spec, grid) if isinstance(spec, ToneSpec) else make_qam(spec, grid)
 
 
 def _lo_key(s: LinkScenario) -> tuple:
@@ -261,21 +236,17 @@ def _carries_spectra(s: LinkScenario) -> bool:
 def _lo_branch(s: LinkScenario) -> OpticalField:
     """The CO modulator's LO branch: the Y half of the laser's 3-dB split,
     modulated by the LO, held in the domain the link of `s` carries."""
-    laser = laser_cw(s.laser_power_dbm, "x", s.grid)
-    branch = split_branch(laser, _drive(s.lo_signal, s.grid), s.v_pi, "y")
-    del laser  # freed before the rail is transformed
+    branch = split_branch(s.laser_power_dbm, s.lo_signal.waveform(s.grid), s.v_pi, "y")
     return branch.held_as((False, _carries_spectra(s)))
 
 
 def _modulate(s: LinkScenario) -> OpticalField:
     """Output of the dual-polarization modulator driven by the IF and the kept
     LO branch, held in the domain the link of `s` carries. Its Y rail is the
-    kept LO branch's rail, shared, not copied."""
+    kept LO branch's rail, shared, not copied; the IF drive is freed before
+    the X rail is transformed."""
     lo_branch = _kept_stage(_LO_BRANCH, _lo_key(s), lambda: _lo_branch(s))
-    if_drive = _drive(s.if_signal, s.grid)
-    laser = laser_cw(s.laser_power_dbm, "x", s.grid)
-    out = dp_bpsk_modulate(laser, if_drive, lo_branch, s.v_pi)
-    del if_drive, laser  # freed before the X rail is transformed
+    out = dp_bpsk_modulate(s.laser_power_dbm, s.if_signal.waveform(s.grid), lo_branch, s.v_pi)
     return out.held_as((_carries_spectra(s),) * 2)
 
 
@@ -329,23 +300,13 @@ def uplink_evaluator(s: LinkScenario, rf_phase_comp: float | None = None) -> Upl
                        lambda: UplinkEvaluator(s, rf_phase_comp))
 
 
-def _soi_signal(s: LinkScenario, center: float) -> ToneSpec | QamSignalSpec | None:
-    """The SOI as a tone or 16-QAM spec centred at `center`; None without an SOI."""
-    if s.soi is None:
-        return None
-    if s.soi.kind == "tone":
-        return ToneSpec(amplitude=dbm_to_amplitude(s.soi.power_dbm), frequency=center)
-    return QamSignalSpec(symbol_rate=s.soi.symbol_rate, center_frequency=center,
-                         power_dbm=s.soi.power_dbm, rolloff=s.soi.rolloff, seed=s.soi.seed)
-
-
 def build_soi_waveform(s: LinkScenario) -> SampledWaveform | None:
-    """SOI realized at the air-interface frequency f_s."""
+    """SOI realized at the air-interface frequency f_s, after its arrival delay."""
     if s.soi is None:
         return None
-    w = _drive(_soi_signal(s, s.f_s), s.grid)
-    if s.soi.arrival_delay:
-        w = fractional_delay(w, s.soi.arrival_delay)
+    w = s.soi.waveform(s.grid)
+    if s.soi_delay:
+        w = fractional_delay(w, s.soi_delay)
     return w
 
 
@@ -544,11 +505,10 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
         del h_up, soi_wave  # freed before the EVM, which sets the peak of run_full
         soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
-        soi_if = _soi_signal(s, s.f_if)
-        if isinstance(soi_if, QamSignalSpec):
+        if isinstance(s.soi, QamSignalSpec):  # down-converted, the SOI sits at f_if
             soi_full_rate = _lowpassed(soi_spec, s.grid, s.lpf, 1)
             del soi_spec
-            evm = demodulate_evm(soi_full_rate, soi_if)
+            evm = demodulate_evm(soi_full_rate, replace(s.soi, frequency=s.f_if))
 
     return LinkResult(
         bpd_out_with_sic=with_out,

@@ -203,15 +203,6 @@ def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
     return np.multiply(out, mag, out=out)
 
 
-def _single_rail(carrier: OpticalField, element: str) -> int:
-    """Index of the rail a modulator's carrier occupies: the lit one, X when
-    both are dark; a carrier lit on both rails is rejected."""
-    rail = carrier.rail()
-    if rail == "both":
-        raise ValueError(f"{element} carrier must occupy a single rail")
-    return 1 if rail == "y" else 0
-
-
 def dd_mzm_ssb(
     carrier: OpticalField, drive: SampledWaveform, params: ModulatorParams
 ) -> OpticalField:
@@ -223,7 +214,10 @@ def dd_mzm_ssb(
     """
     if carrier.grid != drive.grid:
         raise GridError("carrier and drive grids differ")
-    i = _single_rail(carrier, "dd_mzm_ssb")
+    rail = carrier.rail()
+    if rail == "both":
+        raise ValueError("dd_mzm_ssb carrier must occupy a single rail")
+    i = 1 if rail == "y" else 0  # the lit rail; X when both are dark
     m = _ssb_transfer(drive.samples, params)
     rails = list(carrier._held)
     rails[i] = np.multiply(carrier._rail_as(i, False), m, out=m)
@@ -236,33 +230,34 @@ _CO_SIDEBANDS = {"x": "lower", "y": "upper"}
 
 
 def split_branch(
-    carrier: OpticalField, drive: SampledWaveform, v_pi: float, rail: str
+    laser_power_dbm: float, drive: SampledWaveform, v_pi: float, rail: str
 ) -> OpticalField:
-    """One branch of the CO modulator: the 3-dB split of the single-rail
-    `carrier`, placed on `rail` ('x' or 'y') and modulated by `dd_mzm_ssb`
-    with that rail's fixed sideband (lower on X, upper on Y). The other rail
-    is dark."""
+    """One branch of the CO modulator: the 3-dB split of the CW laser of
+    `laser_power_dbm`, a constant held as one zero-stride sample as a dark rail
+    is, placed on `rail` ('x' or 'y') of the drive's grid and modulated by
+    `dd_mzm_ssb` with that rail's fixed sideband (lower on X, upper on Y)."""
     if rail not in _CO_SIDEBANDS:
         raise ValueError("rail must be 'x' or 'y'")
-    c = carrier._rail_as(_single_rail(carrier, "dp_bpsk_modulate"), False) / np.sqrt(2.0)
-    half = OpticalField(carrier.grid, *((c, None) if rail == "x" else (None, c)))
+    c = np.complex128(np.sqrt(dbm_to_watts(laser_power_dbm))) / np.sqrt(2.0)
+    c = np.broadcast_to(c, (drive.grid.n_samples,))
+    half = OpticalField(drive.grid, *((c, None) if rail == "x" else (None, c)))
     return dd_mzm_ssb(half, drive, ModulatorParams(v_pi, _CO_SIDEBANDS[rail]))
 
 
 def dp_bpsk_modulate(
-    carrier: OpticalField,
+    laser_power_dbm: float,
     if_drive: SampledWaveform,
     lo_branch: OpticalField,
     v_pi: float,
 ) -> OpticalField:
-    """The CO modulator: the IF branch, `split_branch(carrier, if_drive, v_pi,
-    "x")`, recombined by `pbc` with the built LO branch, which is
-    `split_branch(carrier, lo_drive, v_pi, "y")` held in either domain.
+    """The CO modulator: the IF branch, `split_branch(laser_power_dbm,
+    if_drive, v_pi, "x")`, recombined by `pbc` with the built LO branch
+    `split_branch(laser_power_dbm, lo_drive, v_pi, "y")`, in either domain.
 
     X rail carries the IF modulation (lower sideband), Y rail the LO
     modulation (upper sideband); the output's Y rail is the LO branch's rail.
     """
-    return pbc(split_branch(carrier, if_drive, v_pi, "x"), lo_branch)
+    return pbc(split_branch(laser_power_dbm, if_drive, v_pi, "x"), lo_branch)
 
 
 def polarizer(field: OpticalField, angle: float) -> OpticalField:

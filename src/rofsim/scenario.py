@@ -12,15 +12,17 @@ from typing import NamedTuple
 import yaml
 
 from .errors import AxisError, ScenarioError
-from .link import LinkScenario, SelfInterferencePath, SoiSpec
+from .link import LinkScenario, SelfInterferencePath
 from .optics import FiberParams
-from .signal_core import QamSignalSpec, TimeGrid, ToneSpec, dbm_to_amplitude, watts_to_dbm, R_REF
+from .signal_core import (
+    QamSignalSpec, TimeGrid, ToneSpec, dbm_to_amplitude, dbm_to_watts, watts_to_dbm, R_REF,
+)
 
 
 class _Row(NamedTuple):
     key: str  # dotted file key
     paths: tuple[str, ...]  # the LinkScenario fields it fills, dotted into their parts
-    rule: str  # number, off (or -inf), positive, non-negative, tone (dBm <-> volts), integer, word
+    rule: str  # number, off/dbm (or -inf), positive, non-negative, tone (dBm <-> V), integer, word
     default: object = None  # None: required
     exp: int | None = None  # the key's unit is 10**exp SI units (ns: -9, GHz: 9)
 
@@ -32,20 +34,6 @@ _HEAD = (
     _Row("laser.power_dbm", ("laser_power_dbm",), "number"),
     _Row("if_signal.kind", (), "word"),
 )
-# one sub-table per kind of IF drive; a document holds the keys of its kind only
-_IF_SIGNAL = {
-    "tone": (ToneSpec, (
-        _Row("if_signal.frequency_ghz", ("if_signal.frequency",), "positive", exp=9),
-        _Row("if_signal.power_dbm", ("if_signal.amplitude",), "tone"),
-    )),
-    "qam": (QamSignalSpec, (
-        _Row("if_signal.frequency_ghz", ("if_signal.center_frequency",), "positive", exp=9),
-        _Row("if_signal.power_dbm", ("if_signal.power_dbm",), "number"),
-        _Row("if_signal.symbol_rate_mbaud", ("if_signal.symbol_rate",), "positive", exp=6),
-        _Row("if_signal.rolloff", ("if_signal.rolloff",), "number", 0.35),
-        _Row("if_signal.data_seed", ("if_signal.seed",), "integer", 1),
-    )),
-}
 _TAIL = (
     _Row("lo.frequency_ghz", ("lo_signal.frequency",), "positive", exp=9),
     _Row("lo.power_dbm", ("lo_signal.amplitude",), "tone"),
@@ -66,22 +54,56 @@ _TAIL = (
     _Row("grid.n_samples", ("grid.n_samples",), "integer"),
     _Row("responsivity_a_w", ("responsivity",), "positive", 0.8),
     _Row("rbw_mhz", ("rbw",), "positive", 1.0, exp=6),
-    _Row("soi.kind", ("soi.kind",), "word"),
-    _Row("soi.power_dbm", ("soi.power_dbm",), "off"),
-    _Row("soi.arrival_delay_ns", ("soi.arrival_delay",), "number", 0.0, exp=-9),
-    _Row("soi.symbol_rate_mbaud", ("soi.symbol_rate",), "number", 10.0, exp=6),
-    _Row("soi.rolloff", ("soi.rolloff",), "number", 0.35),
-    _Row("soi.data_seed", ("soi.seed",), "integer", 7),
+    _Row("soi.kind", (), "word"),
 )
-_TABLES = {kind: _HEAD + rows + _TAIL for kind, (_, rows) in _IF_SIGNAL.items()}
+# The sections that hold a drive spec: their `kind` names the spec class and
+# the rows of the section, and a document holds the keys of its kind only. The
+# SOI has no frequency key: LinkScenario places it at the SI's RF frequency.
+_KINDED = {
+    "if_signal": {
+        "tone": (ToneSpec, (
+            _Row("if_signal.frequency_ghz", ("if_signal.frequency",), "positive", exp=9),
+            _Row("if_signal.power_dbm", ("if_signal.amplitude",), "tone"),
+        )),
+        "qam": (QamSignalSpec, (
+            _Row("if_signal.frequency_ghz", ("if_signal.frequency",), "positive", exp=9),
+            _Row("if_signal.power_dbm", ("if_signal.power_dbm",), "number"),
+            _Row("if_signal.symbol_rate_mbaud", ("if_signal.symbol_rate",), "positive", exp=6),
+            _Row("if_signal.rolloff", ("if_signal.rolloff",), "number", 0.35),
+            _Row("if_signal.data_seed", ("if_signal.seed",), "integer", 1),
+        )),
+    },
+    "soi": {
+        "tone": (ToneSpec, (
+            _Row("soi.power_dbm", ("soi.amplitude",), "tone"),
+            _Row("soi.arrival_delay_ns", ("soi_delay",), "number", 0.0, exp=-9),
+            _Row("soi.data_seed", (), "integer", 7),  # checked; a tone reads no data
+        )),
+        "qam": (QamSignalSpec, (
+            _Row("soi.power_dbm", ("soi.power_dbm",), "dbm"),
+            _Row("soi.arrival_delay_ns", ("soi_delay",), "number", 0.0, exp=-9),
+            _Row("soi.symbol_rate_mbaud", ("soi.symbol_rate",), "number", 10.0, exp=6),
+            _Row("soi.rolloff", ("soi.rolloff",), "number", 0.35),
+            _Row("soi.data_seed", ("soi.seed",), "integer", 7),
+        )),
+    },
+}
+
+
+def _table(if_kind: str, soi_kind: str | None) -> tuple[_Row, ...]:
+    """The rows of a document in file order, by the kinds of its IF drive and its SOI."""
+    soi_rows = _KINDED["soi"][soi_kind][1] if soi_kind else ()  # None: no SOI
+    return _HEAD + _KINDED["if_signal"][if_kind][1] + _TAIL + soi_rows
+
 
 _PARTS = {  # LinkScenario fields that several keys fill, and what builds them from their parts
-    "lo_signal": ToneSpec, "si_path": SelfInterferencePath, "soi": SoiSpec, "grid": TimeGrid,
+    "lo_signal": ToneSpec, "si_path": SelfInterferencePath, "grid": TimeGrid,
     **dict.fromkeys(("downlink_fiber", "uplink_fiber"), FiberParams),
     "bpf": lambda **edge: (edge["0"], edge["1"]),
 }
 _OPTIONAL = ("grid", "soi")  # sections a file may leave out: DEFAULT_GRID, no SOI
-_KEYS = frozenset(row.key for rows in _TABLES.values() for row in rows)
+_KEYS = frozenset(row.key for if_kind in _KINDED["if_signal"] for soi_kind in _KINDED["soi"]
+                  for row in _table(if_kind, soi_kind))
 _SECTIONS = frozenset(key.partition(".")[0] for key in _KEYS if "." in key)
 
 
@@ -119,7 +141,7 @@ def _read(row: _Row, value):
         if isinstance(value, bool) or not (isinstance(value, int) or number.is_integer()):
             raise ScenarioError(f"key '{row.key}' must be an integer")
         return value if isinstance(value, int) else int(number)
-    off = row.rule in ("off", "tone")
+    off = row.rule in ("off", "dbm", "tone")
     if not (math.isfinite(number) or (off and number == -math.inf)):
         raise ScenarioError(
             f"key '{row.key}' must be a finite number" + (" or -.inf" if off else ""))
@@ -127,6 +149,8 @@ def _read(row: _Row, value):
         raise ScenarioError(f"key '{row.key}' must be a positive number")
     if row.rule == "non-negative" and number < 0:
         raise ScenarioError(f"key '{row.key}' must be non-negative")
+    if row.rule == "dbm" and not dbm_to_watts(number) < math.inf:
+        raise ScenarioError(f"key '{row.key}' overflows a finite number of watts")
     if row.rule == "tone" and not math.isfinite(number := dbm_to_amplitude(number)):
         raise ScenarioError(f"key '{row.key}' overflows a finite amplitude")
     return number if row.exp is None else _scaled(number, row.exp)
@@ -138,21 +162,25 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _check_keys(doc)
-    if "kind" not in doc["if_signal"]:
-        raise ScenarioError("missing required key 'if_signal.kind'")
-    kind = str(doc["if_signal"]["kind"])
-    if kind not in _IF_SIGNAL:
-        raise ScenarioError("key 'if_signal.kind' must be 'tone' or 'qam'")
-    read = {row.key for row in _TABLES[kind]}
-    for sub in doc["if_signal"]:
-        if f"if_signal.{sub}" not in read:
-            raise ScenarioError(f"key 'if_signal.{sub}' is not read by a {kind} IF signal")
+    kinds = {}
+    for section, specs in _KINDED.items():  # `if_signal` is required, `soi` optional
+        if section not in doc:
+            continue
+        if "kind" not in doc[section]:
+            raise ScenarioError(f"missing required key '{section}.kind'")
+        kind = kinds[section] = str(doc[section]["kind"])
+        if kind not in specs:
+            raise ScenarioError(f"key '{section}.kind' must be 'tone' or 'qam'")
+        read = {f"{section}.kind"} | {row.key for row in specs[kind][1]}
+        for key in (f"{section}.{sub}" for sub in doc[section]):
+            if key not in read:
+                raise ScenarioError(f"key '{key}' is not read when {section}.kind is {kind}")
     fields: dict = {}
     try:
-        for row in _TABLES[kind]:
+        for row in _table(kinds["if_signal"], kinds.get("soi")):
             section, _, leaf = row.key.rpartition(".")
             node = doc.get(section) if section else doc
-            if not row.paths or node is None:  # no field, or an optional section left out
+            if node is None:  # an optional section left out
                 continue
             if leaf not in node and row.default is None:
                 raise ScenarioError(f"missing required key '{row.key}'")
@@ -160,7 +188,9 @@ def dict_to_scenario(doc: dict) -> LinkScenario:
             for path in row.paths:
                 part, _, name = path.rpartition(".")
                 (fields.setdefault(part, {}) if part else fields)[name] = value
-        parts = dict(_PARTS, if_signal=_IF_SIGNAL[kind][0])
+        if "soi" in fields:  # any frequency: LinkScenario places the SOI at f_s
+            fields["soi"]["frequency"] = 0.0
+        parts = dict(_PARTS, **{sec: _KINDED[sec][kind][0] for sec, kind in kinds.items()})
         return LinkScenario(**{k: parts[k](**v) if k in parts else v for k, v in fields.items()})
     except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(str(exc)) from exc
@@ -174,15 +204,13 @@ def scenario_to_dict(s: LinkScenario) -> dict:
     tone amplitudes are written as dBm: exact for a scenario read from a file,
     a neighbouring float for an arbitrary value set in code.
     """
-    kind = "tone" if isinstance(s.if_signal, ToneSpec) else "qam"
     doc: dict = {}
-    for row in _TABLES[kind]:
-        if row.key == "if_signal.kind":
-            value = kind
-        elif not row.paths or getattr(s, row.paths[0].partition(".")[0]) is None:
-            continue
-        elif row.key == "description" and not s.description:
-            continue  # written only when there is one
+    for row in _table(s.if_signal.kind, None if s.soi is None else s.soi.kind):
+        section, _, leaf = row.key.rpartition(".")
+        if leaf == "kind" and getattr(s, section) is not None:
+            value = getattr(s, section).kind
+        elif not row.paths or (row.key == "description" and not s.description):
+            continue  # no SOI, a key no field holds, or an empty description
         else:
             value = s
             for name in row.paths[0].split("."):
@@ -191,7 +219,6 @@ def scenario_to_dict(s: LinkScenario) -> dict:
                 value = round(float(watts_to_dbm(value**2 / (2.0 * R_REF))), 10)
             elif row.exp is not None:
                 value = round(value * 10.0**-row.exp if row.exp < 0 else value / 10.0**row.exp, 10)
-        section, _, leaf = row.key.rpartition(".")
         (doc.setdefault(section, {}) if section else doc)[leaf] = value
     return doc
 
@@ -199,9 +226,10 @@ def scenario_to_dict(s: LinkScenario) -> dict:
 def set_axis(s: LinkScenario, axis: str, value: float) -> LinkScenario:
     """`s` with the numeric file key `axis` set to `value`, through its document."""
     doc = scenario_to_dict(s)
-    row = next((r for r in _TABLES[doc["if_signal"]["kind"]] if r.key == axis), None)
+    row = next((r for r in _table(doc["if_signal"]["kind"], doc.get("soi", {}).get("kind"))
+                if r.key == axis), None)
     section, _, leaf = axis.rpartition(".")
-    if row is None or row.rule == "word" or (section and section not in doc):
+    if row is None or not row.paths or row.rule == "word":
         raise AxisError(f"axis '{axis}' is not a numeric key of this scenario")
     (doc[section] if section else doc)[leaf] = value
     return dict_to_scenario(doc)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft as sfft
@@ -120,23 +121,34 @@ def require_same_grid(*items) -> None:
 
 @dataclass(frozen=True)
 class ToneSpec:
+    """A tone drive. A drive spec gives its `kind`, its waveform on a grid and
+    the half-width of the band it is measured in."""
+
     amplitude: float  # volts, peak
     frequency: float  # Hz
+    kind: ClassVar[str] = "tone"
 
     def __post_init__(self):
         if not 0.0 <= self.amplitude < np.inf:
             raise ValueError("amplitude must be finite and non-negative")
 
+    def waveform(self, grid: TimeGrid) -> SampledWaveform:
+        return make_tone(self, grid)
+
+    def band_halfwidth(self, rbw: float) -> float:
+        return 3.0 * rbw  # either side of the line
+
 
 @dataclass(frozen=True)
 class QamSignalSpec:
-    """Root-raised-cosine 16-QAM signal around `center_frequency`."""
+    """Root-raised-cosine 16-QAM drive around `frequency`."""
 
     symbol_rate: float = 10e6
-    center_frequency: float = 2e9
+    frequency: float = 2e9
     power_dbm: float = 0.0
     rolloff: float = 0.35
     seed: int = 0
+    kind: ClassVar[str] = "qam"
 
     def __post_init__(self):
         if self.symbol_rate <= 0:
@@ -154,6 +166,12 @@ class QamSignalSpec:
     def amplitude(self) -> float:
         """Peak amplitude of the sine of the same power, in volts."""
         return dbm_to_amplitude(self.power_dbm)
+
+    def waveform(self, grid: TimeGrid) -> SampledWaveform:
+        return make_qam(self, grid)
+
+    def band_halfwidth(self, rbw: float) -> float:
+        return self.occupied_halfwidth
 
 
 @dataclass
@@ -265,14 +283,14 @@ def make_qam(spec: QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
     Deterministic for a fixed seed: the same spec always yields bit-identical
     samples.
     """
-    edge = spec.center_frequency + spec.occupied_halfwidth
-    if edge >= grid.nyquist or spec.center_frequency - spec.occupied_halfwidth <= 0:
+    edge = spec.frequency + spec.occupied_halfwidth
+    if edge >= grid.nyquist or spec.frequency - spec.occupied_halfwidth <= 0:
         raise AliasError("QAM band does not fit inside the Nyquist interval")
     _, _, bins, spectrum, h = _qam_support(spec, grid)
     baseband = np.zeros(grid.n_samples, dtype=np.complex128)
     baseband[bins] = spectrum * h  # negative bins wrap
     baseband = sfft.ifft(baseband, workers=_FFT_WORKERS, overwrite_x=True)
-    carrier = np.multiply(2j * np.pi * spec.center_frequency, grid.times())
+    carrier = np.multiply(2j * np.pi * spec.frequency, grid.times())
     np.exp(carrier, out=carrier)
     baseband *= carrier
     del carrier
@@ -432,7 +450,7 @@ def demodulate_evm(w: SampledWaveform, spec: QamSignalSpec) -> float:
     grid = w.grid
     n = grid.n_samples
     symbols, sps, bins, spectrum, h = _qam_support(spec, grid)
-    z = np.multiply(-2j * np.pi * spec.center_frequency, grid.times())
+    z = np.multiply(-2j * np.pi * spec.frequency, grid.times())
     np.exp(z, out=z)
     np.multiply(w.samples, z, out=z)
     zf = sfft.fft(z, workers=_FFT_WORKERS, overwrite_x=True)[bins] * h  # matched filter

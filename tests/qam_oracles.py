@@ -35,7 +35,7 @@ def dense_make_qam(spec: QamSignalSpec, grid: TimeGrid) -> SampledWaveform:
     h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
     baseband = sfft.ifft(sfft.fft(impulses) * h)
     t = grid.times()
-    passband = (baseband * np.exp(2j * np.pi * spec.center_frequency * t)).real
+    passband = (baseband * np.exp(2j * np.pi * spec.frequency * t)).real
     target = dbm_to_watts(spec.power_dbm) * R_REF
     passband *= np.sqrt(target / np.mean(passband**2))
     return SampledWaveform(grid, passband)
@@ -47,7 +47,7 @@ def dense_demodulate_evm(w: SampledWaveform, spec: QamSignalSpec) -> float:
     impulses, symbols, sps = qam_impulses(spec, grid)
     h = _rrc_response(grid.freqs(), spec.symbol_rate, spec.rolloff)
     ref_spec = sfft.fft(impulses) * h**2
-    z = w.samples * np.exp(-2j * np.pi * spec.center_frequency * grid.times())
+    z = w.samples * np.exp(-2j * np.pi * spec.frequency * grid.times())
     zf_spec = sfft.fft(z) * h
     zf = sfft.ifft(zf_spec)
     xc = sfft.ifft(zf_spec * np.conj(ref_spec))

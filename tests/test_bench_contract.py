@@ -8,25 +8,32 @@ gone is only listed as absent there, and its per-layer metric silently reads
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import rofsim.cli
 import rofsim.link
-from rofsim.link import SoiSpec
-from rofsim.scenario import bundled_scenario_dir, load_scenario, save_scenario
-from rofsim.signal_core import TimeGrid
+import rofsim.signal_core
+from rofsim.scenario import bundled_scenario_dir, dict_to_scenario, load_scenario, save_scenario
+from rofsim.signal_core import QamSignalSpec, TimeGrid
 from rofsim.tuner import TuneReport, auto_tune
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py, loaded by path; registered, so its dataclasses resolve."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("spans")
 
 
 @pytest.mark.parametrize("span, layer, module_name, attr", load_spans().SPANS)
@@ -37,6 +44,18 @@ def test_span_target_resolves(span, layer, module_name, attr):
         assert callable(getattr(module, cls_name).__dict__.get(meth))
     else:
         assert callable(getattr(module, attr, None))
+
+
+def test_every_workload_input_loads():
+    # perfbench writes `soi.data_seed` into every SOI, fig7a's tone SOI
+    # included, and reads `soi.kind`
+    workloads = load_perfbench("workloads")
+    kinds = {}
+    for seed in (1, 2):
+        for name in sorted({n for names in workloads.INPUTS.values() for n in names}):
+            s = dict_to_scenario(workloads.make_input(name, seed, bundled_scenario_dir()))
+            kinds[name] = None if s.soi is None else s.soi.kind
+    assert kinds["fig7a"] == "tone" and kinds["fig7c-qam-soi"] == "qam"
 
 
 def test_values_the_runner_reads():
@@ -50,7 +69,7 @@ def test_traced_simulate_reaches_every_stage(tmp_path):
     s = dataclasses.replace(
         load_scenario(bundled_scenario_dir() / "fig7c.scenario"),
         grid=TimeGrid(sample_rate=64e9, n_samples=2**19),
-        soi=SoiSpec(kind="qam", power_dbm=-22.0, symbol_rate=10e6, rolloff=0.35, seed=7),
+        soi=QamSignalSpec(symbol_rate=10e6, power_dbm=-22.0, rolloff=0.35, seed=7),
     )
     path = tmp_path / "fig7c.scenario"
     save_scenario(s, path)
@@ -90,8 +109,9 @@ def test_tuning_links_that_share_the_lo_modulates_it_once(monkeypatch):
                                   grid=grid), wideband)
              for name, wideband in (("fig7c", False), ("wideband", True))]
     tones = []
-    make_tone = rofsim.link.make_tone
-    monkeypatch.setattr(rofsim.link, "make_tone", lambda *a: tones.append(a) or make_tone(*a))
+    make_tone = rofsim.signal_core.make_tone
+    monkeypatch.setattr(rofsim.signal_core, "make_tone",
+                        lambda *a: tones.append(a) or make_tone(*a))
     tracer = load_spans().Tracer()
     tracer.install()
     try:

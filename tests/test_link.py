@@ -13,7 +13,6 @@ from rofsim.errors import DelayRangeError
 from rofsim.link import (
     LinkScenario,
     SelfInterferencePath,
-    SoiSpec,
     UplinkEvaluator,
     build_soi_waveform,
     make_received_signal,
@@ -37,6 +36,7 @@ from rofsim.optics import (
 from rofsim.scenario import bundled_scenario_dir, load_scenario, set_axis
 from rofsim.signal_core import (
     _SKIRT_FRACTION,
+    QamSignalSpec,
     SampledWaveform,
     TimeGrid,
     ToneSpec,
@@ -58,6 +58,11 @@ GRID_QAM = TimeGrid(sample_rate=64e9, n_samples=2**19)
 def bundled(name: str, grid: TimeGrid, **overrides) -> LinkScenario:
     s = load_scenario(bundled_scenario_dir() / f"{name}.scenario")
     return dataclasses.replace(s, grid=grid, **overrides)
+
+
+def tone_soi(power_dbm: float) -> ToneSpec:
+    """A tone SOI of `power_dbm`; the scenario places it at f_s."""
+    return ToneSpec(amplitude=dbm_to_amplitude(power_dbm), frequency=0.0)
 
 
 def tone_scenario(f_if: float = 2e9, f_lo: float = 5e9, **overrides) -> LinkScenario:
@@ -220,7 +225,7 @@ class TestKeptStage:
         monkeypatch.setattr(rofsim.link, "downlink_taps", None)  # a second downlink fails
         other = dataclasses.replace(s, si_path=SelfInterferencePath(gain_db=30.0, delay=0.7e-9))
         assert uplink_evaluator(other) is not ev
-        soi_only = dataclasses.replace(other, name="x", seed=2, soi=SoiSpec(power_dbm=-30.0))
+        soi_only = dataclasses.replace(other, name="x", seed=2, soi=tone_soi(-30.0))
         assert uplink_evaluator(soi_only) is uplink_evaluator(other)
         assert len(builds) == 2
 
@@ -315,7 +320,7 @@ class TestMemory:
             fields.append(self)
 
         monkeypatch.setattr(OpticalField, "__init__", recording)
-        s = tone_scenario(soi=SoiSpec(power_dbm=-22.0), uplink_fiber=FiberParams(length=fibre))
+        s = tone_scenario(soi=tone_soi(-22.0), uplink_fiber=FiberParams(length=fibre))
         run_full(s, auto_tune(s).refined)
         rofsim.link.downlink_taps(s)
         dark = [(f.env_x, f.env_y)[i] for f in fields for i, r in enumerate(f._held) if r is None]
@@ -325,7 +330,7 @@ class TestMemory:
         assert all(r.strides == (0,) and not r.flags.writeable and not np.any(r) for r in dark)
 
     def test_run_full_evaluates_the_uplink_fibre_once(self, monkeypatch):
-        s = bundled("fig8c", GRID_QAM, soi=SoiSpec(power_dbm=-22.0, arrival_delay=0.1e-9))
+        s = bundled("fig8c", GRID_QAM, soi=tone_soi(-22.0), soi_delay=0.1e-9)
         sic = auto_tune(s).refined  # keeps the stage, so run_full runs only the SOI passes
         lengths = []
         transfer = rofsim.link.fiber_transfer
@@ -368,16 +373,14 @@ GRID_KEYS = TimeGrid(sample_rate=64e9, n_samples=2**16)
 
 def key_scenarios() -> dict:
     """A tone and a QAM scenario on a short grid, with an SOI of each kind; the
-    symbol rates fit 65 symbols, so either kind of SOI is valid."""
-    tone = dataclasses.replace(
-        tone_scenario(), grid=GRID_KEYS, soi=SoiSpec(kind="tone", power_dbm=-22.0, symbol_rate=64e6)
-    )
+    QAM symbol rates fit 65 symbols."""
+    tone = dataclasses.replace(tone_scenario(), grid=GRID_KEYS, soi=tone_soi(-22.0))
     fig8c = load_scenario(bundled_scenario_dir() / "fig8c.scenario")
     qam = dataclasses.replace(
         fig8c,
         grid=GRID_KEYS,
         if_signal=dataclasses.replace(fig8c.if_signal, symbol_rate=64e6),
-        soi=SoiSpec(kind="qam", power_dbm=-22.0, symbol_rate=64e6),
+        soi=QamSignalSpec(symbol_rate=64e6, power_dbm=-22.0, seed=7),
     )
     return {"tone": tone, "qam": qam}
 
@@ -411,8 +414,7 @@ def perturbed(s: LinkScenario, path) -> LinkScenario:
     for p in path:
         value = value[p] if isinstance(value, tuple) else getattr(value, p)
     if isinstance(value, str):
-        swap = {"tone": "qam", "qam": "tone"}
-        candidates = [swap.get(value, value + "x")]
+        candidates = [value + "x"]
     elif isinstance(value, int):
         candidates = [value + 1, 2 * value]
     elif value:
@@ -478,7 +480,7 @@ class TestStageKeys:
         key, output = STAGES[stage]
         base = output(s)
         paths = list(leaf_paths(s))
-        assert len(paths) == {"tone": 31, "qam": 34}[kind]  # a lost leaf and an added one both show
+        assert len(paths) == {"tone": 28, "qam": 34}[kind]  # a lost leaf and an added one both show
         missed = []
         for path in paths:
             other = perturbed(s, path)
@@ -818,7 +820,7 @@ def golden_scenario(name: str) -> LinkScenario:
     if name == "fig7c-qam-soi":
         s = load_scenario(bundled_scenario_dir() / "fig7c.scenario")
         return dataclasses.replace(
-            s, soi=SoiSpec(kind="qam", power_dbm=-22.0, symbol_rate=10e6, rolloff=0.35, seed=7)
+            s, soi=QamSignalSpec(symbol_rate=10e6, power_dbm=-22.0, rolloff=0.35, seed=7)
         )
     return load_scenario(bundled_scenario_dir() / f"{name}.scenario")
 

@@ -51,9 +51,10 @@ def drive_for_m(m: float, f: float, v_pi: float = 3.5):
     return make_tone(ToneSpec(amplitude=m * v_pi / np.pi, frequency=f), GRID)
 
 
-def co_modulate(carrier, if_drive, lo_drive, v_pi: float = 3.5):
-    """`dp_bpsk_modulate` of `carrier` with the LO branch built from `lo_drive`."""
-    return dp_bpsk_modulate(carrier, if_drive, split_branch(carrier, lo_drive, v_pi, "y"), v_pi)
+def co_modulate(laser_power_dbm, if_drive, lo_drive, v_pi: float = 3.5):
+    """`dp_bpsk_modulate` of the laser with the LO branch built from `lo_drive`."""
+    lo_branch = split_branch(laser_power_dbm, lo_drive, v_pi, "y")
+    return dp_bpsk_modulate(laser_power_dbm, if_drive, lo_branch, v_pi)
 
 
 class TestLaserCw:
@@ -109,17 +110,13 @@ class TestDarkRails:
 
 
 class TestSingleRailRules:
-    @pytest.mark.parametrize("element", ["dd_mzm_ssb", "dp_bpsk_modulate"])
+    # dd_mzm_ssb is the one modulator that takes a carrier field: the CO
+    # modulator takes the laser power
+    @pytest.mark.parametrize("element", ["dd_mzm_ssb"])
     def test_modulators_reject_a_two_rail_carrier(self, element):
         both = pbc(laser_cw(0.0, "x", GRID), laser_cw(0.0, "y", GRID))
-        drive = drive_for_m(0.3, 2e9)
-        lo_branch = split_branch(laser_cw(0.0, "x", GRID), drive, 3.5, "y")
-        modulate = {
-            "dd_mzm_ssb": lambda: dd_mzm_ssb(both, drive, MOD),
-            "dp_bpsk_modulate": lambda: dp_bpsk_modulate(both, drive, lo_branch, 3.5),
-        }[element]
         with pytest.raises(ValueError, match=f"^{element} carrier must occupy a single rail$"):
-            modulate()
+            dd_mzm_ssb(both, drive_for_m(0.3, 2e9), MOD)
 
     @pytest.mark.parametrize("x_in, y_in", [
         pytest.param("both", "y", id="x-input-spare-lit-both"),
@@ -249,8 +246,7 @@ class TestSmallSignalCoefficients:
 
 class TestDpBpskModulator:
     def test_rail_line_layout(self):
-        carrier = laser_cw(10.0, "x", GRID)
-        out = co_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
+        out = co_modulate(10.0, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
         # each rail carries its own drive on the selected side only, with no
         # cross-talk from the other rail's drive
         for env, keep, reject in (
@@ -264,36 +260,29 @@ class TestDpBpskModulator:
                 assert abs(line(env, GRID, f_r)) < 1e-6 * main
 
     def test_zero_drives_equal_cw_rails(self):
-        carrier = laser_cw(10.0, "x", GRID)
         zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
-        out = co_modulate(carrier, zero, zero)
+        out = co_modulate(10.0, zero, zero)
         px = np.mean(np.abs(out.env_x) ** 2)
         py = np.mean(np.abs(out.env_y) ** 2)
         assert px == pytest.approx(py, rel=1e-12)
 
     @pytest.mark.parametrize("off_grid", ["if", "lo"])
     def test_drive_on_another_grid(self, off_grid):
-        carrier = laser_cw(10.0, "x", GRID)
         other = TimeGrid(sample_rate=GRID.sample_rate, n_samples=GRID.n_samples // 2)
         drives = {"if": drive_for_m(0.3, 2e9), "lo": drive_for_m(0.4, 5e9)}
         drives[off_grid] = make_tone(ToneSpec(amplitude=1.0, frequency=2e9), other)
-        # the LO branch is built on its drive's grid, so `pbc` sees the mismatch
-        lo_branch = split_branch(laser_cw(10.0, "x", drives["lo"].grid), drives["lo"], 3.5, "y")
+        # each branch is built on its drive's grid, so `pbc` sees the mismatch
         with pytest.raises(GridError):
-            dp_bpsk_modulate(carrier, drives["if"], lo_branch, 3.5)
+            co_modulate(10.0, drives["if"], drives["lo"])
 
-    def test_carrier_on_both_rails(self):
-        x, y = laser_cw(10.0, "x", GRID), laser_cw(10.0, "y", GRID)
-        both = OpticalField(GRID, x.env_x, y.env_y)
-        with pytest.raises(ValueError):
-            co_modulate(both, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
-
-    def test_y_rail_carrier_equals_x_rail_carrier(self):
-        drives = (drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
-        from_x = co_modulate(laser_cw(10.0, "x", GRID), *drives)
-        from_y = co_modulate(laser_cw(10.0, "y", GRID), *drives)
-        assert np.array_equal(from_y.env_x, from_x.env_x)
-        assert np.array_equal(from_y.env_y, from_x.env_y)
+    def test_split_laser_is_the_laser_over_root_two(self):
+        # the branch's carrier is the split CW laser, bit for bit, so a
+        # zero drive leaves it on its rail
+        zero = make_tone(ToneSpec(amplitude=0.0, frequency=2e9), GRID)
+        want = laser_cw(10.0, "x", GRID).env_x / np.sqrt(2.0)
+        branch = split_branch(10.0, zero, 3.5, "x")
+        assert branch.rail() == "x"
+        assert np.array_equal(branch.env_x, want * _ssb_transfer(zero.samples, MOD))
 
 
 class TestSplitBranch:
@@ -302,27 +291,24 @@ class TestSplitBranch:
 
     def test_unknown_rail(self):
         with pytest.raises(ValueError, match="rail must be 'x' or 'y'"):
-            split_branch(laser_cw(10.0, "x", GRID), drive_for_m(0.3, 2e9), 3.5, "z")
+            split_branch(10.0, drive_for_m(0.3, 2e9), 3.5, "z")
 
     @pytest.mark.parametrize("spectral", [False, True])
     def test_output_y_rail_is_the_lo_branch_rail(self, spectral):
-        carrier = laser_cw(10.0, "x", GRID)
-        lo = split_branch(carrier, drive_for_m(0.4, 5e9), 3.5, "y").held_as((False, spectral))
-        out = dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), lo, 3.5)
+        lo = split_branch(10.0, drive_for_m(0.4, 5e9), 3.5, "y").held_as((False, spectral))
+        out = dp_bpsk_modulate(10.0, drive_for_m(0.3, 2e9), lo, 3.5)
         assert out.spectral == (False, spectral)
         assert out._held[1] is lo._held[1]  # shared, not copied
 
     def test_lo_branch_on_the_x_rail_is_rejected(self):
-        carrier = laser_cw(10.0, "x", GRID)
-        wrong = split_branch(carrier, drive_for_m(0.4, 5e9), 3.5, "x")
+        wrong = split_branch(10.0, drive_for_m(0.4, 5e9), 3.5, "x")
         with pytest.raises(RailConflict):
-            dp_bpsk_modulate(carrier, drive_for_m(0.3, 2e9), wrong, 3.5)
+            dp_bpsk_modulate(10.0, drive_for_m(0.3, 2e9), wrong, 3.5)
 
 
 class TestPolarizationElements:
     def _field(self):
-        carrier = laser_cw(10.0, "x", GRID)
-        return co_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 6e9))
+        return co_modulate(10.0, drive_for_m(0.3, 2e9), drive_for_m(0.4, 6e9))
 
     def test_polarizer_aligned(self):
         f = laser_cw(0.0, "x", GRID)
@@ -516,17 +502,15 @@ class TestDetectors:
         assert np.allclose(i.samples, 0.8 * 0.01)
 
     def test_polarized_dp_bpsk_rf_line(self):
-        carrier = laser_cw(10.0, "x", GRID)
-        out = co_modulate(carrier, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
+        out = co_modulate(10.0, drive_for_m(0.3, 2e9), drive_for_m(0.4, 5e9))
         i = photodetect(polarizer(out, np.pi / 4))
         assert abs(line(i.samples, GRID, 7e9)) > 10 * abs(line(i.samples, GRID, 3e9))
 
     def test_rf_amplitude_tracks_bessel_product(self):
-        carrier = laser_cw(10.0, "x", GRID)
         amps = []
         ms = [0.05, 0.1, 0.2]
         for m in ms:
-            out = co_modulate(carrier, drive_for_m(m, 2e9), drive_for_m(m, 5e9))
+            out = co_modulate(10.0, drive_for_m(m, 2e9), drive_for_m(m, 5e9))
             i = photodetect(polarizer(out, np.pi / 4))
             amps.append(abs(line(i.samples, GRID, 7e9)))
         preds = [j1(m) ** 2 for m in ms]

@@ -23,7 +23,7 @@ from rofsim.errors import (
     SimulationError,
     TapError,
 )
-from rofsim.link import SelfInterferencePath, SoiSpec, run_full
+from rofsim.link import SelfInterferencePath, build_soi_waveform, run_full
 from rofsim.optics import FiberParams
 from rofsim.scenario import (
     bundled_scenario_dir,
@@ -31,7 +31,7 @@ from rofsim.scenario import (
     load_scenario,
     save_scenario,
 )
-from rofsim.signal_core import TimeGrid, ToneSpec
+from rofsim.signal_core import QamSignalSpec, TimeGrid, ToneSpec
 from rofsim.tuner import SicSettings
 
 SMALL_GRID = TimeGrid(sample_rate=64e9, n_samples=2**18)
@@ -127,7 +127,7 @@ class TestScenarioFiles:
             uplink_fiber=fibers[1],
             edfa_gain_db=edfa,
             si_path=dataclasses.replace(base.si_path, gain_db=si_gain),
-            soi=SoiSpec(kind="qam", power_dbm=soi_power, rolloff=soi_rolloff, seed=seeds[2]),
+            soi=QamSignalSpec(power_dbm=soi_power, rolloff=soi_rolloff, seed=seeds[2]),
             responsivity=responsivity,
         )
         path = tmp_path_factory.mktemp("round_trip") / "s.scenario"
@@ -203,7 +203,7 @@ class TestScenarioFiles:
         "key, value, message",
         [
             # rules the scenario checks when it is built
-            ("soi.kind", "ofdm", "soi kind"),
+            ("soi.kind", "ofdm", "'soi.kind' must be 'tone' or 'qam'"),
             ("downlink_fiber.length_km", -1.0, "length"),
             ("grid.n_samples", 1, "n_samples"),
             ("filters.lpf_cutoff_ghz", 2.0, "filters.lpf_cutoff_ghz"),
@@ -241,6 +241,8 @@ class TestScenarioFiles:
             ("grid.n_samples", 262144.5, "'grid.n_samples' must be an integer"),
             ("seed", 3.7, "'seed' must be an integer"),
             ("soi.data_seed", True, "'soi.data_seed' must be an integer"),
+            ("soi", {"kind": "tone", "power_dbm": -22.0, "data_seed": True},
+             "'soi.data_seed' must be an integer"),
             ("grid.n_samples", float("nan"), "'grid.n_samples' must be an integer"),
             # keys of older files, which no computed value read or which the fixed
             # sideband layout replaced: rejected by name
@@ -249,6 +251,11 @@ class TestScenarioFiles:
             ("modulators.if_sideband", "middle", "unknown key 'modulators.if_sideband'"),
             ("modulators.lo_sideband", "upper", "unknown key 'modulators.lo_sideband'"),
             ("modulators.uplink_sideband", "lower", "unknown key 'modulators.uplink_sideband'"),
+            # QAM keys of a tone SOI, which no computed value reads: rejected by name
+            ("soi", {"kind": "tone", "power_dbm": -22.0, "symbol_rate_mbaud": 10.0},
+             "'soi.symbol_rate_mbaud' is not read when soi.kind is tone"),
+            ("soi", {"kind": "tone", "power_dbm": -22.0, "rolloff": 0.35},
+             "'soi.rolloff' is not read when soi.kind is tone"),
         ],
     )
     def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
@@ -285,6 +292,23 @@ class TestScenarioFiles:
             load_scenario(bad)
         assert str(bad) in str(exc.value)
         assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("soi", ["tone", "qam"])
+    @pytest.mark.parametrize("section, value", [("if_signal", 2.1), ("lo", 5.0)])
+    def test_soi_follows_a_replaced_drive_frequency(self, soi, section, value):
+        # the SOI sits at the SI's RF frequency, f_if + f_lo, however the
+        # drive frequencies were set
+        doc = yaml.safe_load((bundled_scenario_dir() / "fig7a.scenario").read_text())
+        if soi == "qam":
+            doc["soi"] = {"kind": "qam", "power_dbm": -22.0, "data_seed": 5}
+        s = rofsim.scenario.dict_to_scenario(doc)
+        field = {"if_signal": "if_signal", "lo": "lo_signal"}[section]
+        moved = dataclasses.replace(
+            s, **{field: dataclasses.replace(getattr(s, field), frequency=value * 1e9)})
+        doc[section]["frequency_ghz"] = value
+        cold = rofsim.scenario.dict_to_scenario(doc)
+        assert moved == cold and moved.soi.frequency == moved.f_s != s.f_s
+        assert build_soi_waveform(moved).samples.tobytes() == build_soi_waveform(cold).samples.tobytes()
 
     def test_overflowing_laser_power_is_a_value_error(self):
         with pytest.raises(ValueError, match="laser.power_dbm"):

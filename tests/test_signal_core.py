@@ -82,7 +82,7 @@ class TestMakeTone:
 
 
 class TestMakeQam:
-    SPEC = QamSignalSpec(symbol_rate=20e6, center_frequency=2e9, power_dbm=0.0, seed=3)
+    SPEC = QamSignalSpec(symbol_rate=20e6, frequency=2e9, power_dbm=0.0, seed=3)
 
     def test_occupied_bandwidth(self):
         w = make_qam(self.SPEC, GRID_LONG)
@@ -108,11 +108,11 @@ class TestMakeQam:
 
     def test_too_few_symbols_rejected(self):
         with pytest.raises(ValueError):
-            make_qam(QamSignalSpec(symbol_rate=1e6, center_frequency=2e9), GRID)
+            make_qam(QamSignalSpec(symbol_rate=1e6, frequency=2e9), GRID)
 
     def test_non_integer_sps_rejected(self):
         with pytest.raises(ValueError):
-            make_qam(QamSignalSpec(symbol_rate=30e6, center_frequency=2e9), GRID_LONG)
+            make_qam(QamSignalSpec(symbol_rate=30e6, frequency=2e9), GRID_LONG)
 
 
 class TestWelchPsd:
@@ -279,7 +279,7 @@ class TestFilterBand:
 
 
 class TestDemodulateEvm:
-    SPEC = QamSignalSpec(symbol_rate=20e6, center_frequency=2e9, power_dbm=0.0, seed=5)
+    SPEC = QamSignalSpec(symbol_rate=20e6, frequency=2e9, power_dbm=0.0, seed=5)
 
     def test_interferer_20db_below(self):
         w = make_qam(self.SPEC, GRID_LONG)
@@ -313,7 +313,7 @@ def qam_cases(draw):
     rolloff = draw(st.floats(0.0, 1.0, exclude_min=True))
     hw = 0.5 * (1.0 + rolloff) * grid.sample_rate / sps
     center = hw + draw(st.floats(0.01, 0.99)) * (grid.nyquist - 2.0 * hw)
-    spec = QamSignalSpec(symbol_rate=grid.sample_rate / sps, center_frequency=center,
+    spec = QamSignalSpec(symbol_rate=grid.sample_rate / sps, frequency=center,
                          power_dbm=draw(st.floats(-30.0, 10.0)), rolloff=rolloff,
                          seed=draw(st.integers(0, 2**31)))
     return spec, grid
@@ -379,7 +379,7 @@ class TestQamSupport:
         # demodulate_evm less, and the highest accepted symbol rate (44 samples
         # per symbol, 23831 symbols) does not fall back to a quadratic DFT
         grid = TimeGrid(sample_rate=64e9, n_samples=2**20)
-        spec = QamSignalSpec(symbol_rate=grid.sample_rate / sps, center_frequency=8e9,
+        spec = QamSignalSpec(symbol_rate=grid.sample_rate / sps, frequency=8e9,
                              rolloff=0.35, seed=1)
         assert traced_peak(make_qam, spec, grid) <= 48 * 2**20
         w = make_qam(spec, grid)
