@@ -332,6 +332,10 @@ def _welch(x: np.ndarray, grid: TimeGrid, rbw: float, onesided: bool):
     nperseg = welch_segment(grid, rbw)
     # periodic Hann window, computed as SciPy's get_window("hann", nperseg) computes it
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    # The density scale goes into the window, as SciPy's ShortTimeFFT puts it
+    # there, with the squares summed in order; scaling the periodograms instead
+    # rounds differently once they fall to subnormal values.
+    win *= 1.0 / np.sqrt(np.cumsum(win**2)[-1] / (1.0 / fs))
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
     if onesided:
         freqs = sfft.rfftfreq(nperseg, 1.0 / fs)
@@ -340,7 +344,6 @@ def _welch(x: np.ndarray, grid: TimeGrid, rbw: float, onesided: bool):
         freqs = sfft.fftfreq(nperseg, 1.0 / fs)
         spec = sfft.fft(segments * win, axis=-1, workers=_FFT_WORKERS)
     pxx = spec.real**2 + spec.imag**2
-    pxx *= 1.0 / (fs * np.sum(win * win))
     if onesided:
         pxx[:, 1 : (nperseg + 1) // 2] *= 2.0
     return freqs, pxx.mean(axis=0), _HANN_ENBW * fs / nperseg
