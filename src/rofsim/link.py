@@ -448,6 +448,22 @@ class UplinkEvaluator:
             return 0.0
         return float(np.clip(np.vdot(a, self._si_bins[1]).real / norm, 0.0, 1.0))
 
+    def crest_step(self, tau2: float) -> float | None:
+        """Newton step g'/g'' toward the crest of g(tau2) = Re C(tau2), or None
+        off a crest (g'' >= 0).
+
+        C(tau2) = sum(conj(A)*B*exp(2j*pi*f*tau2)) over the SI band, so
+        optimal_alpha is g/||A||^2 and, with alpha in [0, 1], the residual is
+        ||B||^2 - g^2/||A||^2: its minima are the crests of g.
+        """
+        _, b, f = self._si_bins
+        w = 2.0 * np.pi * f
+        c = np.conj(self._reference_bins(tau2)) * b
+        g2 = -np.dot(w * w, c.real)
+        if g2 >= 0.0:
+            return None
+        return float(-np.dot(w, c.imag) / g2)
+
     def residual_band_power_dbm(self, alpha: float, tau2: float) -> float:
         """Band power of the residual over the SI band (objective), in closed form."""
         spec = alpha * self._reference_bins(tau2) - self._si_bins[1]

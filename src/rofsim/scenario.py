@@ -67,7 +67,7 @@ _KINDED = {
         )),
         "qam": (QamSignalSpec, (
             _Row("if_signal.frequency_ghz", ("if_signal.frequency",), "positive", exp=9),
-            _Row("if_signal.power_dbm", ("if_signal.power_dbm",), "number"),
+            _Row("if_signal.power_dbm", ("if_signal.power_dbm",), "dbm"),
             _Row("if_signal.symbol_rate_mbaud", ("if_signal.symbol_rate",), "positive", exp=6),
             _Row("if_signal.rolloff", ("if_signal.rolloff",), "number", 0.35),
             _Row("if_signal.data_seed", ("if_signal.seed",), "integer", 1),

@@ -1,6 +1,7 @@
 """Cancellation settings: analytic seeding from the Bessel conditions, then
 refinement on the simulated residual power, with the attenuation alpha in
-closed form and one bounded search over the delay tau2."""
+closed form and Newton steps on the delay tau2 to the crest of the seed's
+branch."""
 
 from __future__ import annotations
 
@@ -112,102 +113,22 @@ def seed_settings(
     )
 
 
-_TAU_TOL = 1e-15  # s, absolute tolerance of the bounded Brent search on tau2
-_MAX_EVALS = 500  # objective evaluations before the bounded Brent search stops
+_TAU_TOL = 1e-15  # s: a Newton step on tau2 this short is not taken
 
 
-def _brent_tau2(objective, t_lo: float, t_hi: float) -> float:
-    """Bounded Brent minimizer of objective(tau2) on [t_lo, t_hi], t_lo <= t_hi.
-
-    A line-for-line port of `_minimize_scalar_bounded` (fminbound) in SciPy's
-    `scipy/optimize/_optimize.py` (SciPy 1.17), Copyright (c) 2001-2002
-    Enthought, Inc. 2003, SciPy Developers, used under the BSD 3-Clause
-    License. It makes the same operations in the same order, so it evaluates
-    the objective at the same delays and returns the same `x`, bit for bit,
-    as `minimize_scalar(objective, bounds=(t_lo, t_hi), method="bounded",
-    options={"xatol": _TAU_TOL})`, without importing `scipy.optimize`.
-    """
-    xatol = _TAU_TOL
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = t_lo, t_hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = objective(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # Check for parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:  # do a golden-section step
-                golden = 1
-
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = objective(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= _MAX_EVALS:
+def _crest_tau2(ev: UplinkEvaluator, seed: float, period: float) -> float:
+    """tau2 at the crest of the seed's branch: Newton steps from the seed while
+    each is longer than _TAU_TOL and shorter than the last. The seed itself
+    where a point is off a crest or a step leaves the window of one IF period
+    either side of the seed."""
+    tau2, last = seed, math.inf
+    while (step := ev.crest_step(tau2)) is not None:
+        if not _TAU_TOL < abs(step) < last:
+            return tau2
+        tau2, last = tau2 - step, abs(step)
+        if not max(0.0, seed - period) <= tau2 <= seed + period:
             break
-
-    return float(xf)
+    return seed
 
 
 def _report(ev: UplinkEvaluator, seed: SicSettings, alpha: float, tau2: float) -> TuneReport:
@@ -227,24 +148,21 @@ def _report(ev: UplinkEvaluator, seed: SicSettings, alpha: float, tau2: float) -
 
 
 def refine(s: LinkScenario, seed: SicSettings) -> TuneReport:
-    """Bounded search on tau2 with alpha profiled out in closed form.
+    """Newton steps on tau2 to the crest of the seed's branch, with alpha
+    profiled out in closed form.
 
-    For each delay the least-squares attenuation is exact, so one bounded
-    Brent search over one IF period either side of the seed finds (alpha,
-    tau2). A seed with an RF phase shifter (wideband mode) keeps its tau2,
-    pinned to the phase-matching formula, and only alpha is refined.
-    Objective is the residual SI band power; the report never degrades below
-    the seed depth.
+    For each delay the least-squares attenuation is exact, and the residual is
+    then smallest at a crest of the closed-form correlation
+    (`UplinkEvaluator.crest_step`). Steps from the seed stay within one IF
+    period of it and stop at 1 fs (_TAU_TOL). A seed with an RF phase shifter
+    (wideband mode) keeps its tau2, pinned to the phase-matching formula, and
+    only alpha is refined. Objective is the residual SI band power; the report
+    never degrades below the seed depth.
     """
     ev = uplink_evaluator(s, seed.rf_phase_comp)
     tau2 = seed.tau2
     if seed.rf_phase_comp is None:
-        period = 1.0 / s.f_if
-        tau2 = _brent_tau2(
-            lambda t: ev.residual_band_power_dbm(ev.optimal_alpha(t), t),
-            max(0.0, seed.tau2 - period),
-            seed.tau2 + period,
-        )
+        tau2 = _crest_tau2(ev, seed.tau2, 1.0 / s.f_if)
     return _report(ev, seed, ev.optimal_alpha(tau2), tau2)
 
 

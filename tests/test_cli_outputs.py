@@ -28,10 +28,11 @@ def test_every_call_parses_and_names_a_bundled_file(tmp_path):
         assert Path(args.out).parent == tmp_path
     commands = [args.command for args in parsed]
     n_scenarios = len(bundled_scenarios())
-    assert commands == (["simulate"] * n_scenarios + ["tune"] + ["sweep"] * 2 + ["spectrum"] * 8
-                        + ["simulate"] * 2)
-    simulated = {Path(args.scenario).stem: args.wideband for args in parsed[:n_scenarios]}
-    assert simulated == {path.stem: path.stem == "wideband" for path in bundled_scenarios()}
+    assert commands == (["simulate"] * n_scenarios + ["tune"] * n_scenarios + ["sweep"] * 2
+                        + ["spectrum"] * 8 + ["simulate"] * 2)
+    for run in (parsed[:n_scenarios], parsed[n_scenarios:2 * n_scenarios]):
+        wideband = {Path(args.scenario).stem: args.wideband for args in run}
+        assert wideband == {path.stem: path.stem == "wideband" for path in bundled_scenarios()}
     # the generated inputs load, each named after its file, with an SOI of its kind
     for args in parsed[-2:]:
         assert args.auto_tune

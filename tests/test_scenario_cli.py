@@ -256,6 +256,9 @@ class TestScenarioFiles:
              "'soi.symbol_rate_mbaud' is not read when soi.kind is tone"),
             ("soi", {"kind": "tone", "power_dbm": -22.0, "rolloff": 0.35},
              "'soi.rolloff' is not read when soi.kind is tone"),
+            # a QAM IF drive whose power overflows a float
+            ("if_signal", {"kind": "qam", "frequency_ghz": 2.0, "power_dbm": 5000.0,
+                           "symbol_rate_mbaud": 20.0}, "if_signal.power_dbm"),
         ],
     )
     def test_broken_value_is_a_scenario_error(self, tmp_path, small_scenario, key, value, message):
@@ -434,19 +437,36 @@ class TestCliSimulate:
         assert (target / "fig6a_metrics.csv").exists()
 
 
+def assert_if_drive_off_exits_3(path, tmp_path, capsys, command):
+    """`command` on the scenario at `path` with its IF drive set to -inf dBm
+    exits 3, naming the IF drive."""
+    doc = yaml.safe_load(path.read_text())
+    doc["if_signal"]["power_dbm"] = float("-inf")
+    off = tmp_path / "off.scenario"
+    off.write_text(yaml.safe_dump(doc))
+    assert main([command[0], str(off), *command[1:], "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "IF drive" in err and "Traceback" not in err
+
+
 class TestCliTune:
     @pytest.mark.parametrize(
         "command", [["tune"], ["simulate", "--auto-tune"]], ids=["tune", "simulate"]
     )
     def test_zero_if_drive_exit_3(self, tmp_path, small_scenario, capsys, command):
         # an IF drive of -inf dBm is off, and the analytic attenuation is undefined
-        doc = yaml.safe_load(small_scenario.read_text())
-        doc["if_signal"]["power_dbm"] = float("-inf")
-        off = tmp_path / "off.scenario"
-        off.write_text(yaml.safe_dump(doc))
-        assert main([command[0], str(off), *command[1:], "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert "IF drive" in err and "Traceback" not in err
+        assert_if_drive_off_exits_3(small_scenario, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize(
+        "command", [["tune"], ["simulate", "--auto-tune"]], ids=["tune", "simulate"]
+    )
+    def test_zero_qam_if_drive_exit_3(self, tmp_path, capsys, command):
+        # the same for a QAM IF drive, on a grid that holds 64 of its symbols
+        doc = yaml.safe_load((bundled_scenario_dir() / "fig7c.scenario").read_text())
+        doc["grid"]["n_samples"] = 2**19
+        path = tmp_path / "qam.scenario"
+        path.write_text(yaml.safe_dump(doc))
+        assert_if_drive_off_exits_3(path, tmp_path, capsys, command)
 
     def test_tune_writes_report(self, tmp_path, small_scenario):
         out = tmp_path / "out"

@@ -182,8 +182,8 @@ class TestWelchPsd:
 
 
 def test_import_loads_no_scipy_signal():
-    # the Welch estimator runs on scipy.fft and the tuner's bounded Brent
-    # search is in the package, so importing rofsim must not pay for
+    # the Welch estimator runs on scipy.fft and the tuner's tau2 search is
+    # Newton steps on a closed form, so importing rofsim must not pay for
     # scipy.signal, the scipy.stats it pulls in, or scipy.optimize
     code = (
         "import sys, rofsim, rofsim.cli; print(sorted(m for m in "

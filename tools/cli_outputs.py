@@ -7,7 +7,8 @@ the rofsim it imports:
 
 - `simulate --auto-tune` of every bundled scenario (`--wideband` for
   wideband), into OUT_DIR/simulate;
-- `tune` of fig8c, into OUT_DIR/tune;
+- `tune` of every bundled scenario (`--wideband` for wideband), into
+  OUT_DIR/tune;
 - the held fig8c sweeps over downlink_fiber.length_km 0,4.1,10 and
   uplink_fiber.length_km 0,4.1, into OUT_DIR/sweep;
 - the four `spectrum` taps of fig7a and fig8c, into OUT_DIR/spectrum;
@@ -66,10 +67,11 @@ def write_soi_inputs(out: Path) -> list[Path]:
 def cli_argvs(out: Path) -> list[list[str]]:
     """Every CLI call of the set, writing under `out`; writes the SOI inputs."""
     fig8c = str(bundled_scenario_dir() / "fig8c.scenario")
-    argvs = [["simulate", str(path), "--auto-tune", "--out", str(out / "simulate")]
-             + (["--wideband"] if path.stem == "wideband" else [])
-             for path in bundled_scenarios()]
-    argvs.append(["tune", fig8c, "--out", str(out / "tune")])
+    argvs = []
+    for command, flags in (("simulate", ["--auto-tune"]), ("tune", [])):
+        argvs += [[command, str(path), *flags, "--out", str(out / command)]
+                  + (["--wideband"] if path.stem == "wideband" else [])
+                  for path in bundled_scenarios()]
     argvs += [["sweep", fig8c, "--axis", axis, "--values", values, "--hold-sic",
                "--out", str(out / "sweep")] for axis, values in SWEEPS]
     argvs += [["spectrum", str(bundled_scenario_dir() / f"{name}.scenario"), "--tap", tap,
