@@ -28,11 +28,11 @@ from .signal_core import (
     DEFAULT_GRID,
     QamSignalSpec,
     SampledWaveform,
+    SpectralWaveform,
     SpectrumEstimate,
     TimeGrid,
     ToneSpec,
     band_power,
-    cancellation_depth,
     demodulate_evm,
     fractional_delay,
     filter_band,
@@ -49,7 +49,6 @@ from .optics import (
     dp_bpsk_modulate,
     fiber_propagate,
     fiber_transfer,
-    laser_cw,
     pbc,
     pbs,
     photodetect,
@@ -108,6 +107,7 @@ __all__ = [
     # signal core
     "TimeGrid",
     "SampledWaveform",
+    "SpectralWaveform",
     "ToneSpec",
     "QamSignalSpec",
     "SpectrumEstimate",
@@ -115,7 +115,6 @@ __all__ = [
     "make_qam",
     "welch_psd",
     "band_power",
-    "cancellation_depth",
     "filter_band",
     "demodulate_evm",
     "fractional_delay",
@@ -124,7 +123,6 @@ __all__ = [
     "OpticalField",
     "ModulatorParams",
     "FiberParams",
-    "laser_cw",
     "dd_mzm_ssb",
     "split_branch",
     "dp_bpsk_modulate",

@@ -27,7 +27,7 @@ from .link import (
     signal_output,
 )
 from .scenario import load_scenario, set_axis
-from .signal_core import envelope_psd, welch_psd
+from .signal_core import SpectralWaveform, envelope_psd, welch_psd
 from .tuner import auto_tune
 
 _TAPS = ("dp_bpsk_out", "polarizer_out", "ru_y_mod", "bpd_out")
@@ -182,7 +182,9 @@ def cmd_spectrum(args) -> int:
         label = f"{args.tap} optical envelope (Hz offset from carrier)"
     else:
         rf, ru = run_downlink(s)
-        received = make_received_signal(rf, s.si_path, build_soi_waveform(s))
+        soi = build_soi_waveform(s)
+        received = make_received_signal(
+            rf, s.si_path, None if soi is None else SpectralWaveform.of(soi))
         if args.tap == "ru_y_mod":
             est = envelope_psd(s.grid, [remodulate(ru, received, s).env_y], s.rbw)
             label = "ru_y_mod optical envelope (Hz offset from carrier)"

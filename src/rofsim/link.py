@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import DelayRangeError, SimulationError
+from .errors import DelayRangeError, GridError, SimulationError
 from .optics import (
     FiberParams,
     ModulatorParams,
@@ -25,21 +25,23 @@ from .optics import (
 from .signal_core import (
     QamSignalSpec,
     SampledWaveform,
+    SpectralWaveform,
     SpectrumEstimate,
     TimeGrid,
     ToneSpec,
     band_power,
     dbm_to_watts,
     demodulate_evm,
-    filter_band,
+    filter_spectrum,
     fractional_delay,
-    phase_shift,
     qam_samples_per_symbol,
     welch_psd,
     DEFAULT_GRID,
     _FFT_WORKERS,
     _SKIRT_FRACTION,
+    _delay_response,
     _edge_mask,
+    _phase_response,
 )
 
 
@@ -268,7 +270,7 @@ def downlink_taps(s: LinkScenario) -> dict:
     ru_field = split.held_as((split.spectral[0], False))
     pol_out = polarizer(split, np.pi / 4.0).held_as((False, False))
     del split  # a spectrum Y rail is freed before the photodiode runs
-    rf = filter_band(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
+    rf = filter_spectrum(photodetect(pol_out, s.responsivity), "bandpass", *s.bpf)
     return {
         "dp_bpsk_out": dp_out,
         "polarizer_out": pol_out,
@@ -277,8 +279,9 @@ def downlink_taps(s: LinkScenario) -> dict:
     }
 
 
-def run_downlink(s: LinkScenario) -> tuple[SampledWaveform, OpticalField]:
-    """Downlink chain: returns the up-converted RF and the RU optical field.
+def run_downlink(s: LinkScenario) -> tuple[SpectralWaveform, OpticalField]:
+    """Downlink chain: returns the up-converted RF, held as the one-sided
+    spectrum the BPF makes, and the RU optical field.
 
     The result for the latest downlink fields is kept, so tuning and then
     running the same link, or a sweep over an uplink-side field, computes the
@@ -311,24 +314,44 @@ def build_soi_waveform(s: LinkScenario) -> SampledWaveform | None:
 
 
 def make_received_signal(
-    rf: SampledWaveform,
+    rf: SpectralWaveform,
     si: SelfInterferencePath,
-    soi: SampledWaveform | None = None,
-) -> SampledWaveform:
-    """Delayed, scaled copy of the transmitted RF plus the SOI."""
-    if si.delay >= rf.grid.duration / 4.0:
+    soi: SpectralWaveform | None = None,
+    rf_phase_comp: float | None = None,
+) -> SpectralWaveform:
+    """The RF at the RU modulator's input, held as its one-sided spectrum:
+    the transmitted RF delayed and scaled by the SI path, plus the SOI, then
+    the RF phase shifter of wideband mode when `rf_phase_comp` is set. The
+    delay zeroes the Nyquist bin, as `fractional_delay` does."""
+    grid = rf.grid
+    if si.delay >= grid.duration / 4.0:
         raise DelayRangeError("SI delay exceeds a quarter of the record")
-    received = fractional_delay(rf, si.delay).scaled(si.amplitude_gain)
+    received = rf.bins * _delay_response(grid, si.delay)
+    received *= si.amplitude_gain
     if soi is not None:
-        received = received + soi
-    return received
+        if soi.grid != grid:
+            raise GridError("SOI and RF grids differ")
+        received += soi.bins
+    if rf_phase_comp is not None:
+        received *= _phase_response(grid, rf_phase_comp)
+    return SpectralWaveform(grid, received)
 
 
-def remodulate(ru_field: OpticalField, received: SampledWaveform, s: LinkScenario) -> OpticalField:
+def remodulate(
+    ru_field: OpticalField,
+    received: SpectralWaveform,
+    s: LinkScenario,
+    drive: SampledWaveform | None = None,
+) -> OpticalField:
     """RU re-modulation: the received RF drives the SSB modulator (lower
     sideband) on the Y output of the RU's beam splitter; the output's X rail
-    is dark."""
-    return dd_mzm_ssb(pbs(ru_field)[1], received, ModulatorParams(s.v_pi, "lower"))
+    is dark. The drive and its quadrature, the modulator's 90 deg hybrid,
+    are two inverse transforms of the received spectrum; `drive` stands for
+    the first where the caller holds those samples."""
+    if drive is None:
+        drive = received.waveform()
+    return dd_mzm_ssb(pbs(ru_field)[1], drive, ModulatorParams(s.v_pi, "lower"),
+                      received.quadrature())
 
 
 def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
@@ -338,23 +361,27 @@ def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
 
 def _arm_spectrum(field: OpticalField, s: LinkScenario, h_up: np.ndarray | None) -> np.ndarray:
     """rfft of the photocurrent of one SIC arm: `field` carried to the CO
-    through the uplink fiber, whose transfer is `h_up` (None: no length). A
-    rail held as a spectrum is transformed, and its spectrum freed, before
-    it is detected."""
+    through the uplink fiber, whose transfer is `h_up` (None: no length). The
+    fiber's product is transformed to samples in place, so only the arm
+    holds it."""
     if h_up is not None:
-        field = field.filtered(h_up)
+        field = field.filtered(h_up, (False, False))
     field = field.held_as((False, False))
     return sfft.rfft(photodetect(field, s.responsivity).samples, workers=_FFT_WORKERS)
 
 
 def _signal_spectrum(
-    received: SampledWaveform, s: LinkScenario, h_up: np.ndarray | None = None
+    received: SpectralWaveform,
+    s: LinkScenario,
+    h_up: np.ndarray | None = None,
+    drive: SampledWaveform | None = None,
 ) -> np.ndarray:
     """B = rfft(i_Y) of the signal arm that `received` re-modulates; `h_up` is
-    the uplink fiber's transfer when the caller holds it."""
+    the uplink fiber's transfer when the caller holds it, and `drive` as in
+    `remodulate`."""
     h_up = _uplink_transfer(s) if h_up is None else h_up
     # passed unbound, so the re-modulated rail is freed once it is filtered
-    return _arm_spectrum(remodulate(run_downlink(s)[1], received, s), s, h_up)
+    return _arm_spectrum(remodulate(run_downlink(s)[1], received, s, drive), s, h_up)
 
 
 def output_decimation(grid: TimeGrid, lpf: float) -> int:
@@ -392,18 +419,11 @@ def _lowpassed(
 
 
 def signal_output(
-    received: SampledWaveform, s: LinkScenario, h_up: np.ndarray | None = None
+    received: SpectralWaveform, s: LinkScenario, h_up: np.ndarray | None = None
 ) -> SampledWaveform:
     """-LP(i_Y): the lowpass BPD output of the signal arm alone (reference arm
     dark), on the output grid; `h_up` as in `_signal_spectrum`."""
     return _lowpassed(-_signal_spectrum(received, s, h_up), s.grid, s.lpf)
-
-
-def _compensated(w: SampledWaveform, rf_phase_comp: float | None) -> SampledWaveform:
-    """Apply the RF phase shifter of wideband mode, when there is one."""
-    if rf_phase_comp is None:
-        return w
-    return phase_shift(w, rf_phase_comp)
 
 
 class UplinkEvaluator:
@@ -424,9 +444,10 @@ class UplinkEvaluator:
         self.grid = s.grid
         self.rf_phase_comp = rf_phase_comp
         rf, ru = run_downlink(s)
-        self.received = _compensated(make_received_signal(rf, s.si_path), rf_phase_comp)
         h_up = _uplink_transfer(s)  # both arms cross the uplink fiber
-        self._spec_y = _signal_spectrum(self.received, s, h_up)
+        # passed unbound, so the received spectrum is freed with the signal arm
+        self._spec_y = _signal_spectrum(
+            make_received_signal(rf, s.si_path, rf_phase_comp=rf_phase_comp), s, h_up)
         self._spec_x = _arm_spectrum(pbs(ru)[0], s, h_up)  # A: the reference arm at zero delay
         freqs = self.grid.rfreqs()
         f_lo, f_hi = s.si_band()
@@ -489,9 +510,9 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
 
     The SI-only pass is the one SIC stage, kept from tuning; the SI + SOI and
     SOI-only passes detect only the signal arm. The received RF is linear in
-    the SI and the SOI, so each is built and phase-compensated once. The
-    outputs, spectra and powers are on the output grid; EVM reads the SOI at
-    the full rate.
+    the SI and the SOI, so the SOI's spectrum is taken once and added to the
+    SI's. The outputs, spectra and powers are on the output grid; EVM reads
+    the SOI at the full rate.
     """
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
@@ -505,20 +526,26 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     soi_power = None
     evm = None
     if s.soi is not None:
-        soi_wave = _compensated(build_soi_waveform(s), sic.rf_phase_comp)
+        rf = run_downlink(s)[0]
+        soi_wave = build_soi_waveform(s)
+        soi = SpectralWaveform.of(soi_wave)
         h_up = _uplink_transfer(s)  # both SOI passes cross the uplink fiber
         # The reference arm never touches the uplink RF, so adding the SOI
         # changes only the signal arm.
-        full = signal_output(ev.received + soi_wave, s, h_up)
+        full = signal_output(make_received_signal(rf, s.si_path, soi, sic.rf_phase_comp), s, h_up)
         with_out = SampledWaveform(
             with_out.grid, with_out.samples - without_out.samples + full.samples
         )
         without_out = full
         spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
-        # reference arm's downlink copy would masquerade as SOI power.
-        soi_spec = -_signal_spectrum(soi_wave, s, h_up)
-        del h_up, soi_wave  # freed before the EVM, which sets the peak of run_full
+        # reference arm's downlink copy would masquerade as SOI power. Without
+        # a phase shifter the SOI's samples are its drive.
+        if sic.rf_phase_comp is not None:
+            soi = SpectralWaveform(s.grid, soi.bins * _phase_response(s.grid, sic.rf_phase_comp))
+            soi_wave = None
+        soi_spec = -_signal_spectrum(soi, s, h_up, soi_wave)
+        del h_up, soi, soi_wave  # freed before the EVM, which sets the peak of run_full
         soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if isinstance(s.soi, QamSignalSpec):  # down-converted, the SOI sits at f_if

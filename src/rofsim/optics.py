@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import GridError, RailConflict
-from .signal_core import _FFT_WORKERS, SampledWaveform, TimeGrid, dbm_to_watts
+from .signal_core import _FFT_WORKERS, SampledWaveform, TimeGrid, _quadrature, dbm_to_watts
 
 C_LIGHT = 299_792_458.0
 _REFERENCE_WAVELENGTH_NM = 1567.0  # wavelength at which the dispersion is quoted
@@ -102,16 +102,27 @@ class OpticalField:
             return out
         return self._each_lit(step) if factors else self
 
-    def filtered(self, h: np.ndarray) -> OpticalField:
-        """Linear filter: each lit rail's spectrum times h (on `grid.freqs()`);
-        h * rail for a spectrum rail, one FFT pair (inverse in place) for samples."""
-        def step(rail, spectral):
-            if spectral:
-                return h * rail
-            spec = sfft.fft(rail, workers=_FFT_WORKERS)
-            spec *= h
-            return sfft.ifft(spec, workers=_FFT_WORKERS, overwrite_x=True)
-        return self._each_lit(step)
+    def filtered(self, h: np.ndarray, spectral: tuple[bool, bool] | None = None) -> OpticalField:
+        """Linear filter: each lit rail's spectrum times h (on `grid.freqs()`),
+        held in the domains `spectral` (default: each rail's own). A rail's
+        filtered spectrum is one new buffer, h * rail for a spectrum rail or
+        the FFT of a sample rail times h in place; a rail held as samples
+        after is transformed back in that buffer, so the product is never
+        held twice."""
+        spectral = self.spectral if spectral is None else tuple(spectral)
+        rails = []
+        for rail, held_spectral, out_spectral in zip(self._held, self.spectral, spectral):
+            if rail is None:
+                rails.append(None)
+                continue
+            if held_spectral:
+                spec = h * rail
+            else:
+                spec = sfft.fft(rail, workers=_FFT_WORKERS)
+                spec *= h
+            rails.append(spec if out_spectral
+                         else sfft.ifft(spec, workers=_FFT_WORKERS, overwrite_x=True))
+        return OpticalField(self.grid, *rails, spectral=spectral)
 
     def rail(self) -> str:
         """Which rail is lit: 'x', 'y', 'both' or 'dark'."""
@@ -151,74 +162,71 @@ class FiberParams:
         return -d_si * lam**2 / (2.0 * np.pi * C_LIGHT)
 
 
-def laser_cw(power_dbm: float, polarization: str, grid: TimeGrid) -> OpticalField:
-    """CW field of constant envelope sqrt(P) in the selected rail, zero phase.
-
-    power_dbm = -inf yields a lit rail of zeros (the other rail is dark); NaN
-    and +inf are not powers and give a non-finite envelope.
-    """
-    amp = np.sqrt(dbm_to_watts(power_dbm))
-    env = np.full(grid.n_samples, amp, dtype=np.complex128)
-    if polarization == "x":
-        return OpticalField(grid, env, None)
-    if polarization == "y":
-        return OpticalField(grid, None, env)
-    raise ValueError("polarization must be 'x' or 'y'")
-
-
 def _hilbert90(x: np.ndarray) -> np.ndarray:
     """Shift every positive-frequency component by +90 deg; DC maps to zero."""
-    n = x.size
-    xf = sfft.rfft(x)
-    xf[1:] *= 1j
-    xf[0] = 0.0
-    if n % 2 == 0:
-        xf[-1] = 0.0
-    return sfft.irfft(xf, n)
+    return _quadrature(sfft.rfft(x, workers=_FFT_WORKERS), x.size)
 
 
-def _ssb_transfer(drive: np.ndarray, params: ModulatorParams) -> np.ndarray:
+_BLOCK = 2**14  # samples per block of the SSB transfer, whose temporaries stay in cache
+
+
+def _ssb_transfer(drive: np.ndarray, quadrature: np.ndarray, params: ModulatorParams) -> np.ndarray:
     """Per-sample complex transfer of the DD-MZM biased for SSB operation.
 
-    The two arms are driven in quadrature at full drive amplitude (the 90 deg
-    hybrid of the modulator is `_hilbert90`); the sign of the quadrature path
-    selects which first-order sideband survives.
+    The two arms are driven in quadrature at full drive amplitude: one by
+    the drive, the other by its quadrature (the drive shifted by +90 deg, the
+    output of the modulator's 90 deg hybrid), whose sign selects which
+    first-order sideband survives. The transfer is pointwise in time, so it
+    is computed in blocks of `_BLOCK` samples, each bit for bit the whole
+    record's.
     """
-    q = _hilbert90(drive)
-    if params.sideband == "lower":
-        np.negative(q, out=q)
     rad_per_volt = np.pi / params.v_pi
-    pa = rad_per_volt * drive
-    pb = np.multiply(rad_per_volt, q, out=q)
-    np.subtract(pb, 0.5 * np.pi, out=pb)
-    # 0.5*(e^{j pa} + e^{j pb}) written with one complex exponential,
-    # exp(0.5j*(pa + pb)) * cos(0.5*(pa - pb)), computed in place
-    mag = np.subtract(pa, pb)
-    np.multiply(0.5, mag, out=mag)
-    np.cos(mag, out=mag)
-    np.add(pa, pb, out=pa)
-    del q, pb
-    out = np.multiply(0.5j, pa)
-    np.exp(out, out=out)
-    return np.multiply(out, mag, out=out)
+    # the lower sideband negates the quadrature: k * (-q) == (-k) * q exactly
+    quad_rad_per_volt = -rad_per_volt if params.sideband == "lower" else rad_per_volt
+    out = np.empty(drive.size, dtype=np.complex128)
+    for start in range(0, drive.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        pa = rad_per_volt * drive[block]
+        pb = quad_rad_per_volt * quadrature[block]
+        np.subtract(pb, 0.5 * np.pi, out=pb)
+        # 0.5*(e^{j pa} + e^{j pb}) written with one complex exponential,
+        # exp(0.5j*(pa + pb)) * cos(0.5*(pa - pb))
+        mag = np.subtract(pa, pb)
+        np.multiply(0.5, mag, out=mag)
+        np.cos(mag, out=mag)
+        np.add(pa, pb, out=pa)
+        o = out[block]
+        np.multiply(0.5j, pa, out=o)
+        np.exp(o, out=o)
+        np.multiply(o, mag, out=o)
+    return out
 
 
 def dd_mzm_ssb(
-    carrier: OpticalField, drive: SampledWaveform, params: ModulatorParams
+    carrier: OpticalField,
+    drive: SampledWaveform,
+    params: ModulatorParams,
+    quadrature: SampledWaveform | None = None,
 ) -> OpticalField:
     """Modulate a single-rail field; exact transcendental model.
+
+    `quadrature` is the drive shifted by +90 deg, for a caller that holds it
+    (the remote unit forms it from the received RF's spectrum); without it
+    the modulator's hybrid forms it from the drive (`_hilbert90`).
 
     For a single-tone drive of modulation index m = pi*peak/v_pi the output
     lines have magnitudes (sqrt(2)/2)*J0(m) (carrier) and J1(m) (retained
     sideband); the opposite sideband is cancelled by the quadrature drive.
     """
-    if carrier.grid != drive.grid:
+    if carrier.grid != drive.grid or (quadrature is not None and quadrature.grid != drive.grid):
         raise GridError("carrier and drive grids differ")
     rail = carrier.rail()
     if rail == "both":
         raise ValueError("dd_mzm_ssb carrier must occupy a single rail")
     i = 1 if rail == "y" else 0  # the lit rail; X when both are dark
-    m = _ssb_transfer(drive.samples, params)
+    q = _hilbert90(drive.samples) if quadrature is None else quadrature.samples
+    m = _ssb_transfer(drive.samples, q, params)
+    del q
     rails = list(carrier._held)
     rails[i] = np.multiply(carrier._rail_as(i, False), m, out=m)
     return OpticalField(carrier.grid, *rails)

@@ -112,6 +112,55 @@ class SampledWaveform:
         return SampledWaveform(self.grid, self.samples * c)
 
 
+@dataclass
+class SpectralWaveform:
+    """A real electrical waveform held as its one-sided spectrum: the
+    unnormalised `scipy.fft.rfft` of its samples, on `grid.rfreqs()`, stored
+    as read-only complex128. `samples`, `waveform()` and `quadrature()`
+    transform it on demand and the result is not kept, as `OpticalField`
+    does for a rail held in the other domain."""
+
+    grid: TimeGrid
+    bins: np.ndarray
+
+    def __post_init__(self):
+        self.bins = np.ascontiguousarray(self.bins, dtype=np.complex128)
+        if self.bins.shape != (self.grid.n_samples // 2 + 1,):
+            raise ValueError("bins must be the grid's n_samples // 2 + 1 rfft bins")
+        if not np.all(np.isfinite(self.bins)):
+            raise ValueError("spectrum contains non-finite bins")
+        self.bins.flags.writeable = False
+
+    @classmethod
+    def of(cls, w: SampledWaveform) -> "SpectralWaveform":
+        return cls(w.grid, sfft.rfft(w.samples, workers=_FFT_WORKERS))
+
+    @property
+    def samples(self) -> np.ndarray:
+        samples = sfft.irfft(self.bins, self.grid.n_samples, workers=_FFT_WORKERS)
+        samples.flags.writeable = False
+        return samples
+
+    def waveform(self) -> SampledWaveform:
+        return SampledWaveform(self.grid, self.samples)
+
+    def quadrature(self) -> SampledWaveform:
+        """The waveform with every positive-frequency component shifted by
+        +90 deg; DC and an even-length Nyquist bin map to zero."""
+        return SampledWaveform(self.grid, _quadrature(self.bins, self.grid.n_samples))
+
+
+def _quadrature(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Samples of `SpectralWaveform.quadrature` of the n-sample record whose
+    rfft is `spectrum`: one inverse transform of spectrum * 1j with DC and
+    an even-length Nyquist bin zeroed."""
+    xf = spectrum * 1j
+    xf[0] = 0.0
+    if n % 2 == 0:
+        xf[-1] = 0.0
+    return sfft.irfft(xf, n, workers=_FFT_WORKERS, overwrite_x=True)
+
+
 def require_same_grid(*items) -> None:
     g0 = items[0].grid
     for it in items[1:]:
@@ -349,8 +398,9 @@ def _welch(x: np.ndarray, grid: TimeGrid, rbw: float, onesided: bool):
     return freqs, pxx.mean(axis=0), _HANN_ENBW * fs / nperseg
 
 
-def welch_psd(w: SampledWaveform, rbw: float) -> SpectrumEstimate:
-    """One-sided averaged-periodogram PSD in dBm/Hz at the requested resolution bandwidth.
+def welch_psd(w: SampledWaveform | SpectralWaveform, rbw: float) -> SpectrumEstimate:
+    """One-sided averaged-periodogram PSD in dBm/Hz at the requested resolution
+    bandwidth, of the waveform's samples (a spectral one is transformed).
 
     Integrating the linear PSD over frequency recovers the waveform mean power
     within 0.2 dB.
@@ -387,13 +437,6 @@ def band_power(s: SpectrumEstimate, f_lo: float, f_hi: float) -> float:
     return float(10.0 * np.log10(p_mw))
 
 
-def cancellation_depth(
-    without: SpectrumEstimate, with_: SpectrumEstimate, band: tuple[float, float]
-) -> float:
-    """Band power without minus with cancellation, in dB (positive = suppression)."""
-    return band_power(without, *band) - band_power(with_, *band)
-
-
 _SKIRT_FRACTION = 0.05  # transition width as a fraction of the edge frequency
 
 
@@ -418,23 +461,35 @@ def _apply_spectral(w: SampledWaveform, h: np.ndarray) -> np.ndarray:
     return sfft.irfft(sfft.rfft(w.samples, workers=_FFT_WORKERS) * h, n, workers=_FFT_WORKERS)
 
 
-def filter_band(w: SampledWaveform, kind: str, *edges: float) -> SampledWaveform:
-    """Frequency-domain filter with raised-cosine skirts outside the passband."""
+def _filter_response(grid: TimeGrid, kind: str, *edges: float) -> np.ndarray:
+    """Response of `filter_band` on `grid.rfreqs()`: raised-cosine skirts
+    outside the passband."""
     for e in edges:
-        if e >= w.grid.nyquist:
+        if e >= grid.nyquist:
             raise FilterSpecError("filter edge at or above Nyquist")
-    af = w.grid.rfreqs()
+    af = grid.rfreqs()
     if kind == "lowpass":
         if len(edges) != 1:
             raise FilterSpecError("lowpass takes one edge")
-        h = _edge_mask(af, edges[0], rising=False)
-    elif kind == "bandpass":
+        return _edge_mask(af, edges[0], rising=False)
+    if kind == "bandpass":
         if len(edges) != 2 or edges[0] >= edges[1]:
             raise FilterSpecError("bandpass takes two increasing edges")
-        h = _edge_mask(af, edges[0], rising=True) * _edge_mask(af, edges[1], rising=False)
-    else:
-        raise FilterSpecError(f"unknown filter kind {kind!r}")
-    return SampledWaveform(w.grid, _apply_spectral(w, h))
+        return _edge_mask(af, edges[0], rising=True) * _edge_mask(af, edges[1], rising=False)
+    raise FilterSpecError(f"unknown filter kind {kind!r}")
+
+
+def filter_spectrum(w: SampledWaveform, kind: str, *edges: float) -> SpectralWaveform:
+    """`filter_band` held as the filtered spectrum: one rfft, times the response in place."""
+    h = _filter_response(w.grid, kind, *edges)
+    spectrum = sfft.rfft(w.samples, workers=_FFT_WORKERS)
+    spectrum *= h
+    return SpectralWaveform(w.grid, spectrum)
+
+
+def filter_band(w: SampledWaveform, kind: str, *edges: float) -> SampledWaveform:
+    """Frequency-domain filter with raised-cosine skirts outside the passband."""
+    return filter_spectrum(w, kind, *edges).waveform()
 
 
 _EVM_GUARD_SYMBOLS = 10
@@ -481,26 +536,34 @@ def demodulate_evm(w: SampledWaveform, spec: QamSignalSpec) -> float:
     return float(100.0 * np.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(ref) ** 2)))
 
 
-def fractional_delay(w: SampledWaveform, tau: float) -> SampledWaveform:
-    """Circular fractional delay applied as a spectral phase.
+def _delay_response(grid: TimeGrid, tau: float) -> np.ndarray:
+    """Circular delay by tau as a spectral phase on `grid.rfreqs()`.
 
     The Nyquist bin is zeroed: its phase under a fractional shift is ambiguous
     for real signals, and dropping it keeps delay/advance pairs exact inverses.
     """
-    ph = np.exp(-2j * np.pi * w.grid.rfreqs() * tau)
-    if w.grid.n_samples % 2 == 0:
+    ph = np.exp(-2j * np.pi * grid.rfreqs() * tau)
+    if grid.n_samples % 2 == 0:
         ph[-1] = 0.0
-    return SampledWaveform(w.grid, _apply_spectral(w, ph))
+    return ph
+
+
+def _phase_response(grid: TimeGrid, phi: float) -> np.ndarray:
+    """Analytic phase shift by +phi on `grid.rfreqs()`: DC is unchanged, and
+    the Nyquist bin, shared by both signs of frequency, is scaled by cos(phi),
+    the real part of the two rotations."""
+    h = np.full(grid.n_samples // 2 + 1, np.exp(1j * phi))
+    h[0] = 1.0
+    if grid.n_samples % 2 == 0:
+        h[-1] = np.cos(phi)
+    return h
+
+
+def fractional_delay(w: SampledWaveform, tau: float) -> SampledWaveform:
+    """Circular fractional delay applied as a spectral phase (`_delay_response`)."""
+    return SampledWaveform(w.grid, _apply_spectral(w, _delay_response(w.grid, tau)))
 
 
 def phase_shift(w: SampledWaveform, phi: float) -> SampledWaveform:
-    """Shift every positive-frequency component by +phi (analytic phase shift).
-
-    DC is unchanged, and the Nyquist bin, shared by both signs of frequency,
-    is scaled by cos(phi), the real part of the two rotations.
-    """
-    h = np.full(w.grid.n_samples // 2 + 1, np.exp(1j * phi))
-    h[0] = 1.0
-    if w.grid.n_samples % 2 == 0:
-        h[-1] = np.cos(phi)
-    return SampledWaveform(w.grid, _apply_spectral(w, h))
+    """Shift every positive-frequency component by +phi (`_phase_response`)."""
+    return SampledWaveform(w.grid, _apply_spectral(w, _phase_response(w.grid, phi)))

@@ -13,7 +13,7 @@ from scipy.special import j0, j1
 
 from .errors import AttenuatorInfeasible, DelayRangeError
 from .link import LinkScenario, SicSettings, UplinkEvaluator, run_downlink, uplink_evaluator
-from .signal_core import SampledWaveform
+from .signal_core import SpectralWaveform
 
 # Aggregate phase constant of the cancellation condition: the TODL delay must
 # satisfy w_if*tau2 = w_s*tau1 + PHASE_CONSTANT (mod 2*pi).
@@ -86,14 +86,18 @@ def analytic_tau2(
     return tau
 
 
-def _effective_amplitude(w: SampledWaveform) -> float:
-    """Peak-equivalent tone amplitude: sqrt(2) * rms."""
-    return float(np.sqrt(2.0 * np.mean(w.samples ** 2)))
+def _effective_amplitude(w: SpectralWaveform) -> float:
+    """Peak-equivalent tone amplitude sqrt(2) * rms, read from the spectrum by
+    Parseval: every bin but DC and an even-length Nyquist bin stands for two."""
+    n = w.grid.n_samples
+    power = np.abs(w.bins) ** 2
+    sum_sq = 2.0 * np.sum(power) - power[0] - (power[-1] if n % 2 == 0 else 0.0)
+    return float(np.sqrt(2.0 * sum_sq / n**2))
 
 
 def seed_settings(
     s: LinkScenario,
-    rf: SampledWaveform,
+    rf: SpectralWaveform,
     wideband: bool = False,
 ) -> SicSettings:
     """Analytic SIC seed from the scenario drives and the simulated SI level."""

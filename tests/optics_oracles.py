@@ -1,8 +1,9 @@
-"""What the link does not run, kept as test oracles: a push-pull DSB modulator
-(the power-fading control of C6), the small-signal Bessel lines of the SSB
-modulator, an optical attenuator, a true optical delay line, a balanced
-detector, the time-domain reference arm of the SIC stage and the power of a
-field or a waveform."""
+"""What the link does not run, kept as test oracles: a CW laser field, a
+push-pull DSB modulator (the power-fading control of C6), the small-signal
+Bessel lines of the SSB modulator, an optical attenuator, a true optical
+delay line, a balanced detector, the time-domain reference arm of the SIC
+stage, the power of a field or a waveform, and the cancellation depth
+between two Welch estimates."""
 
 import numpy as np
 import scipy.fft as sfft
@@ -11,11 +12,40 @@ from scipy.special import j0, j1
 from rofsim.errors import GridError, RofsimError
 from rofsim.link import LinkScenario, UplinkEvaluator, run_downlink
 from rofsim.optics import ModulatorParams, OpticalField, fiber_propagate, pbs, photodetect
-from rofsim.signal_core import _FFT_WORKERS, SampledWaveform
+from rofsim.signal_core import (
+    _FFT_WORKERS,
+    SampledWaveform,
+    SpectrumEstimate,
+    TimeGrid,
+    band_power,
+    dbm_to_watts,
+)
 
 
 class GainNotAllowed(RofsimError):
     """Attenuator asked to amplify (power ratio above one)."""
+
+
+def laser_cw(power_dbm: float, polarization: str, grid: TimeGrid) -> OpticalField:
+    """CW field of constant envelope sqrt(P) in the selected rail, zero phase.
+
+    power_dbm = -inf yields a lit rail of zeros (the other rail is dark); NaN
+    and +inf are not powers and give a non-finite envelope.
+    """
+    amp = np.sqrt(dbm_to_watts(power_dbm))
+    env = np.full(grid.n_samples, amp, dtype=np.complex128)
+    if polarization == "x":
+        return OpticalField(grid, env, None)
+    if polarization == "y":
+        return OpticalField(grid, None, env)
+    raise ValueError("polarization must be 'x' or 'y'")
+
+
+def cancellation_depth(
+    without: SpectrumEstimate, with_: SpectrumEstimate, band: tuple[float, float]
+) -> float:
+    """Band power without minus with cancellation, in dB (positive = suppression)."""
+    return band_power(without, *band) - band_power(with_, *band)
 
 
 def total_power(field: OpticalField) -> float:

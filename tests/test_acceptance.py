@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_LINES
-from optics_oracles import mzm_dsb, ssb_smallsignal_coefficients
+from optics_oracles import laser_cw, mzm_dsb, ssb_smallsignal_coefficients
 from tuner_oracles import verify_phase_constant
 
 from rofsim.link import UplinkEvaluator, run_downlink, run_full
@@ -20,7 +20,6 @@ from rofsim.optics import (
     ModulatorParams,
     dd_mzm_ssb,
     fiber_propagate,
-    laser_cw,
     photodetect,
 )
 from rofsim.scenario import bundled_scenario_dir, load_scenario

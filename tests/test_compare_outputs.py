@@ -1,5 +1,6 @@
-"""tools/compare_outputs.py: which output files match, and by how much two
-spectrum CSVs differ near their peak."""
+"""tools/compare_outputs.py: which output files match, by how much two
+spectrum CSVs differ near their peak, and by how much each numeric column of
+two other CSVs differs."""
 
 import importlib.util
 from pathlib import Path
@@ -40,3 +41,20 @@ def test_reports_identical_differing_and_missing_files(tmp_path):
 def test_identical_directories(tmp_path):
     (tmp_path / "f.csv").write_text(spectrum_csv([-90.0, -95.0]))
     assert load_tool().main([str(tmp_path), str(tmp_path)]) == 0
+
+
+def test_reports_the_largest_delta_of_each_numeric_column(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    header = "# axis=x.y\n# x.y,name,version,depth_db,soi_power_dbm,tau2_ns\n"
+    for d, rows in ((a, ["0.0,f,0.1.0,31.5,nan,0.123", "1.0,f,0.1.0,30.25,nan,0.125"]),
+                    (b, ["0.0,f,0.1.0,31.5004,nan,0.123", "1.0,f,0.1.0,30.25,nan,0.1249"])):
+        d.mkdir()
+        (d / "f_sweep.csv").write_text(header + "\n".join(rows) + "\n")
+        (d / "f_tune.csv").write_text("# name,depth_db\nf,1.0\nf,2.0\n")
+    (b / "f_tune.csv").write_text("# name,depth_db\nf,1.0\n")
+    lines, same = load_tool().compare(a, b)
+    assert not same
+    assert lines == [
+        "differs: f_sweep.csv (max |d| x.y 0, depth_db 0.0004, soi_power_dbm 0, tau2_ns 0.0001)",
+        "differs: f_tune.csv (columns or rows differ)",
+    ]

@@ -27,6 +27,8 @@ from rofsim.optics import (
     FiberParams,
     ModulatorParams,
     OpticalField,
+    _hilbert90,
+    _ssb_transfer,
     dd_mzm_ssb,
     fiber_propagate,
     pbs,
@@ -38,18 +40,27 @@ from rofsim.signal_core import (
     _SKIRT_FRACTION,
     QamSignalSpec,
     SampledWaveform,
+    SpectralWaveform,
     TimeGrid,
     ToneSpec,
     band_power,
-    cancellation_depth,
     dbm_to_amplitude,
     filter_band,
+    fractional_delay,
     make_tone,
+    phase_shift,
     welch_psd,
 )
 from rofsim.tuner import auto_tune, seed_settings
 
-from optics_oracles import attenuate, balanced_detect, bpd_raw, delay_line, mean_power
+from optics_oracles import (
+    attenuate,
+    balanced_detect,
+    bpd_raw,
+    cancellation_depth,
+    delay_line,
+    mean_power,
+)
 
 GRID_TONE = TimeGrid(sample_rate=64e9, n_samples=2**18)
 GRID_QAM = TimeGrid(sample_rate=64e9, n_samples=2**19)
@@ -135,7 +146,7 @@ class TestRunDownlink:
     def test_outputs_are_read_only(self):
         rf, ru = run_downlink(tone_scenario())
         with pytest.raises(ValueError):
-            rf.samples[0] = 1.0
+            rf.bins[0] = 1.0
         with pytest.raises(ValueError):
             ru.env_x[0] = 1.0
 
@@ -444,15 +455,14 @@ def modulator_stage(s):
 def downlink_stage(s):
     rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
     taps = rofsim.link.downlink_taps(s)
-    return [taps["rf"].samples, *field_arrays(taps["ru_field"])]
+    return [taps["rf"].bins, *field_arrays(taps["ru_field"])]
 
 
 def evaluator_stage(s):
     rofsim.link._kept[:] = [None] * len(rofsim.link._kept)
     ev = UplinkEvaluator(s)
     with_sic, without_sic = ev.outputs(0.5, 0.3e-9)
-    return [ev.received.samples, ev._spec_x, ev._spec_y, *ev._si_bins,
-            with_sic.samples, without_sic.samples]
+    return [ev._spec_x, ev._spec_y, *ev._si_bins, with_sic.samples, without_sic.samples]
 
 
 STAGES = {
@@ -492,10 +502,11 @@ class TestStageKeys:
 GRID_CHAIN = TimeGrid(sample_rate=64e9, n_samples=2**12)
 
 
-def time_domain_chain(s: LinkScenario, received: SampledWaveform) -> list:
-    """rf, the RU Y rail, i_X at zero delay and i_Y of `received`, with every
-    optical element of the link applied to samples (fiber_propagate,
-    polarizer, pbs, photodetect)."""
+def time_domain_chain(s: LinkScenario) -> list:
+    """rf, the RU Y rail, i_X at zero delay and i_Y of the SI-only received
+    signal, with every element of the link applied to samples: the optics
+    (fiber_propagate, polarizer, pbs, photodetect), the SI path as
+    `fractional_delay` and a gain, and the modulator's own hybrid."""
     field = fiber_propagate(rofsim.link._modulate(s).held_as((False, False)), s.downlink_fiber)
     gain = 10.0 ** (s.edfa_gain_db / 20.0)
     half = 1.0 / np.sqrt(2.0)
@@ -503,6 +514,7 @@ def time_domain_chain(s: LinkScenario, received: SampledWaveform) -> list:
     rf = filter_band(photodetect(polarizer(ru, np.pi / 4.0), s.responsivity), "bandpass", *s.bpf)
     x_ru, y_ru = pbs(ru)
     i_x = photodetect(fiber_propagate(x_ru, s.uplink_fiber), s.responsivity)
+    received = fractional_delay(rf, s.si_path.delay).scaled(s.si_path.amplitude_gain)
     y_mod = dd_mzm_ssb(y_ru, received, ModulatorParams(s.v_pi, "lower"))
     i_y = photodetect(fiber_propagate(y_mod, s.uplink_fiber), s.responsivity)
     return [rf.samples, y_ru.env_y, i_x.samples, i_y.samples]
@@ -531,34 +543,86 @@ class TestSpectralChain:
         ev = uplink_evaluator(s)
         n = s.grid.n_samples
         got = [rf.samples, ru.env_y, np.fft.irfft(ev._spec_x, n), np.fft.irfft(ev._spec_y, n)]
-        want = time_domain_chain(s, ev.received)
+        want = time_domain_chain(s)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
         if down == up == 0.0:  # a fibre-free link computes what it always did
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def quadrature_reference(x: np.ndarray) -> np.ndarray:
+    """The modulator hybrid's output through a full complex FFT: +90 deg on
+    f > 0, -90 deg on f < 0, and DC and an even-length Nyquist bin zeroed."""
+    n = x.size
+    f = np.fft.fftfreq(n)
+    spec = np.where(f > 0, 1j, -1j) * np.fft.fft(x)
+    spec[0] = 0.0
+    if n % 2 == 0:
+        spec[n // 2] = 0.0
+    return np.fft.ifft(spec).real
+
+
+def spectral_tone(amplitude: float, frequency: float) -> SpectralWaveform:
+    return SpectralWaveform.of(make_tone(ToneSpec(amplitude, frequency), GRID_TONE))
+
+
 class TestMakeReceivedSignal:
     def test_unity_path_is_identity(self):
-        w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
+        w = spectral_tone(1.0, 7e9)
         r = make_received_signal(w, SelfInterferencePath(gain_db=0.0, delay=0.0))
         assert np.allclose(r.samples, w.samples, atol=1e-12)
 
     def test_disabled_si_leaves_soi(self):
-        w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
-        soi = make_tone(ToneSpec(amplitude=0.01, frequency=7.004e9), GRID_TONE)
+        w = spectral_tone(1.0, 7e9)
+        soi = spectral_tone(0.01, 7.004e9)
         r = make_received_signal(w, SelfInterferencePath(gain_db=-np.inf, delay=0.0), soi)
         assert np.allclose(r.samples, soi.samples, atol=1e-15)
 
     def test_gain_scaling(self):
-        w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
+        w = spectral_tone(1.0, 7e9)
         r = make_received_signal(w, SelfInterferencePath(gain_db=-20.0, delay=0.0))
         assert mean_power(r) == pytest.approx(mean_power(w) / 100.0, rel=1e-9)
 
     def test_excessive_delay_rejected(self):
-        w = make_tone(ToneSpec(amplitude=1.0, frequency=7e9), GRID_TONE)
+        w = spectral_tone(1.0, 7e9)
         with pytest.raises(DelayRangeError):
             make_received_signal(w, SelfInterferencePath(gain_db=0.0, delay=2e-6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([64, 65, 256, 1000, 1001]),
+        seed=st.integers(0, 2**32 - 1),
+        delay_fraction=st.floats(0.0, 0.25, exclude_max=True),
+        gain_db=st.floats(-60.0, 20.0),
+        phi=st.one_of(st.none(), st.floats(-2 * np.pi, 2 * np.pi)),
+        sideband=st.sampled_from(["lower", "upper"]),
+    )
+    def test_drive_and_quadrature_are_the_time_domain_chain(
+        self, n, seed, delay_fraction, gain_db, phi, sideband
+    ):
+        # the RU drive and its quadrature are two inverse transforms of the
+        # shaped spectrum; in the time domain they are the delayed, scaled
+        # and phase-shifted record and the modulator hybrid's output, which
+        # `_hilbert90` and a complex-FFT oracle both give
+        grid = TimeGrid(sample_rate=64e9, n_samples=n)
+        w = SampledWaveform(grid, np.random.default_rng(seed).standard_normal(n))
+        si = SelfInterferencePath(gain_db=gain_db, delay=delay_fraction * grid.duration)
+        received = make_received_signal(SpectralWaveform.of(w), si, rf_phase_comp=phi)
+        want = fractional_delay(w, si.delay).scaled(si.amplitude_gain)
+        if phi is not None:
+            want = phase_shift(want, phi)
+        want_q = quadrature_reference(want.samples)
+        drive, quadrature = received.waveform(), received.quadrature()
+        for got, ref in ((drive.samples, want.samples), (quadrature.samples, want_q),
+                         (_hilbert90(want.samples), want_q)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        # the modulator sets the quadrature's sign by the sideband
+        params = ModulatorParams(v_pi=3.5, sideband=sideband)
+        np.testing.assert_allclose(
+            _ssb_transfer(drive.samples, quadrature.samples, params),
+            _ssb_transfer(want.samples, want_q, params),
+            rtol=0, atol=1e-12 * np.pi / 3.5 * np.abs(want.samples).max(),
+        )
 
 
 class TestBuildSoi:
@@ -580,11 +644,13 @@ class TestRunUplink:
     def test_dark_reference_arm_matches_without(self):
         # run_full's SOI passes rely on this alpha = 0 identity
         s = tone_scenario(2e9, 5e9)
-        seed = seed_settings(s, run_downlink(s)[0])
+        rf = run_downlink(s)[0]
+        seed = seed_settings(s, rf)
         ev = UplinkEvaluator(s)
         with_sic, without_sic = ev.outputs(0.0, seed.tau2)
         assert np.array_equal(with_sic.samples, without_sic.samples)
-        assert np.array_equal(without_sic.samples, signal_output(ev.received, s).samples)
+        received = make_received_signal(rf, s.si_path)
+        assert np.array_equal(without_sic.samples, signal_output(received, s).samples)
 
     def test_tuned_settings_cancel(self):
         s = tone_scenario(2e9, 5e9)
@@ -854,7 +920,8 @@ class TestReferenceArmOracle:
         seed = seed_settings(s, rf)
         ev = UplinkEvaluator(s)
         x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
-        y_co = fiber_propagate(remodulate(ru, ev.received, s), s.uplink_fiber)
+        received = make_received_signal(rf, s.si_path)
+        y_co = fiber_propagate(remodulate(ru, received, s), s.uplink_fiber)
         points = [
             (seed.alpha, 0.0),
             (seed.alpha, seed.tau2),
@@ -889,11 +956,11 @@ class TestReferenceArmOracle:
         assert filters == []
 
     def test_package_keeps_no_oracle(self):
-        # the time-domain reference arm and the test-only optics live in
-        # tests/optics_oracles.py
+        # the time-domain reference arm, the test-only optics and the
+        # test-only metric live in tests/optics_oracles.py
         moved = ("delay_line", "reference_current", "bpd_raw", "total_power", "mean_power",
-                 "GainNotAllowed")
-        for module in (rofsim, rofsim.link, rofsim.optics, rofsim.errors):
+                 "GainNotAllowed", "laser_cw", "cancellation_depth")
+        for module in (rofsim, rofsim.link, rofsim.optics, rofsim.errors, rofsim.signal_core):
             assert not [name for name in moved if hasattr(module, name)], module.__name__
         assert not set(moved) & set(rofsim.__all__)
         assert not hasattr(UplinkEvaluator, "bpd_raw")
@@ -907,7 +974,8 @@ class TestReferenceArmOracle:
         assert s.soi is not None
         rf, ru = run_downlink(s)
         sic = seed_settings(s, rf)
-        received = make_received_signal(rf, s.si_path) + build_soi_waveform(s)
+        soi = SpectralWaveform.of(build_soi_waveform(s))
+        received = make_received_signal(rf, s.si_path, soi)
         x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
         y_co_full = fiber_propagate(remodulate(ru, received, s), s.uplink_fiber)
         raw = balanced_detect(

@@ -6,6 +6,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.special import j0, j1
 
+import rofsim.optics
 from rofsim.errors import GridError, RailConflict
 from rofsim.optics import (
     FiberParams,
@@ -15,14 +16,13 @@ from rofsim.optics import (
     dp_bpsk_modulate,
     fiber_propagate,
     fiber_transfer,
-    laser_cw,
     pbc,
     pbs,
     photodetect,
     polarizer,
     split_branch,
 )
-from rofsim.optics import _hilbert90, _ssb_transfer
+from rofsim.optics import _BLOCK, _hilbert90, _ssb_transfer
 from rofsim.signal_core import TimeGrid, ToneSpec, make_tone
 
 from optics_oracles import (
@@ -30,6 +30,7 @@ from optics_oracles import (
     attenuate,
     balanced_detect,
     delay_line,
+    laser_cw,
     mzm_dsb,
     ssb_smallsignal_coefficients,
     total_power,
@@ -216,15 +217,25 @@ class TestSsbModulator:
         scale=st.floats(0.0, 10.0),
         v_pi=st.floats(0.5, 10.0),
         sideband=st.sampled_from(["lower", "upper"]),
+        n=st.sampled_from([1024, 2 * _BLOCK + 77]),  # one block, and a ragged last one
     )
-    def test_transfer_matches_two_exponential_form(self, seed, scale, v_pi, sideband):
-        drive = scale * np.random.default_rng(seed).standard_normal(1024)
+    def test_transfer_matches_two_exponential_form(self, seed, scale, v_pi, sideband, n):
+        drive = scale * np.random.default_rng(seed).standard_normal(n)
         params = ModulatorParams(v_pi=v_pi, sideband=sideband)
         q = _hilbert90(drive) if sideband == "upper" else -_hilbert90(drive)
         pa = np.pi / v_pi * drive
         pb = np.pi / v_pi * q - 0.5 * np.pi
         ref = 0.5 * (np.exp(1j * pa) + np.exp(1j * pb))
-        np.testing.assert_allclose(_ssb_transfer(drive, params), ref, rtol=0, atol=1e-12)
+        got = _ssb_transfer(drive, _hilbert90(drive), params)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_blocks_are_the_whole_record(self, monkeypatch):
+        # the transfer is pointwise, so its blocks give the one-block result bit for bit
+        drive = 3.0 * np.random.default_rng(5).standard_normal(2 * _BLOCK + 77)
+        q = _hilbert90(drive)
+        blocked = _ssb_transfer(drive, q, MOD)
+        monkeypatch.setattr(rofsim.optics, "_BLOCK", drive.size)
+        assert np.array_equal(blocked, _ssb_transfer(drive, q, MOD))
 
 
 class TestSmallSignalCoefficients:
@@ -282,7 +293,8 @@ class TestDpBpskModulator:
         want = laser_cw(10.0, "x", GRID).env_x / np.sqrt(2.0)
         branch = split_branch(10.0, zero, 3.5, "x")
         assert branch.rail() == "x"
-        assert np.array_equal(branch.env_x, want * _ssb_transfer(zero.samples, MOD))
+        transfer = _ssb_transfer(zero.samples, _hilbert90(zero.samples), MOD)
+        assert np.array_equal(branch.env_x, want * transfer)
 
 
 class TestSplitBranch:

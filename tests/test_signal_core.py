@@ -21,7 +21,6 @@ from rofsim.signal_core import (
     TimeGrid,
     ToneSpec,
     band_power,
-    cancellation_depth,
     dbm_to_amplitude,
     demodulate_evm,
     filter_band,
@@ -34,7 +33,7 @@ from rofsim.signal_core import (
 )
 from rofsim.signal_core import _chirp_z, _edge_mask, _qam_support, _rrc_response, _welch
 
-from optics_oracles import mean_power
+from optics_oracles import cancellation_depth, mean_power
 from qam_oracles import dense_demodulate_evm, dense_make_qam, qam_impulses
 
 GRID = TimeGrid(sample_rate=64e9, n_samples=2**16)

@@ -6,7 +6,9 @@ Lists every file of either directory as identical (byte for byte), differing,
 or present on one side only. For a spectrum CSV that differs, it also prints
 the largest |delta PSD| over the bins within 100 dB of that file's peak (in
 either directory), and the largest over all bins with how far below the peak
-that bin lies. Exits 0 when every file is byte-identical, else 1.
+that bin lies. For any other CSV that differs (metrics, tune, sweep), it
+prints the largest |delta| of each numeric column, the columns named by the
+file's last '#' line. Exits 0 when every file is byte-identical, else 1.
 """
 
 from __future__ import annotations
@@ -44,6 +46,40 @@ def psd_difference(a: Path, b: Path) -> str:
             f"{delta[worst]:.6g} dB over all bins, {below:.1f} dB below the peak")
 
 
+def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Column names from the last '#' line of a CSV, and its data rows."""
+    header, rows = [], []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            header = line[1:].strip().split(",")
+        elif line:
+            rows.append(line.split(","))
+    return header, rows
+
+
+def _numbers(cells: list[str]) -> np.ndarray | None:
+    try:
+        return np.array([float(c) for c in cells])
+    except ValueError:
+        return None
+
+
+def column_difference(a: Path, b: Path) -> str:
+    """The largest |delta| of each numeric column of two CSVs with the same
+    columns and row count; NaN against NaN counts as equal."""
+    (ha, ra), (hb, rb) = read_table(a), read_table(b)
+    if ha != hb or len(ra) != len(rb) or any(len(r) != len(ha) for r in ra + rb):
+        return "columns or rows differ"
+    parts = []
+    for i, name in enumerate(ha):
+        va, vb = _numbers([r[i] for r in ra]), _numbers([r[i] for r in rb])
+        if va is None or vb is None:
+            continue
+        delta = np.where(np.isnan(va) & np.isnan(vb), 0.0, np.abs(va - vb))
+        parts.append(f"{name} {delta.max():.3g}" if delta.size else f"{name} -")
+    return "max |d| " + ", ".join(parts)
+
+
 def compare(dir_a: Path, dir_b: Path) -> tuple[list[str], bool]:
     """Report lines for the files of both directories, and whether all are identical."""
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
@@ -58,6 +94,8 @@ def compare(dir_a: Path, dir_b: Path) -> tuple[list[str], bool]:
             lines.append(f"identical: {name}")
         else:
             detail = psd_difference(a, b)
+            if not detail and a.suffix == ".csv":
+                detail = column_difference(a, b)
             lines.append(f"differs: {name}" + (f" ({detail})" if detail else ""))
             same = False
     return lines, same
