@@ -61,11 +61,11 @@ from .link import (
     LinkScenario,
     SelfInterferencePath,
     SicSettings,
-    build_soi_waveform,
     downlink_taps,
     make_received_signal,
     run_downlink,
     run_full,
+    soi_spectrum,
 )
 from .tuner import (
     PHASE_CONSTANT,
@@ -139,7 +139,7 @@ __all__ = [
     "LinkResult",
     "downlink_taps",
     "run_downlink",
-    "build_soi_waveform",
+    "soi_spectrum",
     "make_received_signal",
     "run_full",
     # tuner

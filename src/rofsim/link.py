@@ -3,6 +3,7 @@ uplink transport and balanced detection at the CO."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -33,7 +34,6 @@ from .signal_core import (
     dbm_to_watts,
     demodulate_evm,
     filter_spectrum,
-    fractional_delay,
     qam_samples_per_symbol,
     welch_psd,
     DEFAULT_GRID,
@@ -235,11 +235,39 @@ def _carries_spectra(s: LinkScenario) -> bool:
     return bool(s.downlink_fiber.length or s.uplink_fiber.length)
 
 
+def _tiled(samples: np.ndarray, r: int) -> np.ndarray:
+    """r periods of `samples`, one after another; `samples` itself for r = 1."""
+    return samples if r == 1 else np.tile(samples, r)
+
+
+def _spread(spectrum: np.ndarray, r: int, size: int) -> np.ndarray:
+    """The `size` fft or rfft bins of r periods of the waveform whose
+    spectrum on one period is `spectrum`: r times it on every r-th bin and
+    zero elsewhere, the DFT of a periodic record; `spectrum` itself for r = 1."""
+    if r == 1:
+        return spectrum
+    out = np.zeros(size, dtype=np.complex128)
+    np.multiply(spectrum, r, out=out[::r])
+    return out
+
+
 def _lo_branch(s: LinkScenario) -> OpticalField:
     """The CO modulator's LO branch: the Y half of the laser's 3-dB split,
-    modulated by the LO, held in the domain the link of `s` carries."""
-    branch = split_branch(s.laser_power_dbm, s.lo_signal.waveform(s.grid), s.v_pi, "y")
-    return branch.held_as((False, _carries_spectra(s)))
+    modulated by the LO, held in the domain the link of `s` carries.
+
+    Every step of the branch is pointwise in time or diagonal in frequency,
+    so it repeats on the LO's period P (`ToneSpec.period`). It is built on P
+    samples, the first P of the record, and repeated over the record: tiled
+    as samples, or as its spectrum on every (n/P)-th bin."""
+    n, spectral = s.grid.n_samples, _carries_spectra(s)
+    p = s.lo_signal.period(s.grid)
+    lo = s.lo_signal.waveform(TimeGrid(s.grid.sample_rate, p))
+    rail = split_branch(s.laser_power_dbm, lo, s.v_pi, "y").env_y
+    if spectral:
+        rail = _spread(sfft.fft(rail, workers=_FFT_WORKERS), n // p, n)
+    else:
+        rail = _tiled(rail, n // p)
+    return OpticalField(s.grid, None, rail, spectral=(False, spectral))
 
 
 def _modulate(s: LinkScenario) -> OpticalField:
@@ -303,14 +331,32 @@ def uplink_evaluator(s: LinkScenario, rf_phase_comp: float | None = None) -> Upl
                        lambda: UplinkEvaluator(s, rf_phase_comp))
 
 
-def build_soi_waveform(s: LinkScenario) -> SampledWaveform | None:
-    """SOI realized at the air-interface frequency f_s, after its arrival delay."""
+def _soi_on_period(s: LinkScenario) -> tuple[SampledWaveform, np.ndarray]:
+    """The SOI at the air-interface frequency f_s on its own period
+    (`period`): its samples, and their rfft after the arrival delay, a
+    product with the delay's response on that grid."""
+    soi = s.soi.waveform(TimeGrid(s.grid.sample_rate, s.soi.period(s.grid)))
+    bins = sfft.rfft(soi.samples, workers=_FFT_WORKERS)
+    if s.soi_delay:
+        bins *= _delay_response(soi.grid, s.soi_delay)
+    return soi, bins
+
+
+def _on_record(bins: np.ndarray, period: int, grid: TimeGrid) -> SpectralWaveform:
+    """The rfft `bins` of a waveform on `period` samples, repeated over the
+    record of `grid`, as its spectrum there."""
+    n = grid.n_samples
+    return SpectralWaveform(grid, _spread(bins, n // period, n // 2 + 1))
+
+
+def soi_spectrum(s: LinkScenario) -> SpectralWaveform | None:
+    """The SOI realized at the air-interface frequency f_s, after its arrival
+    delay, held as its one-sided spectrum on the record's bins. It is built
+    on its own period, so a tone SOI costs a few samples."""
     if s.soi is None:
         return None
-    w = s.soi.waveform(s.grid)
-    if s.soi_delay:
-        w = fractional_delay(w, s.soi_delay)
-    return w
+    soi, bins = _soi_on_period(s)
+    return _on_record(bins, soi.grid.n_samples, s.grid)
 
 
 def make_received_signal(
@@ -347,11 +393,14 @@ def remodulate(
     sideband) on the Y output of the RU's beam splitter; the output's X rail
     is dark. The drive and its quadrature, the modulator's 90 deg hybrid,
     are two inverse transforms of the received spectrum; `drive` stands for
-    the first where the caller holds those samples."""
+    the first where the caller holds those samples. The spectrum is dropped
+    once both are formed, so a caller that passes it unbound frees it before
+    the modulator runs."""
     if drive is None:
         drive = received.waveform()
-    return dd_mzm_ssb(pbs(ru_field)[1], drive, ModulatorParams(s.v_pi, "lower"),
-                      received.quadrature())
+    quadrature = received.quadrature()
+    del received
+    return dd_mzm_ssb(pbs(ru_field)[1], drive, ModulatorParams(s.v_pi, "lower"), quadrature)
 
 
 def _uplink_transfer(s: LinkScenario) -> np.ndarray | None:
@@ -368,20 +417,6 @@ def _arm_spectrum(field: OpticalField, s: LinkScenario, h_up: np.ndarray | None)
         field = field.filtered(h_up, (False, False))
     field = field.held_as((False, False))
     return sfft.rfft(photodetect(field, s.responsivity).samples, workers=_FFT_WORKERS)
-
-
-def _signal_spectrum(
-    received: SpectralWaveform,
-    s: LinkScenario,
-    h_up: np.ndarray | None = None,
-    drive: SampledWaveform | None = None,
-) -> np.ndarray:
-    """B = rfft(i_Y) of the signal arm that `received` re-modulates; `h_up` is
-    the uplink fiber's transfer when the caller holds it, and `drive` as in
-    `remodulate`."""
-    h_up = _uplink_transfer(s) if h_up is None else h_up
-    # passed unbound, so the re-modulated rail is freed once it is filtered
-    return _arm_spectrum(remodulate(run_downlink(s)[1], received, s, drive), s, h_up)
 
 
 def output_decimation(grid: TimeGrid, lpf: float) -> int:
@@ -418,12 +453,11 @@ def _lowpassed(
     return SampledWaveform(TimeGrid(grid.sample_rate / d, m), samples)
 
 
-def signal_output(
-    received: SpectralWaveform, s: LinkScenario, h_up: np.ndarray | None = None
-) -> SampledWaveform:
-    """-LP(i_Y): the lowpass BPD output of the signal arm alone (reference arm
-    dark), on the output grid; `h_up` as in `_signal_spectrum`."""
-    return _lowpassed(-_signal_spectrum(received, s, h_up), s.grid, s.lpf)
+def signal_output(received: SpectralWaveform, s: LinkScenario) -> SampledWaveform:
+    """-LP(i_Y): the lowpass BPD output of the signal arm that `received`
+    re-modulates (reference arm dark), on the output grid."""
+    arm = _arm_spectrum(remodulate(run_downlink(s)[1], received, s), s, _uplink_transfer(s))
+    return _lowpassed(-arm, s.grid, s.lpf)
 
 
 class UplinkEvaluator:
@@ -445,9 +479,10 @@ class UplinkEvaluator:
         self.rf_phase_comp = rf_phase_comp
         rf, ru = run_downlink(s)
         h_up = _uplink_transfer(s)  # both arms cross the uplink fiber
-        # passed unbound, so the received spectrum is freed with the signal arm
-        self._spec_y = _signal_spectrum(
-            make_received_signal(rf, s.si_path, rf_phase_comp=rf_phase_comp), s, h_up)
+        # B: passed unbound, the received spectrum is freed before the RU
+        # modulator runs, and the re-modulated rail once it is filtered
+        self._spec_y = _arm_spectrum(remodulate(
+            ru, make_received_signal(rf, s.si_path, rf_phase_comp=rf_phase_comp), s), s, h_up)
         self._spec_x = _arm_spectrum(pbs(ru)[0], s, h_up)  # A: the reference arm at zero delay
         freqs = self.grid.rfreqs()
         f_lo, f_hi = s.si_band()
@@ -505,14 +540,47 @@ class UplinkEvaluator:
         return with_sic, _lowpassed(-y, self.grid, lpf, self._d)
 
 
+def _soi_only_spectrum(
+    s: LinkScenario,
+    soi: SampledWaveform,
+    bins: np.ndarray,
+    rf_phase_comp: float | None,
+    h_up: np.ndarray | None,
+) -> np.ndarray:
+    """rfft, on the record's bins, of the signal arm's photocurrent with the
+    SOI alone received: `soi` and `bins` as `_soi_on_period` gives them, and
+    `h_up` the uplink fiber's transfer on the record (None: no length).
+
+    The RU's Y rail carries only the LO, so it repeats on the LO's period,
+    and the SOI repeats on its own. The pass runs on the p samples of their
+    lcm: the first p of the kept rail, the SOI's bins and every (n/p)-th bin
+    of the fiber's transfer. Its spectrum is spread onto the record's bins.
+    Without a delay or a phase shifter the SOI's samples are its drive.
+    """
+    n = s.grid.n_samples
+    p = math.lcm(s.lo_signal.period(s.grid), soi.grid.n_samples)
+    grid = TimeGrid(s.grid.sample_rate, p)
+    r = p // soi.grid.n_samples
+    received = _spread(bins, r, p // 2 + 1)
+    drive = None
+    if rf_phase_comp is not None:
+        received = received * _phase_response(grid, rf_phase_comp)
+    elif not s.soi_delay:
+        drive = SampledWaveform(grid, _tiled(soi.samples, r))
+    ru = OpticalField(grid, None, run_downlink(s)[1].env_y[:p])
+    h_up = None if h_up is None else h_up[:: n // p]
+    spectrum = _arm_spectrum(remodulate(ru, SpectralWaveform(grid, received), s, drive), s, h_up)
+    return _spread(spectrum, n // p, n // 2 + 1)
+
+
 def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     """Execute the whole link and compute the scenario metrics.
 
     The SI-only pass is the one SIC stage, kept from tuning; the SI + SOI and
     SOI-only passes detect only the signal arm. The received RF is linear in
-    the SI and the SOI, so the SOI's spectrum is taken once and added to the
-    SI's. The outputs, spectra and powers are on the output grid; EVM reads
-    the SOI at the full rate.
+    the SI and the SOI, so the SOI's spectrum is taken once, on its period,
+    and added to the SI's. The outputs, spectra and powers are on the output
+    grid; EVM reads the SOI at the full rate.
     """
     # SI-only pass: depth and residual are measured without the SOI so the
     # always-on uplink signal cannot mask the cancellation.
@@ -526,26 +594,24 @@ def run_full(s: LinkScenario, sic: SicSettings) -> LinkResult:
     soi_power = None
     evm = None
     if s.soi is not None:
-        rf = run_downlink(s)[0]
-        soi_wave = build_soi_waveform(s)
-        soi = SpectralWaveform.of(soi_wave)
+        rf, ru = run_downlink(s)
+        soi, bins = _soi_on_period(s)
         h_up = _uplink_transfer(s)  # both SOI passes cross the uplink fiber
         # The reference arm never touches the uplink RF, so adding the SOI
-        # changes only the signal arm.
-        full = signal_output(make_received_signal(rf, s.si_path, soi, sic.rf_phase_comp), s, h_up)
+        # changes only the signal arm: `signal_output` of the SI + SOI
+        # signal, with each spectrum passed unbound so it is freed once used.
+        full = _lowpassed(-_arm_spectrum(remodulate(ru, make_received_signal(
+            rf, s.si_path, _on_record(bins, soi.grid.n_samples, s.grid), sic.rf_phase_comp,
+        ), s), s, h_up), s.grid, s.lpf)
         with_out = SampledWaveform(
             with_out.grid, with_out.samples - without_out.samples + full.samples
         )
         without_out = full
         spec_with, spec_without = welch_psd(with_out, s.rbw), welch_psd(without_out, s.rbw)
         # SOI-only pass: measured on the signal arm alone, otherwise the
-        # reference arm's downlink copy would masquerade as SOI power. Without
-        # a phase shifter the SOI's samples are its drive.
-        if sic.rf_phase_comp is not None:
-            soi = SpectralWaveform(s.grid, soi.bins * _phase_response(s.grid, sic.rf_phase_comp))
-            soi_wave = None
-        soi_spec = -_signal_spectrum(soi, s, h_up, soi_wave)
-        del h_up, soi, soi_wave  # freed before the EVM, which sets the peak of run_full
+        # reference arm's downlink copy would masquerade as SOI power.
+        soi_spec = -_soi_only_spectrum(s, soi, bins, sic.rf_phase_comp, h_up)
+        del h_up, soi, bins  # freed before the EVM, which sets the peak of run_full
         soi_only = _lowpassed(soi_spec, s.grid, s.lpf)
         soi_power = band_power(welch_psd(soi_only, s.rbw), *s.soi_band())
         if isinstance(s.soi, QamSignalSpec):  # down-converted, the SOI sits at f_if

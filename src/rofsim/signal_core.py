@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -170,8 +171,8 @@ def require_same_grid(*items) -> None:
 
 @dataclass(frozen=True)
 class ToneSpec:
-    """A tone drive. A drive spec gives its `kind`, its waveform on a grid and
-    the half-width of the band it is measured in."""
+    """A tone drive. A drive spec gives its `kind`, its waveform on a grid,
+    the half-width of the band it is measured in, and its period on a grid."""
 
     amplitude: float  # volts, peak
     frequency: float  # Hz
@@ -186,6 +187,13 @@ class ToneSpec:
 
     def band_halfwidth(self, rbw: float) -> float:
         return 3.0 * rbw  # either side of the line
+
+    def period(self, grid: TimeGrid) -> int:
+        """The shortest P dividing `grid.n_samples` with frequency/sample_rate
+        = k/P exactly, as the ratio of the two floats: the tone's samples on
+        `grid` repeat every P. `grid.n_samples` where no such P exists."""
+        p = (Fraction(self.frequency) / Fraction(grid.sample_rate)).denominator
+        return p if grid.n_samples % p == 0 else grid.n_samples
 
 
 @dataclass(frozen=True)
@@ -221,6 +229,10 @@ class QamSignalSpec:
 
     def band_halfwidth(self, rbw: float) -> float:
         return self.occupied_halfwidth
+
+    def period(self, grid: TimeGrid) -> int:
+        """The record: the symbols never repeat within it."""
+        return grid.n_samples
 
 
 @dataclass

@@ -2,16 +2,25 @@
 push-pull DSB modulator (the power-fading control of C6), the small-signal
 Bessel lines of the SSB modulator, an optical attenuator, a true optical
 delay line, a balanced detector, the time-domain reference arm of the SIC
-stage, the power of a field or a waveform, and the cancellation depth
-between two Welch estimates."""
+stage, the LO branch and the SOI-only signal arm built on the whole record,
+the power of a field or a waveform, and the cancellation depth between two
+Welch estimates."""
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.special import j0, j1
 
 from rofsim.errors import GridError, RofsimError
-from rofsim.link import LinkScenario, UplinkEvaluator, run_downlink
-from rofsim.optics import ModulatorParams, OpticalField, fiber_propagate, pbs, photodetect
+from rofsim.link import LinkScenario, UplinkEvaluator, _carries_spectra, run_downlink
+from rofsim.optics import (
+    ModulatorParams,
+    OpticalField,
+    dd_mzm_ssb,
+    fiber_propagate,
+    pbs,
+    photodetect,
+    split_branch,
+)
 from rofsim.signal_core import (
     _FFT_WORKERS,
     SampledWaveform,
@@ -19,6 +28,8 @@ from rofsim.signal_core import (
     TimeGrid,
     band_power,
     dbm_to_watts,
+    fractional_delay,
+    phase_shift,
 )
 
 
@@ -135,3 +146,25 @@ def bpd_raw(ev: UplinkEvaluator, alpha: float, tau2: float) -> np.ndarray:
     the reference arm delayed and detected in the time domain."""
     i_x = reference_current(run_downlink(ev.scenario)[1], ev.scenario, tau2)
     return alpha * i_x - sfft.irfft(ev._spec_y, ev.grid.n_samples, workers=_FFT_WORKERS)
+
+
+def record_lo_branch(s: LinkScenario) -> OpticalField:
+    """The CO modulator's LO branch modulated on the whole record, held in
+    the domain the link of `s` carries."""
+    branch = split_branch(s.laser_power_dbm, s.lo_signal.waveform(s.grid), s.v_pi, "y")
+    return branch.held_as((False, _carries_spectra(s)))
+
+
+def record_soi_only_spectrum(s: LinkScenario, rf_phase_comp: float | None) -> np.ndarray:
+    """rfft of the signal arm's photocurrent with the SOI alone received, in
+    the time domain on the whole record: the SOI synthesized on the record,
+    `fractional_delay` and `phase_shift`, the RU modulator's own hybrid on
+    the kept RU Y rail, and the uplink fiber."""
+    soi = s.soi.waveform(s.grid)
+    if s.soi_delay:
+        soi = fractional_delay(soi, s.soi_delay)
+    if rf_phase_comp is not None:
+        soi = phase_shift(soi, rf_phase_comp)
+    y = dd_mzm_ssb(pbs(run_downlink(s)[1])[1], soi, ModulatorParams(s.v_pi, "lower"))
+    i_y = photodetect(fiber_propagate(y, s.uplink_fiber), s.responsivity)
+    return sfft.rfft(i_y.samples, workers=_FFT_WORKERS)

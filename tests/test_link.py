@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rofsim.link
 from rofsim.errors import DelayRangeError
@@ -14,13 +14,13 @@ from rofsim.link import (
     LinkScenario,
     SelfInterferencePath,
     UplinkEvaluator,
-    build_soi_waveform,
     make_received_signal,
     output_decimation,
     remodulate,
     run_downlink,
     run_full,
     signal_output,
+    soi_spectrum,
     uplink_evaluator,
 )
 from rofsim.optics import (
@@ -60,6 +60,8 @@ from optics_oracles import (
     cancellation_depth,
     delay_line,
     mean_power,
+    record_lo_branch,
+    record_soi_only_spectrum,
 )
 
 GRID_TONE = TimeGrid(sample_rate=64e9, n_samples=2**18)
@@ -271,6 +273,21 @@ class TestKeptStage:
             ev._si_bins[0][0] = 1.0
 
 
+GRID_PERIOD = TimeGrid(sample_rate=64e9, n_samples=2**12)
+
+
+@st.composite
+def lo_frequencies(draw):
+    """An LO at k/P of the sample rate in lowest terms, P a power of two that
+    divides GRID_PERIOD's record, or 6.06 GHz (303/3200: its period is the
+    record); the RF at f_IF + f_LO stays below 29 GHz."""
+    if draw(st.booleans()):
+        return 6.06e9
+    p = 2 ** draw(st.integers(2, 12))
+    k = 2 * draw(st.integers(0, int(0.42 * p) // 2)) + 1
+    return k / p * GRID_PERIOD.sample_rate
+
+
 class TestLoBranch:
     """The CO modulator's LO branch is a kept stage of its own: links that
     share the laser, the LO, v_pi and the domain modulate only their IF."""
@@ -315,6 +332,64 @@ class TestLoBranch:
         branch = rofsim.link._kept[rofsim.link._LO_BRANCH][1]
         assert branch.spectral == (False, rofsim.link._carries_spectra(other))
         assert bit_identical(field_arrays(branch), lo_branch_stage(other))
+
+    @settings(max_examples=40, deadline=None)
+    @given(f_lo=lo_frequencies(), fibre=st.sampled_from([0.0, 4.1]))
+    @example(f_lo=6.06e9, fibre=0.0)
+    @example(f_lo=6.06e9, fibre=4.1)
+    def test_period_branch_is_the_record_branch(self, f_lo, fibre):
+        # built on the LO's period and repeated, the branch is the one
+        # modulated on the whole record to the drift of make_tone's phase,
+        # and bit for bit that one where the period is the record
+        f_s = 2e9 + f_lo
+        s = dataclasses.replace(
+            tone_scenario(), grid=GRID_PERIOD, lo_signal=ToneSpec(amplitude=2.318, frequency=f_lo),
+            bpf=(f_s - 0.3e9, f_s + 0.3e9), downlink_fiber=FiberParams(length=fibre))
+        got, want = rofsim.link._lo_branch(s), record_lo_branch(s)
+        assert got.spectral == want.spectral == (False, fibre > 0.0)
+        assert got._held[0] is None and want._held[0] is None
+        a, b = got._held[1], want._held[1]
+        if s.lo_signal.period(s.grid) == s.grid.n_samples:
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.abs(b).max())
+
+
+GRID_SOI = TimeGrid(sample_rate=64e9, n_samples=2**14)
+
+
+class TestSoiOnItsPeriod:
+    """The SOI is built on its period, and the SOI-only pass runs on the lcm
+    of the RU Y rail's period and the SOI's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        drives=st.sampled_from([(2e9, 6e9), (2e9, 5e9), (2.5e9, 5e9), (2.1e9, 6e9)]),
+        qam=st.booleans(),
+        delay=st.one_of(st.just(0.0), st.floats(0.0, 1e-9)),
+        phi=st.one_of(st.none(), st.floats(-np.pi, np.pi)),
+        down=st.sampled_from([0.0, 4.1]),
+        up=st.sampled_from([0.0, 4.1]),
+    )
+    def test_soi_only_pass_is_the_record_pass(self, drives, qam, delay, phi, down, up):
+        # tone SOI periods 8, 64, 128 and the record (8.1 GHz: 81/640);
+        # 250 MBaud fits 64 symbols
+        soi = (QamSignalSpec(symbol_rate=250e6, power_dbm=-22.0, seed=7) if qam
+               else tone_soi(-22.0))
+        s = dataclasses.replace(
+            tone_scenario(*drives), grid=GRID_SOI, soi=soi, soi_delay=delay,
+            downlink_fiber=FiberParams(length=down), uplink_fiber=FiberParams(length=up))
+        link = rofsim.link
+        got = link._soi_only_spectrum(s, *link._soi_on_period(s), phi, link._uplink_transfer(s))
+        want = record_soi_only_spectrum(s, phi)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+        # the spectrum added to the SI's is the record's too
+        record = s.soi.waveform(s.grid)
+        if delay:
+            record = fractional_delay(record, delay)
+        want = np.fft.rfft(record.samples)
+        np.testing.assert_allclose(soi_spectrum(s).bins, want, rtol=0,
+                                   atol=1e-11 * np.abs(want).max())
 
 
 class TestMemory:
@@ -629,7 +704,7 @@ class TestBuildSoi:
     def test_tone_soi_level_and_frequency(self):
         s = tone_scenario(2e9, 5e9)
         s = dataclasses.replace(s, soi=dataclasses.replace(bundled("fig7a", GRID_QAM).soi))
-        w = build_soi_waveform(s)
+        w = soi_spectrum(s)
         assert mean_power(w) == pytest.approx(
             dbm_to_amplitude(-22.0) ** 2 / 2, rel=1e-9
         )
@@ -637,7 +712,7 @@ class TestBuildSoi:
         assert est.freqs[np.argmax(est.psd)] == pytest.approx(7e9, abs=2 * s.rbw)
 
     def test_none_without_soi(self):
-        assert build_soi_waveform(tone_scenario()) is None
+        assert soi_spectrum(tone_scenario()) is None
 
 
 class TestRunUplink:
@@ -974,8 +1049,7 @@ class TestReferenceArmOracle:
         assert s.soi is not None
         rf, ru = run_downlink(s)
         sic = seed_settings(s, rf)
-        soi = SpectralWaveform.of(build_soi_waveform(s))
-        received = make_received_signal(rf, s.si_path, soi)
+        received = make_received_signal(rf, s.si_path, soi_spectrum(s))
         x_co = fiber_propagate(pbs(ru)[0], s.uplink_fiber)
         y_co_full = fiber_propagate(remodulate(ru, received, s), s.uplink_fiber)
         raw = balanced_detect(

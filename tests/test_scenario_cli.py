@@ -23,7 +23,7 @@ from rofsim.errors import (
     SimulationError,
     TapError,
 )
-from rofsim.link import SelfInterferencePath, build_soi_waveform, run_full
+from rofsim.link import SelfInterferencePath, run_full, soi_spectrum
 from rofsim.optics import FiberParams
 from rofsim.scenario import (
     bundled_scenario_dir,
@@ -311,7 +311,7 @@ class TestScenarioFiles:
         doc[section]["frequency_ghz"] = value
         cold = rofsim.scenario.dict_to_scenario(doc)
         assert moved == cold and moved.soi.frequency == moved.f_s != s.f_s
-        assert build_soi_waveform(moved).samples.tobytes() == build_soi_waveform(cold).samples.tobytes()
+        assert soi_spectrum(moved).bins.tobytes() == soi_spectrum(cold).bins.tobytes()
 
     def test_overflowing_laser_power_is_a_value_error(self):
         with pytest.raises(ValueError, match="laser.power_dbm"):
@@ -339,6 +339,17 @@ class TestCliSimulate:
             assert main(["simulate", str(small_scenario), "--out", str(out)]) == 0
             outs.append((out / "fig6a_metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_tones_are_synthesized_on_their_period(self, tmp_path, monkeypatch):
+        # fig7a's 6 GHz LO repeats every 32 samples and its 8 GHz tone SOI
+        # every 8, so a cold simulate synthesizes no tone on the record
+        lengths = []
+        make_tone = rofsim.signal_core.make_tone
+        monkeypatch.setattr(rofsim.signal_core, "make_tone",
+                            lambda spec, grid: lengths.append(grid.n_samples) or make_tone(spec, grid))
+        path = bundled_scenario_dir() / "fig7a.scenario"
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
+        assert sorted(lengths) == [8, 32]
 
     def test_auto_tune_runs_downlink_once(self, tmp_path, small_scenario, monkeypatch):
         calls = []

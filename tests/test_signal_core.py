@@ -80,6 +80,27 @@ class TestMakeTone:
         assert np.allclose(a.samples, b.samples, rtol=1e-12, atol=1e-15)
 
 
+class TestPeriod:
+    """A drive's period on a grid: the shortest P dividing the record with
+    f/fs = k/P exactly, else the record."""
+
+    @pytest.mark.parametrize("spec, n, period", [
+        pytest.param(ToneSpec(1.0, 6e9), 2**20, 32, id="6GHz"),
+        pytest.param(ToneSpec(1.0, 5e9), 2**20, 64, id="5GHz"),
+        pytest.param(ToneSpec(1.0, 2.1e9), 2**20, 2**20, id="2.1GHz"),  # 21/640
+        pytest.param(ToneSpec(1.0, 2.1e9), 640 * 4, 640, id="2.1GHz-on-640s"),
+        pytest.param(ToneSpec(1.0, 6.06e9), 2**20, 2**20, id="6.06GHz"),  # 303/3200
+        pytest.param(ToneSpec(1.0, 64e9 / 3), 2**20, 2**20, id="fs/3"),  # not 1/3 as floats
+        pytest.param(QamSignalSpec(), 2**20, 2**20, id="qam"),
+    ])
+    def test_period(self, spec, n, period):
+        grid = TimeGrid(sample_rate=64e9, n_samples=n)
+        assert spec.period(grid) == period
+        if spec.kind == "tone" and period < n:  # the first period repeats
+            w = spec.waveform(grid).samples
+            np.testing.assert_allclose(w, np.tile(w[:period], n // period), rtol=0, atol=1e-9)
+
+
 class TestMakeQam:
     SPEC = QamSignalSpec(symbol_rate=20e6, frequency=2e9, power_dbm=0.0, seed=3)
 
